@@ -1,15 +1,18 @@
 """Noisy observation layer over a deterministic objective.
 
 Solvers never see true objective values. Every query goes through
-``NoisyBlackbox.observe``, which adds centred Gaussian noise of the
-requested standard deviation and charges the equivalent Monte-Carlo draw
-cost to a per-run ledger. Points outside the domain are reported as
-infeasible at zero draw cost; the domain check itself is deterministic.
+``NoisyBlackbox.observe_batch`` (or its one-point form ``observe``), which
+adds centred Gaussian noise of the requested standard deviation and
+charges the equivalent Monte-Carlo draw cost to a per-run ledger. Points
+outside the domain are reported as infeasible at zero draw cost; the
+domain check itself is deterministic.
 """
 
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .exceptions import InvalidInputError, InvalidSigmaError
 
@@ -33,15 +36,25 @@ def standard_normal(rng) -> float:
     return float(rng.standard_normal())
 
 
+def _draw_cost(numerator: float, sigma: float) -> float:
+    """``numerator / sigma**2``, refusing a sigma whose cost is not finite."""
+    if not sigma > 0:
+        raise InvalidSigmaError(f"sigma must be positive, got {sigma}")
+    square = sigma * sigma
+    cost = numerator / square if square > 0.0 else math.inf
+    if not math.isfinite(cost):
+        raise InvalidSigmaError(f"draw cost of sigma={sigma} is not finite")
+    return cost
+
+
 def draws_for_sigma(sigma: float) -> float:
     """Equivalent Monte-Carlo draw cost of one observation at ``sigma``.
 
     An estimate with standard deviation ``sigma`` costs ``1 / sigma**2``
-    draws; the count is real-valued, not an integer.
+    draws; the count is real-valued, not an integer. A sigma so small that
+    the count overflows raises ``InvalidSigmaError``.
     """
-    if not sigma > 0:
-        raise InvalidSigmaError(f"sigma must be positive, got {sigma}")
-    return 1.0 / (sigma * sigma)
+    return _draw_cost(1.0, sigma)
 
 
 def vme_draws_for_sigma(sigma: float) -> float:
@@ -49,14 +62,13 @@ def vme_draws_for_sigma(sigma: float) -> float:
 
     Calibrated so that 2**10 draws correspond to sigma = 1800, with sigma
     halving whenever the draw count quadruples:
-    ``N = 2**10 * 1800**2 / sigma**2``.
+    ``N = 2**10 * 1800**2 / sigma**2``. Overflow raises as in
+    ``draws_for_sigma``.
     """
-    if not sigma > 0:
-        raise InvalidSigmaError(f"sigma must be positive, got {sigma}")
-    return VME_BASE_DRAWS * VME_BASE_SIGMA * VME_BASE_SIGMA / (sigma * sigma)
+    return _draw_cost(VME_BASE_DRAWS * VME_BASE_SIGMA * VME_BASE_SIGMA, sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One noisy evaluation: the value seen and the sigma it was requested at."""
 
@@ -109,24 +121,56 @@ class NoisyBlackbox:
     def observe(self, x: Point, sigma: float, rng) -> Observation:
         """Observe the objective at ``x`` with noise level ``sigma``.
 
-        Feasible points return ``truth(x) + z * sigma`` with ``z`` standard
-        normal and charge ``draw_cost(sigma)`` to the ledger. Infeasible
-        points return an infeasible observation, consume no randomness and
-        cost nothing.
+        The one-point form of ``observe_batch``.
         """
-        if len(x) != self.dimension:
+        return self.observe_batch([x], [sigma], rng)[0]
+
+    def observe_batch(self, xs, sigmas, rng) -> list[Observation]:
+        """Observe each point ``xs[j]`` at noise level ``sigmas[j]``, in order.
+
+        Feasible points return ``truth(x) + z * sigma`` and charge
+        ``draw_cost(sigma)`` to the ledger; the ``z`` are one
+        ``rng.standard_normal(k)`` draw for the k feasible points, which
+        equals k scalar draws in sequence. Infeasible points return an
+        infeasible observation, consume no randomness and cost nothing.
+        The whole batch is validated before any noise is drawn or any draw
+        charged, so a bad point or sigma leaves the ledger and ``rng``
+        untouched. ``truth`` and ``feasible`` are called once per point.
+        """
+        k = len(xs)
+        if len(sigmas) != k:
+            raise InvalidInputError(f"got {len(sigmas)} sigmas for {k} points")
+        if k == 0:
+            return []
+        try:
+            coords = np.asarray(xs, dtype=float)
+        except (TypeError, ValueError):
             raise InvalidInputError(
-                f"point has dimension {len(x)}, expected {self.dimension}"
+                f"points must each have {self.dimension} numeric coordinates"
+            ) from None
+        if coords.shape != (k, self.dimension):
+            raise InvalidInputError(
+                f"points have shape {coords.shape}, expected ({k}, {self.dimension})"
             )
-        for c in x:
-            if not math.isfinite(c):
-                raise InvalidInputError(f"point has non-finite coordinate: {x}")
-        if not sigma > 0 or sigma > self.sigma_max:
-            raise InvalidSigmaError(
-                f"sigma must lie in (0, {self.sigma_max}], got {sigma}"
-            )
-        if not self._feasible(x):
-            return Observation.infeasible()
-        value = self._truth(x) + standard_normal(rng) * sigma
-        self.ledger.charge(x, sigma, self._draw_cost(sigma))
-        return Observation(value=value, sigma=sigma, feasible=True)
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))  # the first point with a non-finite coordinate
+            raise InvalidInputError(f"point has non-finite coordinate: {xs[bad]}")
+        for sigma in sigmas:
+            if not 0.0 < sigma <= self.sigma_max:
+                raise InvalidSigmaError(
+                    f"sigma must lie in (0, {self.sigma_max}], got {sigma}"
+                )
+        feasible = [bool(self._feasible(x)) for x in xs]
+        costs = [self._draw_cost(s) for s, ok in zip(sigmas, feasible) if ok]
+        noise = iter(rng.standard_normal(len(costs)).tolist() if costs else ())
+        charges = iter(costs)
+        out = []
+        for x, sigma, ok in zip(xs, sigmas, feasible):
+            if not ok:
+                out.append(Observation.infeasible())
+                continue
+            value = self._truth(x) + next(noise) * sigma
+            self.ledger.charge(x, sigma, next(charges))
+            out.append(Observation(value, sigma, True))
+        return out

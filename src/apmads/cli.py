@@ -149,9 +149,19 @@ def _bench_task(task) -> tuple:
     return problem_name, algo, seed, out_path
 
 
+def bench_workers(requested: int | None, n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` bench runs: never more than the runs.
+
+    ``None`` means one per core; values <= 0 are a usage error.
+    """
+    if requested is not None and requested <= 0:
+        raise UsageError(f"--workers must be a positive integer, got {requested}")
+    workers = requested if requested is not None else os.cpu_count() or 1
+    return max(1, min(workers, n_tasks))
+
+
 def cmd_bench(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    os.makedirs(args.out_dir, exist_ok=True)
     tasks = []
     for problem_name in args.problems:
         problem_registry(problem_name)  # fail fast on unknown names
@@ -168,8 +178,9 @@ def cmd_bench(args) -> int:
                     (problem_name, algo, seed, args.budget, args.stop_delta_p,
                      args.sigma_fixed, file_values, out_path)
                 )
-    workers = args.workers or os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
+    workers = bench_workers(args.workers, len(tasks))
+    os.makedirs(args.out_dir, exist_ok=True)
+    if workers > 1:
         with Pool(processes=workers) as pool:
             rows = pool.map(_bench_task, tasks)
     else:
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sigma-fixed", type=float, default=None)
     p_bench.add_argument("--config", default=None)
     p_bench.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: all cores)")
+                         help="worker processes, at most one per run (default: all cores)")
     p_bench.add_argument("--out-dir", required=True)
     p_bench.set_defaults(func=cmd_bench)
 

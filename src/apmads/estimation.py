@@ -43,8 +43,9 @@ def sigma_to_reach(existing_sigk: float, target: float, sigma_max: float):
 
     Returns None when the current standard deviation already meets the
     target. The exact solution of ``1/sigma**2 = 1/target**2 - 1/existing**2``
-    is clamped to ``sigma_max`` from above, in which case one observation is
-    not enough to reach the target.
+    is clamped to ``sigma_max`` from above. A clamped sigma is smaller than
+    the exact one, so the fused estimate overshoots the target (ends below
+    it) and the observation costs more draws than the exact solution would.
     """
     if not target > 0:
         raise InvalidInputError(f"target sigma must be positive, got {target}")
@@ -54,12 +55,13 @@ def sigma_to_reach(existing_sigk: float, target: float, sigma_max: float):
     if not math.isinf(existing_sigk):
         needed_weight -= 1.0 / (existing_sigk * existing_sigk)
     if needed_weight <= 0.0:
-        # existing barely above target: the exact solution overflows
+        # existing barely above target: the exact solution overflows, and
+        # sigma_max overshoots as any clamp does
         return sigma_max
     return min(needed_weight**-0.5, sigma_max)
 
 
-@dataclass
+@dataclass(slots=True)
 class PointHistory:
     """Observation history at one point with incrementally maintained sums."""
 
@@ -128,20 +130,36 @@ class EvaluationCache:
 
     def record(self, x: Point, obs: Observation) -> None:
         """Append one observation (or an infeasibility marker) at ``x``."""
-        i = self._index.get(x)
-        if i is None:
-            i = self._append(x)
-        hist = self._histories[i]
-        if not obs.feasible:
-            hist.feasible = False
-            self._fk[i] = math.inf
-            self._sigk[i] = math.inf
-            return
-        if not hist.observations:
-            self._n_estimated += 1
-        hist.add(obs)
-        self._fk[i] = hist.fk
-        self._sigk[i] = hist.sigk
+        self.record_batch([x], [obs])
+
+    def record_batch(self, xs, observations) -> None:
+        """Append ``observations[j]`` at ``xs[j]``, in order.
+
+        Equivalent to ``record`` on each pair in turn, repeated points
+        included: a later observation of a point fuses into the estimate
+        left by an earlier one.
+        """
+        if len(xs) != len(observations):
+            raise InvalidInputError(
+                f"got {len(observations)} observations for {len(xs)} points"
+            )
+        index, histories, fk, sigk = self._index, self._histories, self._fk, self._sigk
+        for x, obs in zip(xs, observations):
+            i = index.get(x)
+            if i is None:
+                i = self._append(x)
+                fk, sigk = self._fk, self._sigk  # the arrays may have grown
+            hist = histories[i]
+            if not obs.feasible:
+                hist.feasible = False
+                fk[i] = math.inf
+                sigk[i] = math.inf
+                continue
+            if not hist.observations:
+                self._n_estimated += 1
+            hist.add(obs)
+            fk[i] = hist.fk
+            sigk[i] = hist.sigk
 
     def estimate(self, x: Point) -> tuple[float, float]:
         """Return (f_hat, sig_hat) at ``x``; (+inf, +inf) when undefined."""
@@ -169,10 +187,11 @@ class EvaluationCache:
         return self._n_estimated > 0
 
     def estimate_arrays(self):
-        """Views (f_hat, sig_hat, defined mask) aligned with insertion order."""
-        fk = self._fk[: self._n]
-        sigk = self._sigk[: self._n]
-        return fk, sigk, np.isfinite(fk)
+        """Views (f_hat, sig_hat) aligned with insertion order.
+
+        Undefined points (unevaluated or infeasible) hold (+inf, +inf).
+        """
+        return self._fk[: self._n], self._sigk[: self._n]
 
     def incumbent(self) -> Point:
         """The earliest-inserted point with the lowest estimate."""

@@ -65,25 +65,20 @@ def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
     house = np.eye(n) - 2.0 * np.outer(v, v)
 
     basis = np.copysign(np.floor(np.abs(radius * house) + 0.5), house)
-    for i in range(n):
-        if not basis[i].any():
-            j = int(np.argmax(np.abs(house[i])))
-            basis[i, j] = math.copysign(1.0, house[i, j])
+    for i in np.flatnonzero(~basis.any(axis=1)).tolist():
+        j = int(np.argmax(np.abs(house[i])))
+        basis[i, j] = math.copysign(1.0, house[i, j])
     if radius < n and round(float(np.linalg.det(basis))) == 0:
         basis = radius * np.eye(n)
 
     steps = np.vstack([basis, -basis])
-    center_arr = np.asarray(center, dtype=float)
-    points = tuple(
-        tuple(float(c) for c in center_arr + delta_m * z) for z in steps
-    )
-    directions = tuple(tuple(float(e) for e in z) for z in steps)
+    coords = np.asarray(center, dtype=float) + delta_m * steps
     return PollSet(
         center=tuple(center),
         delta_p=delta_p,
         delta_m=delta_m,
-        directions=directions,
-        points=points,
+        directions=tuple(map(tuple, steps.tolist())),
+        points=tuple(map(tuple, coords.tolist())),
     )
 
 

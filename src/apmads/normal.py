@@ -7,13 +7,13 @@ cached estimates and their statistical standard deviations? Values above
 """
 
 import math
+from statistics import NormalDist
 
 from .blackbox import Point
 from .exceptions import InvalidInputError, UndefinedComparisonError
 
-from scipy import special
-
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 
 
 def phi(z: float) -> float:
@@ -25,10 +25,14 @@ def phi(z: float) -> float:
 
 
 def phi_inv(p: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
+    """Inverse standard normal CDF on (0, 1).
+
+    Wichura's AS241 algorithm (``statistics.NormalDist``), accurate to
+    about 1e-16 relative error.
+    """
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"p must lie strictly inside (0, 1), got {p}")
-    return float(special.ndtri(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def p_value(cache, x_c: Point, x_ref: Point) -> float:

@@ -127,19 +127,52 @@ class RunOutput:
     ledger: DrawLedger
 
 
-def _tighten(cache, blackbox, x, sigma_target, rng) -> None:
-    # One observation per point per poll: if the exact sigma solving the
-    # target is clamped at sigma_max, the next iteration resumes tightening.
-    hist = cache.history(x)
-    if hist is not None and not hist.feasible:
-        return
-    _, sigk = cache.estimate(x)
-    if sigk <= sigma_target:
-        return
-    sigma = sigma_to_reach(sigk, sigma_target, blackbox.sigma_max)
-    if sigma is None:
-        return
-    cache.record(x, blackbox.observe(x, sigma, rng))
+def observe_points(cache, blackbox, points, sigma_for, rng) -> None:
+    """Observe each point at ``sigma_for(x)`` in order, skipping None.
+
+    Points go to ``blackbox.observe_batch`` and ``cache.record_batch`` in
+    batches of distinct points. A point met again while its earlier
+    occurrence is still pending flushes the batch first, so its sigma is
+    chosen from the estimate that occurrence left: the cache, the ledger
+    and ``rng`` end exactly as after one observe-and-record per point.
+    (A poll repeats a point when ``delta_m * z`` rounds away against a
+    large coordinate.)
+    """
+    batch: list[Point] = []
+    sigmas: list[float] = []
+    pending: set[Point] = set()
+    for x in points:
+        if x in pending:
+            cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng))
+            batch, sigmas, pending = [], [], set()
+        sigma = sigma_for(x)
+        if sigma is not None:
+            batch.append(x)
+            sigmas.append(sigma)
+            pending.add(x)
+    if batch:
+        cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng))
+
+
+def _tightening_sigma(cache, sigma_target: float, sigma_max: float):
+    """``sigma_for`` of the poll: one observation bringing sig_hat to the target.
+
+    Infeasible points and points already at the target get none. A sigma
+    clamped at ``sigma_max`` overshoots the target (see ``sigma_to_reach``),
+    so one observation per poll always brings a feasible point down to the
+    target, up to rounding.
+    """
+    fresh = sigma_to_reach(math.inf, sigma_target, sigma_max)
+
+    def sigma_for(x: Point):
+        hist = cache.history(x)
+        if hist is None:
+            return fresh
+        if not hist.feasible:
+            return None
+        return sigma_to_reach(hist.sigk, sigma_target, sigma_max)
+
+    return sigma_for
 
 
 def poll_step(
@@ -160,9 +193,10 @@ def poll_step(
     """
     sigma_target = rho(rho_params, r)
     poll = generate_poll(center, delta_p, rng)
-    _tighten(cache, blackbox, center, sigma_target, rng)
-    for x in poll.points:
-        _tighten(cache, blackbox, x, sigma_target, rng)
+    observe_points(
+        cache, blackbox, (center, *poll.points),
+        _tightening_sigma(cache, sigma_target, blackbox.sigma_max), rng,
+    )
 
     best = None
     best_f = math.inf
@@ -205,16 +239,15 @@ def search_step(
     if not math.isfinite(f_inc):
         return incumbent
     sigma_s = rho(rho_params, r - r_s)
-    fk, sigk, defined = cache.estimate_arrays()
-    idx = np.flatnonzero(defined)
-    if idx.size == 0:
-        return incumbent
-    # p_value(x, incumbent) >= tau is equivalent to this z threshold
-    z = (f_inc - fk[idx]) / np.hypot(sigk[idx], sig_inc)
-    selected = idx[z >= phi_inv(tau)]
-    for i in selected:
-        x = cache.point_at(int(i))
-        cache.record(x, blackbox.observe(x, sigma_s, rng))
+    z_min = phi_inv(tau)
+    fk, sigk = cache.estimate_arrays()
+    # p_value(x, incumbent) >= tau is equivalent to z >= z_min; undefined
+    # points give (-inf) / inf = NaN, which is never selected
+    with np.errstate(invalid="ignore"):
+        z = np.subtract(f_inc, fk)
+        z /= np.hypot(sigk, sig_inc)
+    selected = [cache.point_at(i) for i in np.flatnonzero(z >= z_min).tolist()]
+    observe_points(cache, blackbox, selected, lambda x: sigma_s, rng)
     return cache.incumbent()
 
 
@@ -296,12 +329,6 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
     return RunOutput(incumbent=incumbent, records=records, cache=cache, ledger=blackbox.ledger)
 
 
-def _observe_once(cache, blackbox, x, sigma, rng) -> None:
-    if cache.history(x) is not None:
-        return
-    cache.record(x, blackbox.observe(x, sigma, rng))
-
-
 def run_fixed_precision_baseline(
     problem: ProblemDef, sigma_fixed: float, config: SolverConfig
 ) -> RunOutput:
@@ -324,6 +351,10 @@ def run_fixed_precision_baseline(
 
     rng = np.random.default_rng(config.seed)
     cache = EvaluationCache()
+
+    def once(x: Point):
+        return None if x in cache else sigma_fixed
+
     delta_p = config.delta_p0
     stop_delta_p = (
         config.stop_delta_p if config.stop_delta_p is not None else problem.stop_delta_p
@@ -336,10 +367,10 @@ def run_fixed_precision_baseline(
         and blackbox.ledger.total_draws < config.stop_draws
         and k <= config.max_iterations
     ):
-        _observe_once(cache, blackbox, incumbent, sigma_fixed, rng)
+        # the center's noise is drawn before the poll direction
+        observe_points(cache, blackbox, (incumbent,), once, rng)
         poll = generate_poll(incumbent, delta_p, rng)
-        for x in poll.points:
-            _observe_once(cache, blackbox, x, sigma_fixed, rng)
+        observe_points(cache, blackbox, poll.points, once, rng)
 
         best = None
         best_f = math.inf

@@ -14,6 +14,7 @@ from apmads import (
     standard_normal,
     vme_draws_for_sigma,
 )
+from apmads.blackbox import NoisyBlackbox
 from apmads.problems import moustache_half_width, moustache_ridge
 
 from oracles import ks_critical, ks_statistic_normal
@@ -142,3 +143,120 @@ def test_infeasible_observation_sentinel():
     obs = Observation.infeasible()
     assert not obs.feasible
     assert obs.value == math.inf and obs.sigma == math.inf
+
+
+def counting_blackbox(name="moustache"):
+    """A problem's blackbox whose truth/feasible calls are counted."""
+    problem = problem_registry(name)
+    calls = {"truth": 0, "feasible": 0}
+
+    def truth(x):
+        calls["truth"] += 1
+        return problem.truth(x)
+
+    def feasible(x):
+        calls["feasible"] += 1
+        return problem.feasible(x)
+
+    bb = NoisyBlackbox(truth, feasible, problem.dimension, problem.sigma_max)
+    return bb, calls
+
+
+# a moustache batch with infeasible points and a repeated point
+BATCH = [(0.0, 2.0), (0.0, 3.0), (0.5, 2.0), (0.0, 2.0), (30.0, 2.0), (1.0, 1.5)]
+BATCH_SIGMAS = [0.5, 0.5, 0.1, 0.25, 0.9, 1.0]
+
+
+def test_observe_batch_matches_sequential_observe():
+    seq_bb = problem_registry("moustache").blackbox()
+    seq_rng = np.random.default_rng(17)
+    expected = [seq_bb.observe(x, s, seq_rng) for x, s in zip(BATCH, BATCH_SIGMAS)]
+
+    bb = problem_registry("moustache").blackbox()
+    rng = np.random.default_rng(17)
+    got = bb.observe_batch(BATCH, BATCH_SIGMAS, rng)
+
+    assert [o.feasible for o in got] == [True, False, False, True, False, True]
+    assert got == expected
+    # independent reference: one scalar draw per feasible point, in order
+    problem = problem_registry("moustache")
+    ref_rng = np.random.default_rng(17)
+    assert [o.value for o in got if o.feasible] == [
+        problem.truth(x) + float(ref_rng.standard_normal()) * s
+        for x, s in zip(BATCH, BATCH_SIGMAS)
+        if problem.feasible(x)
+    ]
+    assert bb.ledger.per_eval_log == seq_bb.ledger.per_eval_log
+    assert bb.ledger.total_draws == seq_bb.ledger.total_draws
+    assert rng.bit_generator.state == seq_rng.bit_generator.state
+
+
+def test_observe_batch_calls_truth_and_feasible_once_per_point():
+    bb, calls = counting_blackbox()
+    bb.observe_batch(BATCH, BATCH_SIGMAS, np.random.default_rng(0))
+    assert calls == {"truth": 3, "feasible": len(BATCH)}
+
+
+def test_observe_batch_infeasible_points_consume_no_randomness():
+    bb = problem_registry("moustache").blackbox()
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    out = bb.observe_batch([(0.0, 3.0), (-1.0, 2.0)], [0.5, 0.5], rng)
+    assert not any(o.feasible for o in out)
+    assert rng.bit_generator.state == before
+    assert bb.ledger.total_draws == 0.0 and bb.ledger.per_eval_log == []
+
+    # a mixed batch draws exactly one variate per feasible point
+    mixed = problem_registry("moustache").blackbox()
+    mixed.observe_batch([(0.0, 3.0), (0.0, 2.0), (-1.0, 2.0)], [0.5] * 3, rng)
+    reference = np.random.default_rng(5)
+    reference.standard_normal()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "bad_point, bad_sigma, error",
+    [
+        ((0.0, math.nan), 0.5, InvalidInputError),
+        ((0.0, math.inf), 0.5, InvalidInputError),
+        ((0.0, 2.0, 1.0), 0.5, InvalidInputError),
+        ((0.0,), 0.5, InvalidInputError),
+        ((0.0, 2.0), 0.0, InvalidSigmaError),
+        ((0.0, 2.0), -0.1, InvalidSigmaError),
+        ((0.0, 2.0), 1.5, InvalidSigmaError),
+        ((0.0, 2.0), math.nan, InvalidSigmaError),
+        ((0.0, 2.0), 1e-170, InvalidSigmaError),  # draw cost overflows
+    ],
+)
+def test_observe_batch_rejects_bad_entry_before_any_draw(bad_point, bad_sigma, error):
+    for position in (0, 2, 4):
+        bb, calls = counting_blackbox()
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        xs = [(0.0, 2.0), (0.5, 2.0), (0.0, 2.0), (0.0, 3.0)]
+        sigmas = [0.5, 0.5, 0.25, 0.5]
+        xs.insert(position, bad_point)
+        sigmas.insert(position, bad_sigma)
+        with pytest.raises(error):
+            bb.observe_batch(xs, sigmas, rng)
+        assert rng.bit_generator.state == before
+        assert bb.ledger.total_draws == 0.0 and bb.ledger.per_eval_log == []
+        assert calls["truth"] == 0
+
+
+def test_observe_batch_rejects_mismatched_sigmas():
+    bb = problem_registry("norm2").blackbox()
+    with pytest.raises(InvalidInputError):
+        bb.observe_batch([(0.0, 0.0), (1.0, 0.0)], [0.5], np.random.default_rng(0))
+    assert bb.observe_batch([], [], np.random.default_rng(0)) == []
+
+
+def test_draw_cost_overflow_raises_typed_error():
+    for sigma in (1e-160, 1e-170, 5e-324):
+        with pytest.raises(InvalidSigmaError):
+            draws_for_sigma(sigma)
+        with pytest.raises(InvalidSigmaError):
+            vme_draws_for_sigma(sigma)
+    # the smallest sigmas with a finite cost still work
+    assert math.isfinite(draws_for_sigma(1e-154))
+    assert math.isfinite(vme_draws_for_sigma(1e-145))

@@ -1,6 +1,16 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
-from apmads.cli import build_solver_config, load_config_file, main
+import os
+
+import pytest
+
+from apmads.cli import (
+    UsageError,
+    bench_workers,
+    build_solver_config,
+    load_config_file,
+    main,
+)
 
 
 def test_run_writes_log_with_fixed_header(tmp_path):
@@ -189,3 +199,28 @@ def test_bench_parallel_workers(tmp_path):
     )
     assert code == 0
     assert len(list(bench_dir.glob("norm2__dpmads__s*.csv"))) == 4
+
+
+def test_bench_workers_capped_at_task_count():
+    assert bench_workers(2, 6) == 2
+    assert bench_workers(10**9, 3) == 3
+    assert bench_workers(4, 1) == 1
+    assert bench_workers(None, 10**6) == (os.cpu_count() or 1)
+    assert bench_workers(None, 1) == 1
+
+
+@pytest.mark.parametrize("requested", [0, -1, -10**9])
+def test_bench_workers_rejects_non_positive(requested):
+    with pytest.raises(UsageError):
+        bench_workers(requested, 4)
+
+
+def test_bench_zero_workers_exits_1_before_any_run(tmp_path, capsys):
+    bench_dir = tmp_path / "logs"
+    code = main(
+        ["bench", "--problems", "norm2", "--algos", "dpmads", "--seeds", "0",
+         "--workers", "0", "--out-dir", str(bench_dir)]
+    )
+    assert code == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not bench_dir.exists()

@@ -203,3 +203,46 @@ def test_cache_growth_beyond_initial_capacity():
     assert len(cache) == 1000
     assert cache.incumbent() == (0.0,)
     assert cache.estimate((999.0,)) == (999.0, 1.0)
+
+
+def test_clamped_observation_overshoots_target():
+    # existing barely above the target: the exact sigma is far above
+    # sigma_max, so the clamped (smaller) sigma ends below the target
+    cache = EvaluationCache()
+    x = (0.0,)
+    existing, target, sigma_max = 0.5001, 0.5, 1.0
+    cache.record(x, obs(1.0, existing))
+    sigma = sigma_to_reach(existing, target, sigma_max)
+    assert sigma == sigma_max
+    cache.record(x, obs(1.0, sigma))
+    _, sigk = cache.estimate(x)
+    assert sigk <= target
+    assert sigk < 0.9 * target  # the clamp pays for far more than the target
+
+
+def test_record_batch_matches_sequential_record():
+    rng = np.random.default_rng(4)
+    pairs = []
+    for j in range(600):  # grows past the initial capacity
+        x = (float(j % 250),)  # repeats, within and across batches
+        if j % 7 == 3:
+            pairs.append((x, Observation.infeasible()))
+        else:
+            pairs.append((x, obs(float(rng.normal()), float(rng.uniform(0.1, 1.0)))))
+    sequential = EvaluationCache()
+    for x, o in pairs:
+        sequential.record(x, o)
+    batched = EvaluationCache()
+    for start in range(0, len(pairs), 37):
+        chunk = pairs[start : start + 37]
+        batched.record_batch([x for x, _ in chunk], [o for _, o in chunk])
+    assert batched.dump_csv() == sequential.dump_csv()
+    assert batched.has_incumbent == sequential.has_incumbent
+    assert batched.incumbent() == sequential.incumbent()
+    for x, _ in pairs:
+        assert batched.estimate(x) == sequential.estimate(x)
+
+
+def test_record_batch_rejects_mismatched_lengths():
+    with pytest.raises(InvalidInputError):
+        EvaluationCache().record_batch([(0.0,), (1.0,)], [obs(1.0, 1.0)])

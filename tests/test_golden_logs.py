@@ -1,0 +1,91 @@
+"""Golden run logs: fixed seeds must regenerate byte-identical CSV logs.
+
+Each case's ``log_to_csv(records)`` is pinned by its sha256. A change that
+alters any logged value (incumbent, draws, estimate, frame, precision
+index, p-value, status or cache size) in any iteration fails here, so
+refactors and speed-ups must reproduce the runs exactly.
+"""
+
+import hashlib
+import math
+
+import pytest
+
+from apmads import (
+    ProblemDef,
+    SolverConfig,
+    log_to_csv,
+    problem_registry,
+    run,
+    run_fixed_precision_baseline,
+)
+from apmads.problems import norm2_feasible, norm2_truth
+
+SIGMA_FIXED = 1e-3
+N20_DIM = 20
+N20_START = tuple(math.pi**2 if i % 2 == 0 else math.e**2 for i in range(N20_DIM))
+N20_MAX_ITERATIONS = 150
+
+
+def norm2_n20() -> ProblemDef:
+    return ProblemDef(
+        name="norm2-n20",
+        dimension=N20_DIM,
+        start=N20_START,
+        truth=norm2_truth,
+        feasible=norm2_feasible,
+        best_truth=0.0,
+        stop_delta_p=problem_registry("norm2").stop_delta_p,
+    )
+
+
+def golden_log(key: str) -> str:
+    problem_name, algo, seed = CASES[key]
+    if problem_name == "norm2-n20":
+        problem = norm2_n20()
+        config = SolverConfig(variant=algo, seed=seed, max_iterations=N20_MAX_ITERATIONS)
+        return log_to_csv(run(problem, config).records)
+    problem = problem_registry(problem_name)
+    if algo == "fixed":
+        out = run_fixed_precision_baseline(problem, SIGMA_FIXED, SolverConfig(seed=seed))
+    else:
+        out = run(problem, SolverConfig(variant=algo, seed=seed))
+    return log_to_csv(out.records)
+
+
+CASES = {
+    f"{problem}-{algo}-s{seed}": (problem, algo, seed)
+    for problem in ("norm2", "moustache")
+    for algo in ("dp", "mp", "fixed")
+    for seed in range(3)
+}
+CASES.update({f"norm2-n20-{algo}-s0": ("norm2-n20", algo, 0) for algo in ("dp", "mp")})
+
+DIGESTS = {
+    "norm2-dp-s0": "8cec6dd2d22184ff708eaadf2e2090fd9824cf48824014a94607d1f5235c787b",
+    "norm2-dp-s1": "ed16e228b1c585f496c42da2f5828ed137605b7f624351b476c1dff19171f96b",
+    "norm2-dp-s2": "9261aff3f1add08f20c156396164efd0cfe102117ca6404de66953f9cbbe3910",
+    "norm2-mp-s0": "ba8d36f13d3a7cd4e98d263483d0bed42f84abd88d82d883f717f94790dc145c",
+    "norm2-mp-s1": "3b96a863b12113aae0f00184bad35c5ee35540782b07995f920ca952fabb4502",
+    "norm2-mp-s2": "cef7575db988619754ff00e4823a19e268561bd404e8b9dac77731138fa48141",
+    "norm2-fixed-s0": "b47551f94a35245acafa32f2842708f3d65a9b9bef8bc298d4f1b34f36c3ef16",
+    "norm2-fixed-s1": "8db3003cbf5330ede7a88a280ca57e7f72ae097bcfef4af22a978fcb1c1904b2",
+    "norm2-fixed-s2": "62e8314887c41aadb1e32269bd2c1351a66e4e7f5516aac607dfb5191cc0e49d",
+    "moustache-dp-s0": "5d121e44978444a0b5272c27d83ce32a8ed5c8e593bff1c68d7f4a07446a64a1",
+    "moustache-dp-s1": "4feec2796a5397a4832eb1cd58d4bc82922e8518cac1c4621b484c060e7d7403",
+    "moustache-dp-s2": "b43ac01bcababb1149ffb460a0353c8f4b01f40f7c6e2887fa05d2300c66b06c",
+    "moustache-mp-s0": "49ad5666e68ddfcd64aeadcb9fa60c9b7509d6ab19d8212d4f5c5891109981b3",
+    "moustache-mp-s1": "fd1773cd4dd55339e65499656dcbfcfd50ae390f75080ac5888ffc9db2f8b783",
+    "moustache-mp-s2": "56fc37e99850051cc02e8d0b901f840e1544c7aa64099807a350ee26aaf341cf",
+    "moustache-fixed-s0": "659cf56cba70da1dafe47615c93e99fe0e0f60ea26234519501acd0e16e01e96",
+    "moustache-fixed-s1": "1cad5c91b9feacc9ee9e07db3bebf010711eb86eaa1ec7700b7d233ed34f00f2",
+    "moustache-fixed-s2": "15ad11cc62588b55ee0f5cd8151f2383c39fdfd002520d81d120c28f56404438",
+    "norm2-n20-dp-s0": "d33b92b496f8a48455860cf1d96779344f9e8842b461a224bd0e7299f53f6909",
+    "norm2-n20-mp-s0": "5875c988195d1d52788a77617628305ef01299c8e7c6cbf9ca04145e2f4a9e24",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_golden_log_is_byte_identical(key):
+    text = golden_log(key)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[key]

@@ -57,6 +57,17 @@ def test_phi_inv_round_trip():
         assert abs(phi(phi_inv(float(p))) - p) <= 1e-8
 
 
+def test_phi_inv_matches_scipy_ndtri():
+    special = pytest.importorskip("scipy.special")
+    # the default search threshold tau = 0.25 is bit-equal, which keeps
+    # the run logs of the default configuration unchanged
+    assert phi_inv(0.25) == float(special.ndtri(0.25)) == -0.6744897501960817
+    for p in np.concatenate([np.logspace(-300, -1, 60), np.linspace(0.01, 0.99, 99)]):
+        for q in (float(p), 1.0 - float(p)):
+            if 0.0 < q < 1.0:
+                assert phi_inv(q) == pytest.approx(float(special.ndtri(q)), rel=1e-15, abs=1e-300)
+
+
 def test_phi_inv_domain():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(InvalidInputError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,19 +27,39 @@ from apmads import (
     search_step,
 )
 from apmads.blackbox import NoisyBlackbox
+from apmads.estimation import sigma_to_reach
+from apmads.mesh import generate_poll
+from apmads.solver import observe_points
 
 
 class StubRng:
-    """Fixed poll direction, noise-free scalar draws."""
+    """Fixed poll direction, noise-free observations.
+
+    Observation noise and the poll direction are both sized draws, so the
+    stub tells them apart by caller: the blackbox's observation batch gets
+    zeros (no noise), every other draw gets ones (the poll direction).
+    """
 
     def standard_normal(self, size=None):
         if size is None:
             return 0.0
+        if sys._getframe(1).f_code.co_name == "observe_batch":
+            return np.zeros(size)
         return np.ones(size)
 
 
 def make_blackbox(truth, feasible=lambda x: True, dimension=2):
     return NoisyBlackbox(truth, feasible, dimension)
+
+
+def test_stub_rng_is_noise_free_with_fixed_direction():
+    bb = make_blackbox(lambda x: math.hypot(*x))
+    points = [(3.0, 4.0), (1.0, 0.0), (0.0, 2.0)]
+    out = bb.observe_batch(points, [0.5, 0.25, 1.0], StubRng())
+    assert [o.value for o in out] == [5.0, 1.0, 2.0]
+    assert bb.observe((3.0, 4.0), 0.5, StubRng()).value == 5.0
+    first = generate_poll((0.0, 0.0), 1.0, StubRng())
+    assert generate_poll((0.0, 0.0), 1.0, StubRng()) == first
 
 
 def test_poll_step_barrier_when_no_candidate_feasible():
@@ -341,3 +362,50 @@ def test_run_incumbents_stay_bounded():
         out = run(problem, SolverConfig(variant="dp", seed=seed, stop_draws=1e12))
         for rec in out.records:
             assert math.hypot(*rec.incumbent) <= start_norm + 10.0
+
+
+def _observe_points_one_by_one(cache, blackbox, points, sigma_for, rng):
+    """The per-point loop that ``observe_points`` batches."""
+    for x in points:
+        sigma = sigma_for(x)
+        if sigma is not None:
+            cache.record(x, blackbox.observe(x, sigma, rng))
+
+
+def _tighten_rule(cache, target):
+    def sigma_for(x):
+        hist = cache.history(x)
+        if hist is not None and not hist.feasible:
+            return None
+        return sigma_to_reach(cache.estimate(x)[1], target, 1.0)
+
+    return sigma_for
+
+
+def _once_rule(cache, sigma):
+    return lambda x: None if x in cache else sigma
+
+
+@pytest.mark.parametrize("rule", [_tighten_rule, _once_rule])
+def test_observe_points_flushes_on_repeat_like_point_by_point(rule):
+    # repeats within one call, an infeasible point, a point cached before
+    a, b, c, far = (0.0, 2.0), (0.5, 2.0), (0.25, 2.0), (0.0, 3.0)
+    points = [a, b, a, far, c, b, b, a, far]
+    moustache = problem_registry("moustache")
+
+    def state(observe):
+        cache = EvaluationCache()
+        bb = moustache.blackbox()
+        rng = np.random.default_rng(31)
+        cache.record(c, bb.observe(c, 0.9, rng))
+        param = 0.3 if rule is _tighten_rule else 0.2
+        observe(cache, bb, points, rule(cache, param), rng)
+        return cache, bb, rng
+
+    cache, bb, rng = state(observe_points)
+    ref_cache, ref_bb, ref_rng = state(_observe_points_one_by_one)
+    assert cache.dump_csv() == ref_cache.dump_csv()
+    assert bb.ledger.per_eval_log == ref_bb.ledger.per_eval_log
+    assert bb.ledger.total_draws == ref_bb.ledger.total_draws
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(cache.history(a).observations) >= 1
