@@ -17,7 +17,7 @@ from .blackbox import (
     standard_normal,
     vme_draws_for_sigma,
 )
-from .estimation import EvaluationCache, PointHistory, combined_sigma, sigma_to_reach
+from .estimation import EvaluationCache, combined_sigma, sigma_to_reach
 from .exceptions import (
     ApmadsError,
     ConfigError,
@@ -81,7 +81,6 @@ __all__ = [
     "NoisyBlackbox",
     "Observation",
     "Point",
-    "PointHistory",
     "PollSet",
     "PrecisionPolicy",
     "ProblemDef",

@@ -9,6 +9,7 @@ domain check itself is deterministic.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -83,14 +84,27 @@ class Observation:
 
 @dataclass
 class DrawLedger:
-    """Exact running account of the equivalent Monte-Carlo draws consumed."""
+    """Exact running account of the equivalent Monte-Carlo draws consumed.
+
+    ``total_draws`` is the running sum in charge order; the columns
+    ``sigmas`` and ``draws`` hold one entry per charged observation.
+    """
 
     total_draws: float = 0.0
-    per_eval_log: list[tuple[Point, float, float]] = field(default_factory=list)
+    sigmas: array = field(default_factory=lambda: array("d"))
+    draws: array = field(default_factory=lambda: array("d"))
 
-    def charge(self, point: Point, sigma: float, draws: float) -> None:
-        self.total_draws += draws
-        self.per_eval_log.append((point, sigma, draws))
+    def __len__(self) -> int:
+        return len(self.draws)
+
+    def charge_batch(self, sigmas, draws) -> None:
+        """Charge one observation per ``(sigmas[j], draws[j])``, in order."""
+        total = self.total_draws
+        for d in draws:
+            total += d
+        self.total_draws = total
+        self.sigmas.extend(sigmas)
+        self.draws.extend(draws)
 
 
 class NoisyBlackbox:
@@ -112,7 +126,7 @@ class NoisyBlackbox:
         self._feasible = feasible
         self.dimension = int(dimension)
         self.sigma_max = float(sigma_max)
-        self._draw_cost = draw_cost
+        self.draw_cost = draw_cost
         self.ledger = DrawLedger()
 
     def feasible(self, x: Point) -> bool:
@@ -162,15 +176,14 @@ class NoisyBlackbox:
                     f"sigma must lie in (0, {self.sigma_max}], got {sigma}"
                 )
         feasible = [bool(self._feasible(x)) for x in xs]
-        costs = [self._draw_cost(s) for s, ok in zip(sigmas, feasible) if ok]
+        charged = [s for s, ok in zip(sigmas, feasible) if ok]
+        costs = [self.draw_cost(s) for s in charged]
         noise = iter(rng.standard_normal(len(costs)).tolist() if costs else ())
-        charges = iter(costs)
         out = []
         for x, sigma, ok in zip(xs, sigmas, feasible):
-            if not ok:
+            if ok:
+                out.append(Observation(self._truth(x) + next(noise) * sigma, sigma, True))
+            else:
                 out.append(Observation.infeasible())
-                continue
-            value = self._truth(x) + next(noise) * sigma
-            self.ledger.charge(x, sigma, next(charges))
-            out.append(Observation(value, sigma, True))
+        self.ledger.charge_batch(charged, costs)
         return out

@@ -12,7 +12,7 @@ Unevaluated and infeasible points estimate to (+inf, +inf).
 """
 
 import math
-from dataclasses import dataclass, field
+import struct
 
 import numpy as np
 
@@ -61,126 +61,156 @@ def sigma_to_reach(existing_sigk: float, target: float, sigma_max: float):
     return min(needed_weight**-0.5, sigma_max)
 
 
-@dataclass(slots=True)
-class PointHistory:
-    """Observation history at one point with incrementally maintained sums."""
-
-    observations: list[Observation] = field(default_factory=list)
-    feasible: bool = True
-    sum_w: float = 0.0
-    sum_wv: float = 0.0
-
-    def add(self, obs: Observation) -> None:
-        self.observations.append(obs)
-        w = 1.0 / (obs.sigma * obs.sigma)
-        self.sum_w += w
-        self.sum_wv += w * obs.value
-
-    @property
-    def fk(self) -> float:
-        if not self.feasible or self.sum_w == 0.0:
-            return math.inf
-        return self.sum_wv / self.sum_w
-
-    @property
-    def sigk(self) -> float:
-        if not self.feasible or self.sum_w == 0.0:
-            return math.inf
-        return self.sum_w**-0.5
-
-
 class EvaluationCache:
-    """Point-indexed observation histories with O(1) estimate lookups.
+    """Fused estimates per point, with no Python object per point but its key.
 
-    Keys are exact coordinate tuples: candidates are generated on binary
-    meshes, so revisited points collide bit-for-bit and no epsilon keying
-    is needed. Estimates are kept in flat arrays so that whole-cache scans
-    (incumbent selection, search-step filtering) stay vectorised.
+    Each point is keyed once by its packed float64 coordinates (``key``),
+    and the key is also the only copy of the coordinates: ``point_at``,
+    ``points`` and ``incumbent`` unpack tuples on demand. Adding 0.0 before
+    packing maps -0.0 to 0.0, so two points share a key exactly when their
+    coordinate tuples compare equal; points come back with 0.0 for -0.0.
+    Candidates are generated on binary meshes, so revisited points collide
+    bit-for-bit and no epsilon keying is needed.
+
+    A point's row (its insertion index) indexes flat arrays that grow by
+    doubling: the fusion sums ``sum_w`` and ``sum_wv``, the observation
+    count, the feasibility flag and the estimates ``fk``/``sigk``, so
+    whole-cache scans (incumbent selection, search-step filtering) stay
+    vectorised.
     """
 
     def __init__(self):
-        self._index: dict[Point, int] = {}
-        self._points: list[Point] = []
-        self._histories: list[PointHistory] = []
+        self._index: dict[bytes, int] = {}
+        self.find = self._index.get  # find(key): the key's row, or None when not cached
+        self._keys: list[bytes] = []
+        self._unpack = None  # struct unpacker for the key width, set by the first point
+        self._sum_w = np.zeros(_INITIAL_CAPACITY)
+        self._sum_wv = np.zeros(_INITIAL_CAPACITY)
+        self._n_obs = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
+        self._feasible = np.ones(_INITIAL_CAPACITY, dtype=bool)
         self._fk = np.full(_INITIAL_CAPACITY, math.inf)
         self._sigk = np.full(_INITIAL_CAPACITY, math.inf)
-        self._n = 0
         self._n_estimated = 0
+        self._incumbent: tuple[int, Point | None] = (-1, None)
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._keys)
 
     def __contains__(self, x: Point) -> bool:
-        return x in self._index
+        return self.row(x) is not None
 
-    def _append(self, x: Point) -> int:
-        if self._n == self._fk.shape[0]:
-            grown = np.full(2 * self._n, math.inf)
-            grown[: self._n] = self._fk
-            self._fk = grown
-            grown = np.full(2 * self._n, math.inf)
-            grown[: self._n] = self._sigk
-            self._sigk = grown
-        i = self._n
-        self._index[x] = i
-        self._points.append(x)
-        self._histories.append(PointHistory())
-        self._n += 1
-        return i
+    @staticmethod
+    def key(x: Point) -> bytes:
+        """The cache key of ``x``: its coordinates packed as float64."""
+        if 0.0 in x:  # -0.0 == 0.0 too: + 0.0 maps -0.0 to 0.0
+            x = [c + 0.0 for c in x]
+        return struct.pack(f"{len(x)}d", *x)
 
-    def record(self, x: Point, obs: Observation) -> None:
-        """Append one observation (or an infeasibility marker) at ``x``."""
-        self.record_batch([x], [obs])
+    @staticmethod
+    def keys(coords: np.ndarray) -> list[bytes]:
+        """The keys of the rows of a (k, n) array: ``key`` of each row, vectorised."""
+        if coords.ndim != 2:
+            raise InvalidInputError(f"coordinates must form a (k, n) array, got {coords.shape}")
+        buf = (coords.astype(np.float64, copy=False) + 0.0).tobytes()
+        width = 8 * coords.shape[1]
+        return [buf[i : i + width] for i in range(0, len(buf), width)]
 
-    def record_batch(self, xs, observations) -> None:
-        """Append ``observations[j]`` at ``xs[j]``, in order.
+    def row(self, x: Point) -> int | None:
+        """The row of ``x``, or None when it is not cached."""
+        return self._index.get(self.key(x))
+
+    def _grow(self) -> None:
+        n, capacity = len(self._fk), 2 * len(self._fk)
+        self._sum_w = _extended(self._sum_w, n, capacity, 0.0)
+        self._sum_wv = _extended(self._sum_wv, n, capacity, 0.0)
+        self._n_obs = _extended(self._n_obs, n, capacity, 0)
+        self._feasible = _extended(self._feasible, n, capacity, True)
+        self._fk = _extended(self._fk, n, capacity, math.inf)
+        self._sigk = _extended(self._sigk, n, capacity, math.inf)
+
+    def record(self, x: Point, obs: Observation) -> int:
+        """Append one observation (or an infeasibility marker) at ``x``; its row."""
+        return self.record_batch([x], [obs])[0]
+
+    def record_batch(self, xs, observations, keys=None) -> list[int]:
+        """Append ``observations[j]`` at ``xs[j]``, in order; the rows of ``xs``.
 
         Equivalent to ``record`` on each pair in turn, repeated points
         included: a later observation of a point fuses into the estimate
-        left by an earlier one.
+        left by an earlier one. ``keys``, when given, are the keys of ``xs``.
         """
         if len(xs) != len(observations):
             raise InvalidInputError(
                 f"got {len(observations)} observations for {len(xs)} points"
             )
-        index, histories, fk, sigk = self._index, self._histories, self._fk, self._sigk
-        for x, obs in zip(xs, observations):
-            i = index.get(x)
+        if keys is None:
+            keys = [self.key(x) for x in xs]
+        if not keys:
+            return []
+        width = len(self._keys[0]) if self._keys else len(keys[0])
+        if set(map(len, keys)) != {width}:
+            raise InvalidInputError(f"points must all have {width // 8} coordinates")
+        if self._unpack is None:
+            self._unpack = struct.Struct(f"{width // 8}d").unpack
+        while len(self._keys) + len(keys) > len(self._fk):
+            self._grow()
+        index, new_key = self._index, self._keys.append
+        sum_w, sum_wv, n_obs = self._sum_w, self._sum_wv, self._n_obs
+        feasible, fk, sigk = self._feasible, self._fk, self._sigk
+        rows = []
+        for key, obs in zip(keys, observations):
+            i = index.get(key)
             if i is None:
-                i = self._append(x)
-                fk, sigk = self._fk, self._sigk  # the arrays may have grown
-            hist = histories[i]
+                i = index[key] = len(index)
+                new_key(key)
+            rows.append(i)
             if not obs.feasible:
-                hist.feasible = False
+                feasible[i] = False
                 fk[i] = math.inf
                 sigk[i] = math.inf
                 continue
-            if not hist.observations:
+            count = n_obs.item(i)
+            if count == 0:
                 self._n_estimated += 1
-            hist.add(obs)
-            fk[i] = hist.fk
-            sigk[i] = hist.sigk
+            n_obs[i] = count + 1
+            # Python floats throughout: the order and the scalar pow are
+            # what pin the estimates bit for bit
+            w = 1.0 / (obs.sigma * obs.sigma)
+            total_w = sum_w.item(i) + w
+            total_wv = sum_wv.item(i) + w * obs.value
+            sum_w[i] = total_w
+            sum_wv[i] = total_wv
+            if feasible.item(i) and total_w != 0.0:
+                fk[i] = total_wv / total_w
+                sigk[i] = total_w**-0.5
+        return rows
 
     def estimate(self, x: Point) -> tuple[float, float]:
         """Return (f_hat, sig_hat) at ``x``; (+inf, +inf) when undefined."""
-        i = self._index.get(x)
+        i = self._index.get(self.key(x))
         if i is None:
             return math.inf, math.inf
-        return float(self._fk[i]), float(self._sigk[i])
+        return self._fk.item(i), self._sigk.item(i)
 
-    def history(self, x: Point):
-        i = self._index.get(x)
-        return None if i is None else self._histories[i]
+    def estimate_at(self, i: int) -> tuple[float, float]:
+        """(f_hat, sig_hat) at row ``i``, as Python floats."""
+        return self._fk.item(i), self._sigk.item(i)
+
+    def feasible_at(self, i: int) -> bool:
+        """False once row ``i`` has been recorded infeasible."""
+        return self._feasible.item(i)
+
+    def n_obs(self, x: Point) -> int:
+        """Number of feasible observations fused at ``x`` (0 when not cached)."""
+        i = self.row(x)
+        return 0 if i is None else self._n_obs.item(i)
+
+    def point_at(self, i: int) -> Point:
+        return self._unpack(self._keys[i])
 
     def points(self) -> list[Point]:
         """All cached points in insertion order (including infeasible ones)."""
-        return list(self._points)
-
-    def index_of(self, x: Point) -> int:
-        return self._index[x]
-
-    def point_at(self, i: int) -> Point:
-        return self._points[i]
+        return [self._unpack(key) for key in self._keys]
 
     @property
     def has_incumbent(self) -> bool:
@@ -190,30 +220,41 @@ class EvaluationCache:
         """Views (f_hat, sig_hat) aligned with insertion order.
 
         Undefined points (unevaluated or infeasible) hold (+inf, +inf).
+        The views go stale when the cache next grows.
         """
-        return self._fk[: self._n], self._sigk[: self._n]
+        n = len(self._keys)
+        return self._fk[:n], self._sigk[:n]
 
     def incumbent(self) -> Point:
         """The earliest-inserted point with the lowest estimate."""
-        if self._n == 0:
+        n = len(self._keys)
+        if n == 0:
             raise NoIncumbentError("cache is empty")
-        i = int(np.argmin(self._fk[: self._n]))
-        if not math.isfinite(self._fk[i]):
+        i = int(self._fk[:n].argmin())
+        if not math.isfinite(self._fk.item(i)):
             raise NoIncumbentError("cache holds no feasible evaluated point")
-        return self._points[i]
+        if self._incumbent[0] != i:  # one tuple per incumbent, shared by the run log
+            self._incumbent = (i, self.point_at(i))
+        return self._incumbent[1]
 
     def dump_csv(self) -> str:
         """Per-point summary (coordinates, observation count, estimates) as CSV."""
-        if self._n == 0:
+        if not self._keys:
             return ""
-        n_coords = len(self._points[0])
+        n_coords = len(self._keys[0]) // 8
         header = ",".join(f"x{j}" for j in range(n_coords)) + ",n_obs,f_k,sigma_k"
         lines = [header]
-        for i in range(self._n):
-            coords = ",".join(format(c, ".17g") for c in self._points[i])
-            hist = self._histories[i]
+        for i, x in enumerate(self.points()):
+            coords = ",".join(format(c, ".17g") for c in x)
             lines.append(
-                f"{coords},{len(hist.observations)},"
+                f"{coords},{self._n_obs[i]},"
                 f"{format(self._fk[i], '.17g')},{format(self._sigk[i], '.17g')}"
             )
         return "\n".join(lines) + "\n"
+
+
+def _extended(a: np.ndarray, n: int, capacity: int, fill) -> np.ndarray:
+    """``a[:n]`` in a new array of ``capacity`` entries, the rest ``fill``."""
+    out = np.full(capacity, fill, dtype=a.dtype)
+    out[:n] = a[:n]
+    return out

@@ -8,7 +8,7 @@ which keeps all mesh arithmetic exact in binary floating point.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -33,13 +33,18 @@ def mesh_size(delta_p: float) -> float:
 
 @dataclass(frozen=True)
 class PollSet:
-    """2n mesh candidates around a center, with their integer mesh steps."""
+    """2n mesh candidates around a center, with their integer mesh steps.
+
+    ``coords`` holds the candidates as a (2n, n) array, row j being
+    ``points[j]``.
+    """
 
     center: Point
     delta_p: float
     delta_m: float
     directions: tuple[tuple[float, ...], ...]
     points: tuple[Point, ...]
+    coords: np.ndarray = field(compare=False, repr=False)
 
 
 def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
@@ -56,22 +61,24 @@ def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
     delta_m = mesh_size(delta_p)
     radius = max(1.0, math.floor(delta_p / delta_m))
 
+    # sqrt(v . v) and v[:, None] * v are what np.linalg.norm and np.outer
+    # compute, bit for bit, without their per-call overhead
     v = rng.standard_normal(n)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     while norm == 0.0:
         v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v.dot(v))
     v = v / norm
-    house = np.eye(n) - 2.0 * np.outer(v, v)
+    house = np.eye(n) - 2.0 * (v[:, None] * v)
 
     basis = np.copysign(np.floor(np.abs(radius * house) + 0.5), house)
-    for i in np.flatnonzero(~basis.any(axis=1)).tolist():
+    for i in (~basis.any(axis=1)).nonzero()[0].tolist():
         j = int(np.argmax(np.abs(house[i])))
         basis[i, j] = math.copysign(1.0, house[i, j])
     if radius < n and round(float(np.linalg.det(basis))) == 0:
         basis = radius * np.eye(n)
 
-    steps = np.vstack([basis, -basis])
+    steps = np.concatenate((basis, -basis))
     coords = np.asarray(center, dtype=float) + delta_m * steps
     return PollSet(
         center=tuple(center),
@@ -79,6 +86,7 @@ def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
         delta_m=delta_m,
         directions=tuple(map(tuple, steps.tolist())),
         points=tuple(map(tuple, coords.tolist())),
+        coords=coords,
     )
 
 

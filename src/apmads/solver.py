@@ -13,6 +13,7 @@ variants) share no state and may execute in parallel.
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +28,19 @@ from .exceptions import (
 )
 from .mesh import IterationStatus, PollSet, generate_poll, update_frame
 from .normal import p_value, phi_inv
-from .precision import PrecisionPolicy, RhoParams, rho, update_r
+from .precision import (
+    DP_DEFAULT_BETAS,
+    MP_DEFAULT_BETAS,
+    PrecisionPolicy,
+    RhoParams,
+    rho,
+    update_r,
+)
 from .problems import ProblemDef
 
 VARIANT_DEFAULTS = {
-    "mp": {"beta_l": 0.0003, "beta_u": 0.997, "search_enabled": False},
-    "dp": {"beta_l": 0.15, "beta_u": 0.85, "search_enabled": True},
+    "mp": {"beta_l": MP_DEFAULT_BETAS[0], "beta_u": MP_DEFAULT_BETAS[1], "search_enabled": False},
+    "dp": {"beta_l": DP_DEFAULT_BETAS[0], "beta_u": DP_DEFAULT_BETAS[1], "search_enabled": True},
 }
 
 
@@ -127,31 +135,39 @@ class RunOutput:
     ledger: DrawLedger
 
 
-def observe_points(cache, blackbox, points, sigma_for, rng) -> None:
-    """Observe each point at ``sigma_for(x)`` in order, skipping None.
+def observe_points(cache, blackbox, points, sigma_for, rng, keys=None) -> list[int | None]:
+    """Observe each point at ``sigma_for(row)`` in order, skipping None.
 
+    ``row`` is the point's cache row, or None when it is not cached yet.
     Points go to ``blackbox.observe_batch`` and ``cache.record_batch`` in
     batches of distinct points. A point met again while its earlier
     occurrence is still pending flushes the batch first, so its sigma is
     chosen from the estimate that occurrence left: the cache, the ledger
     and ``rng`` end exactly as after one observe-and-record per point.
     (A poll repeats a point when ``delta_m * z`` rounds away against a
-    large coordinate.)
+    large coordinate.) ``keys``, when given, are the points' cache keys.
+    Returns the row of every point afterwards (None if never recorded).
     """
+    if keys is None:
+        keys = [cache.key(x) for x in points]
+    find = cache.find
     batch: list[Point] = []
+    batch_keys: list[bytes] = []
     sigmas: list[float] = []
-    pending: set[Point] = set()
-    for x in points:
-        if x in pending:
-            cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng))
-            batch, sigmas, pending = [], [], set()
-        sigma = sigma_for(x)
+    pending: set[bytes] = set()
+    for x, key in zip(points, keys):
+        if key in pending:
+            cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng), batch_keys)
+            batch, batch_keys, sigmas, pending = [], [], [], set()
+        sigma = sigma_for(find(key))
         if sigma is not None:
             batch.append(x)
+            batch_keys.append(key)
             sigmas.append(sigma)
-            pending.add(x)
+            pending.add(key)
     if batch:
-        cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng))
+        cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng), batch_keys)
+    return [find(key) for key in keys]
 
 
 def _tightening_sigma(cache, sigma_target: float, sigma_max: float):
@@ -163,16 +179,35 @@ def _tightening_sigma(cache, sigma_target: float, sigma_max: float):
     target, up to rounding.
     """
     fresh = sigma_to_reach(math.inf, sigma_target, sigma_max)
+    feasible_at, estimate_at = cache.feasible_at, cache.estimate_at
 
-    def sigma_for(x: Point):
-        hist = cache.history(x)
-        if hist is None:
+    def sigma_for(i: int | None):
+        if i is None:
             return fresh
-        if not hist.feasible:
+        if not feasible_at(i):
             return None
-        return sigma_to_reach(hist.sigk, sigma_target, sigma_max)
+        return sigma_to_reach(estimate_at(i)[1], sigma_target, sigma_max)
 
     return sigma_for
+
+
+def _poll_outcome(cache, poll: PollSet, rows) -> tuple[Point | None, IterationStatus]:
+    """Best candidate and status from the rows of the center and the candidates.
+
+    The first candidate with the lowest estimate wins; none is feasible
+    exactly when the best is None.
+    """
+    f_center, *f_poll = map(cache.estimate_arrays()[0].item, rows)
+    best = None
+    best_f = math.inf
+    for x, f in zip(poll.points, f_poll):
+        if f < best_f:
+            best, best_f = x, f
+    if best is None:
+        return None, IterationStatus.BARRIER
+    if best_f < f_center:
+        return best, IterationStatus.SUCCESS
+    return best, IterationStatus.FAILURE
 
 
 def poll_step(
@@ -193,23 +228,44 @@ def poll_step(
     """
     sigma_target = rho(rho_params, r)
     poll = generate_poll(center, delta_p, rng)
-    observe_points(
+    rows = observe_points(
         cache, blackbox, (center, *poll.points),
         _tightening_sigma(cache, sigma_target, blackbox.sigma_max), rng,
+        keys=[cache.key(center), *cache.keys(poll.coords)],
     )
+    best, status = _poll_outcome(cache, poll, rows)
+    return best, status, poll
 
-    best = None
-    best_f = math.inf
-    for x in poll.points:
-        f, _ = cache.estimate(x)
-        if f < best_f:
-            best, best_f = x, f
-    if best is None:
-        return None, IterationStatus.BARRIER, poll
-    f_center, _ = cache.estimate(center)
-    if best_f < f_center:
-        return best, IterationStatus.SUCCESS, poll
-    return best, IterationStatus.FAILURE, poll
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def plausible_rows(fk, sigk, f_inc: float, sig_inc: float, z_min: float) -> np.ndarray:
+    """Indices j, ascending, with ``(f_inc - fk[j]) / hypot(sigk[j], sig_inc) >= z_min``.
+
+    Equal to evaluating that test on every entry (NaN never passes), but
+    ``hypot`` runs only on the entries a cheaper bound cannot rule out.
+    With d = f_inc - fk[j], a = sigk[j], b = sig_inc > 0:
+    max(a, b) <= hypot(a, b) <= a + b, so for z_min <= 0 a selected entry
+    has d / (a + b) >= z_min, and for z_min > 0 it has
+    d / max(a, b) >= z_min. The sum overflows whenever hypot does, where a
+    finite d gives z = +-0.0, which passes at z_min = 0; d is capped at
+    the largest float there so that d = +inf does not give inf / inf. The
+    bound is compared with a relative slack of 1e-9, far above the few
+    roundings that separate it from the exact quotient, and an absolute
+    slack of 1e-300 that keeps the entries whose exact quotient underflows
+    to -0.0.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+        d = np.subtract(f_inc, fk)
+        if z_min <= 0.0:
+            bound = np.minimum(d, _FLOAT_MAX)
+            bound /= np.add(sigk, sig_inc)
+        else:
+            bound = d / np.maximum(sigk, sig_inc)
+        candidates = (bound >= z_min - 1e-9 * abs(z_min) - 1e-300).nonzero()[0]
+        z = d[candidates] / np.hypot(sigk[candidates], sig_inc)
+    return candidates[z >= z_min]
 
 
 def search_step(
@@ -239,16 +295,36 @@ def search_step(
     if not math.isfinite(f_inc):
         return incumbent
     sigma_s = rho(rho_params, r - r_s)
-    z_min = phi_inv(tau)
+    # p_value(x, incumbent) >= tau is equivalent to z >= phi_inv(tau);
+    # undefined points give (-inf) / inf = NaN, which is never selected
     fk, sigk = cache.estimate_arrays()
-    # p_value(x, incumbent) >= tau is equivalent to z >= z_min; undefined
-    # points give (-inf) / inf = NaN, which is never selected
-    with np.errstate(invalid="ignore"):
-        z = np.subtract(f_inc, fk)
-        z /= np.hypot(sigk, sig_inc)
-    selected = [cache.point_at(i) for i in np.flatnonzero(z >= z_min).tolist()]
-    observe_points(cache, blackbox, selected, lambda x: sigma_s, rng)
+    rows = plausible_rows(fk, sigk, f_inc, sig_inc, phi_inv(tau)).tolist()
+    observe_points(cache, blackbox, [cache.point_at(i) for i in rows], lambda i: sigma_s, rng)
     return cache.incumbent()
+
+
+def _check_precision_floor(config: SolverConfig, blackbox: NoisyBlackbox) -> None:
+    """Refuse a start precision whose first observations cannot be paid for.
+
+    The first poll observes at rho(r_init) and, with the search enabled,
+    the first search at rho(r_init - r_s). Past the precision floor the
+    draw cost of such a sigma overflows (and ``sigma_to_reach`` returns 0),
+    so the run would fail inside its first iteration.
+    """
+    indices = [config.r_init]
+    if config.search_enabled:
+        indices.append(config.r_init - config.r_s)
+    for r in indices:
+        sigma = rho(config.rho_params, r)
+        try:
+            cost = blackbox.draw_cost(sigma)
+        except InvalidSigmaError:
+            cost = math.inf
+        if not math.isfinite(cost):
+            raise ConfigError(
+                f"precision index {r} is past the precision floor: rho = {sigma} "
+                "has no finite draw cost"
+            )
 
 
 def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOutput:
@@ -267,6 +343,7 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
             f"observable cap {problem.sigma_max}"
         )
     blackbox = problem.blackbox()
+    _check_precision_floor(config, blackbox)
     start = as_point(problem.start)
     if not blackbox.feasible(start):
         raise InfeasibleStartError(f"start point {start} is infeasible")
@@ -352,8 +429,8 @@ def run_fixed_precision_baseline(
     rng = np.random.default_rng(config.seed)
     cache = EvaluationCache()
 
-    def once(x: Point):
-        return None if x in cache else sigma_fixed
+    def once(i: int | None):
+        return sigma_fixed if i is None else None
 
     delta_p = config.delta_p0
     stop_delta_p = (
@@ -368,22 +445,12 @@ def run_fixed_precision_baseline(
         and k <= config.max_iterations
     ):
         # the center's noise is drawn before the poll direction
-        observe_points(cache, blackbox, (incumbent,), once, rng)
+        rows = observe_points(cache, blackbox, (incumbent,), once, rng)
         poll = generate_poll(incumbent, delta_p, rng)
-        observe_points(cache, blackbox, poll.points, once, rng)
-
-        best = None
-        best_f = math.inf
-        for x in poll.points:
-            f, _ = cache.estimate(x)
-            if f < best_f:
-                best, best_f = x, f
-        if best is None:
-            status = IterationStatus.BARRIER
-        elif best_f < cache.estimate(incumbent)[0]:
-            status = IterationStatus.SUCCESS
-        else:
-            status = IterationStatus.FAILURE
+        rows += observe_points(
+            cache, blackbox, poll.points, once, rng, keys=cache.keys(poll.coords)
+        )
+        _, status = _poll_outcome(cache, poll, rows)
 
         p = 1.0 if status is IterationStatus.SUCCESS else 0.0
         new_delta_p = 2.0 * delta_p if status is IterationStatus.SUCCESS else delta_p / 2.0

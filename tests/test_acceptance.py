@@ -176,7 +176,7 @@ def test_criterion_8_structural_invariants_per_run():
             assert on_mesh(point, problem.start, delta_min)
         for rec in out.records:
             assert rec.delta_m == min(rec.delta_p, rec.delta_p**2)
-        expected = math.fsum(1.0 / s**2 for _, s, _ in out.ledger.per_eval_log)
+        expected = math.fsum(1.0 / s**2 for s in out.ledger.sigmas)
         assert out.ledger.total_draws == pytest.approx(expected, rel=1e-9)
         assert out.records[-1].draws == out.ledger.total_draws
         again = run(problem, config)

@@ -115,9 +115,10 @@ def test_ledger_additivity():
         bb.observe((1.0, 2.0), float(s), rng)
     expected = math.fsum(1.0 / s**2 for s in sigmas)
     assert bb.ledger.total_draws == pytest.approx(expected, rel=1e-9)
-    assert len(bb.ledger.per_eval_log) == len(sigmas)
+    assert len(bb.ledger) == len(sigmas)
+    assert list(bb.ledger.sigmas) == sigmas.tolist()
     running = 0.0
-    for _, s, d in bb.ledger.per_eval_log:
+    for s, d in zip(bb.ledger.sigmas, bb.ledger.draws):
         assert d == 1.0 / (s * s)
         running += d
     assert running == pytest.approx(bb.ledger.total_draws, rel=1e-12)
@@ -186,7 +187,8 @@ def test_observe_batch_matches_sequential_observe():
         for x, s in zip(BATCH, BATCH_SIGMAS)
         if problem.feasible(x)
     ]
-    assert bb.ledger.per_eval_log == seq_bb.ledger.per_eval_log
+    assert bb.ledger.sigmas == seq_bb.ledger.sigmas
+    assert bb.ledger.draws == seq_bb.ledger.draws
     assert bb.ledger.total_draws == seq_bb.ledger.total_draws
     assert rng.bit_generator.state == seq_rng.bit_generator.state
 
@@ -204,7 +206,7 @@ def test_observe_batch_infeasible_points_consume_no_randomness():
     out = bb.observe_batch([(0.0, 3.0), (-1.0, 2.0)], [0.5, 0.5], rng)
     assert not any(o.feasible for o in out)
     assert rng.bit_generator.state == before
-    assert bb.ledger.total_draws == 0.0 and bb.ledger.per_eval_log == []
+    assert bb.ledger.total_draws == 0.0 and len(bb.ledger) == 0
 
     # a mixed batch draws exactly one variate per feasible point
     mixed = problem_registry("moustache").blackbox()
@@ -240,7 +242,7 @@ def test_observe_batch_rejects_bad_entry_before_any_draw(bad_point, bad_sigma, e
         with pytest.raises(error):
             bb.observe_batch(xs, sigmas, rng)
         assert rng.bit_generator.state == before
-        assert bb.ledger.total_draws == 0.0 and bb.ledger.per_eval_log == []
+        assert bb.ledger.total_draws == 0.0 and len(bb.ledger) == 0
         assert calls["truth"] == 0
 
 

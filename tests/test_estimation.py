@@ -1,9 +1,12 @@
 """Estimate fusion: cache bookkeeping, combination algebra, incumbents."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmads import (
     EvaluationCache,
@@ -246,3 +249,114 @@ def test_record_batch_matches_sequential_record():
 def test_record_batch_rejects_mismatched_lengths():
     with pytest.raises(InvalidInputError):
         EvaluationCache().record_batch([(0.0,), (1.0,)], [obs(1.0, 1.0)])
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# finite coordinates, with zeros of both signs, subnormals and repeats likely
+COORDINATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e-300, 1e300, math.pi]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@PROPERTY
+@given(
+    origin=st.lists(st.integers(-(2**15), 2**15), min_size=1, max_size=6),
+    scale=st.integers(0, 10),
+    k=st.integers(0, 20),
+    data=st.data(),
+)
+def test_mesh_point_from_two_centres_maps_to_one_row(origin, scale, k, data):
+    # every value is a multiple of 2**-30 below 2**17 in magnitude, so the
+    # mesh arithmetic is exact and both routes land on the same floats
+    n = len(origin)
+    steps = st.lists(st.integers(-(2**10), 2**10), min_size=n, max_size=n)
+    z1, z2 = data.draw(steps), data.draw(steps)
+    delta = 2.0**-k
+    base = [o * 2.0**-scale for o in origin]
+    centre1 = [b + delta * a for b, a in zip(base, z1)]
+    centre2 = [b + delta * a for b, a in zip(base, z2)]
+    via1 = tuple(c + delta * a for c, a in zip(centre1, z2))
+    via2 = tuple(c + delta * a for c, a in zip(centre2, z1))
+    assert via1 == via2
+    cache = EvaluationCache()
+    rows = cache.record_batch([via1, via2], [obs(1.0, 1.0), obs(3.0, 1.0)])
+    assert rows == [0, 0]
+    assert len(cache) == 1 and cache.n_obs(via1) == 2
+    assert cache.estimate(via2) == (2.0, 2.0**-0.5)
+
+
+@PROPERTY
+@given(point=st.lists(COORDINATE, min_size=1, max_size=6))
+def test_negative_and_positive_zero_map_to_one_row(point):
+    negative = tuple(-0.0 if c == 0.0 else c for c in point)
+    positive = tuple(0.0 if c == 0.0 else c for c in point)
+    cache = EvaluationCache()
+    assert cache.record(negative, obs(1.0, 1.0)) == 0
+    assert cache.row(positive) == 0 and positive in cache
+    assert cache.record(positive, obs(3.0, 1.0)) == 0
+    assert len(cache) == 1 and cache.n_obs(negative) == 2
+    # the batch key path agrees with the one-point path
+    assert cache.keys(np.array([negative, positive])) == [cache.key(positive)] * 2
+    # coordinates come back with 0.0 for -0.0
+    assert np.array(cache.points()).tobytes() == (np.array([point]) + 0.0).tobytes()
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_rows_follow_tuple_equality_and_points_round_trip(n, data):
+    points = data.draw(
+        st.lists(st.tuples(*[COORDINATE] * n), max_size=40)
+        | st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 1.0])] * n), max_size=40)
+    )
+    cache = EvaluationCache()
+    rows = cache.record_batch(points, [obs(1.0, 1.0)] * len(points))
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            assert (rows[i] == rows[j]) == (a == b)
+    first = list(dict.fromkeys(points))  # distinct points, first occurrence first
+    assert len(cache) == len(first)
+    assert sorted(set(rows)) == list(range(len(first)))
+    assert [cache.row(x) for x in points] == rows
+    if points:
+        assert cache.keys(np.array(points)) == [cache.key(x) for x in points]
+    got = np.array(cache.points(), dtype=float).reshape(len(first), n)
+    assert got.tobytes() == (np.array(first, dtype=float).reshape(len(first), n) + 0.0).tobytes()
+
+
+def test_cache_memory_per_point():
+    # 20k distinct n=20 points, each a tuple the caller drops after
+    # recording it, as the solver's polls do: one packed key, its dict
+    # entry and array rows per point (about 330 B), where keeping the
+    # tuple and a Python object graph per point cost about 1.2 kB
+    n_points, batch = 20_000, 40
+    coords = np.random.default_rng(0).standard_normal((n_points, 20))
+    observations = [obs(1.0, 0.5)] * batch
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = EvaluationCache()
+        for start in range(0, n_points, batch):
+            points = list(map(tuple, coords[start : start + batch].tolist()))
+            cache.record_batch(points, observations)
+        del points
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == n_points
+    assert used / n_points <= 400
+
+
+def test_record_batch_rejects_mixed_dimensions():
+    cache = EvaluationCache()
+    cache.record((0.0, 1.0), obs(1.0, 1.0))
+    with pytest.raises(InvalidInputError):
+        cache.record_batch([(1.0, 1.0), (2.0,)], [obs(1.0, 1.0)] * 2)
+    with pytest.raises(InvalidInputError):
+        cache.record((1.0, 2.0, 3.0), obs(1.0, 1.0))
+    assert len(cache) == 1
+    assert (1.0, 2.0, 3.0) not in cache

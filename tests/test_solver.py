@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmads import (
     ConfigError,
@@ -29,7 +31,8 @@ from apmads import (
 from apmads.blackbox import NoisyBlackbox
 from apmads.estimation import sigma_to_reach
 from apmads.mesh import generate_poll
-from apmads.solver import observe_points
+from apmads.normal import phi_inv
+from apmads.solver import observe_points, plausible_rows
 
 
 class StubRng:
@@ -71,9 +74,9 @@ def test_poll_step_barrier_when_no_candidate_feasible():
     )
     assert status is IterationStatus.BARRIER
     assert x_c is None
-    assert all(not cache.history(x).feasible for x in poll.points)
+    assert all(not cache.feasible_at(cache.row(x)) for x in poll.points)
     # barrier candidates cost nothing; only the center was observed
-    assert len(bb.ledger.per_eval_log) == 1
+    assert len(bb.ledger) == 1
 
 
 def test_poll_step_success_and_generation_order_tiebreak():
@@ -100,7 +103,7 @@ def test_poll_step_skips_already_precise_center():
     center = (0.0, 0.0)
     cache.record(center, Observation(1.0, 0.01))  # tighter than rho(0) = 0.5
     poll_step(center, 1.0, 0.0, RhoParams(), cache, bb, StubRng())
-    assert len(cache.history(center).observations) == 1
+    assert cache.n_obs(center) == 1
 
 
 def test_poll_step_enforces_sigma_target():
@@ -125,7 +128,7 @@ def test_search_step_disabled_returns_incumbent_untouched():
         cache, inc, 0.0, RhoParams(), -5.0, 0.25, bb, StubRng(), enabled=False
     )
     assert x_s == inc
-    assert len(cache.history(inc).observations) == 1
+    assert cache.n_obs(inc) == 1
     assert bb.ledger.total_draws == 0.0
 
 
@@ -149,7 +152,7 @@ def test_search_step_audits_incumbent_estimate():
     cache.record(inc, Observation(-5.0, 0.5))
     x_s = search_step(cache, inc, 40.0, RhoParams(), -5.0, 0.25, bb, StubRng())
     assert x_s == inc
-    assert len(cache.history(inc).observations) == 2
+    assert cache.n_obs(inc) == 2
     assert cache.estimate(inc)[0] == pytest.approx(2.0, abs=1e-3)
 
 
@@ -278,12 +281,12 @@ def test_run_ledger_matches_log():
     out = run(problem, SolverConfig(variant="dp", seed=13, stop_draws=1e5))
     prefix = set()
     total = 0.0
-    for _, _, d in out.ledger.per_eval_log:
+    for d in out.ledger.draws:
         total += d
         prefix.add(total)
     for rec in out.records:
         assert rec.draws in prefix
-    expected = math.fsum(1.0 / s**2 for _, s, _ in out.ledger.per_eval_log)
+    expected = math.fsum(1.0 / s**2 for s in out.ledger.sigmas)
     assert out.ledger.total_draws == pytest.approx(expected, rel=1e-9)
 
 
@@ -303,8 +306,10 @@ def test_baseline_observes_each_point_once():
         problem, 1e-3, SolverConfig(seed=1, stop_draws=1e9)
     )
     for point in out.cache.points():
-        assert len(out.cache.history(point).observations) == 1
-        assert out.cache.history(point).observations[0].sigma == 1e-3
+        assert out.cache.n_obs(point) == 1
+    # one charge per point, each at the fixed sigma
+    assert len(out.ledger) == len(out.cache)
+    assert set(out.ledger.sigmas) == {1e-3}
 
 
 def test_baseline_moustache_improves_feasibly():
@@ -367,23 +372,24 @@ def test_run_incumbents_stay_bounded():
 def _observe_points_one_by_one(cache, blackbox, points, sigma_for, rng):
     """The per-point loop that ``observe_points`` batches."""
     for x in points:
-        sigma = sigma_for(x)
+        sigma = sigma_for(cache.row(x))
         if sigma is not None:
             cache.record(x, blackbox.observe(x, sigma, rng))
 
 
 def _tighten_rule(cache, target):
-    def sigma_for(x):
-        hist = cache.history(x)
-        if hist is not None and not hist.feasible:
+    def sigma_for(i):
+        if i is None:
+            return sigma_to_reach(math.inf, target, 1.0)
+        if not cache.feasible_at(i):
             return None
-        return sigma_to_reach(cache.estimate(x)[1], target, 1.0)
+        return sigma_to_reach(cache.estimate_at(i)[1], target, 1.0)
 
     return sigma_for
 
 
 def _once_rule(cache, sigma):
-    return lambda x: None if x in cache else sigma
+    return lambda i: sigma if i is None else None
 
 
 @pytest.mark.parametrize("rule", [_tighten_rule, _once_rule])
@@ -405,7 +411,77 @@ def test_observe_points_flushes_on_repeat_like_point_by_point(rule):
     cache, bb, rng = state(observe_points)
     ref_cache, ref_bb, ref_rng = state(_observe_points_one_by_one)
     assert cache.dump_csv() == ref_cache.dump_csv()
-    assert bb.ledger.per_eval_log == ref_bb.ledger.per_eval_log
+    assert bb.ledger.sigmas == ref_bb.ledger.sigmas
+    assert bb.ledger.draws == ref_bb.ledger.draws
     assert bb.ledger.total_draws == ref_bb.ledger.total_draws
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert len(cache.history(a).observations) >= 1
+    assert cache.n_obs(a) >= 1
+
+
+FINITE_SIGMA = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-160, 1e-3, 0.9, 1.0, 1e160, 1e300, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    tau=st.one_of(
+        st.sampled_from([0.5, 0.25, 0.75, 0.5 - 2**-53, 0.5 + 2**-53, 1e-300, 1.0 - 2**-53]),
+        st.floats(min_value=1e-300, max_value=1.0 - 2**-53),
+    ),
+    f_inc=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+    sig_inc=FINITE_SIGMA,
+    data=st.data(),
+)
+def test_plausible_rows_equals_full_scan(tau, f_inc, sig_inc, data):
+    z_min = phi_inv(tau)
+    fk, sigk = [], []
+    for _ in range(data.draw(st.integers(0, 40))):
+        kind = data.draw(st.sampled_from(["free", "threshold", "undefined"]))
+        if kind == "undefined":  # unevaluated or infeasible
+            fk.append(math.inf)
+            sigk.append(math.inf)
+            continue
+        s = data.draw(st.one_of(FINITE_SIGMA, st.just(math.inf)))
+        if kind == "threshold":
+            # d / hypot lands on z_min, or a few ulps to either side
+            d = z_min * float(np.hypot(s, sig_inc))
+            for _ in range(abs(step := data.draw(st.integers(-2, 2)))):
+                d = math.nextafter(d, math.copysign(math.inf, step))
+            fk.append(f_inc - d)
+        else:
+            fk.append(data.draw(st.floats(allow_nan=False)))
+        sigk.append(s)
+    fk, sigk = np.array(fk, dtype=float), np.array(sigk, dtype=float)
+    with np.errstate(all="ignore"):
+        full = np.flatnonzero((f_inc - fk) / np.hypot(sigk, sig_inc) >= z_min)
+    assert plausible_rows(fk, sigk, f_inc, sig_inc, z_min).tolist() == full.tolist()
+
+
+def test_plausible_rows_keeps_edge_quotients():
+    # at tau = 0.5, z = -0.0 passes: here z = -5e-324 / hypot(1.9, 0.9)
+    # underflows, and z = -1.7e8 / hypot(5.9e307, 1.7e308) = -1.7e8 / inf
+    fk, sigk = np.array([5e-324]), np.array([1.9])
+    assert plausible_rows(fk, sigk, 0.0, 0.9, 0.0).tolist() == [0]
+    fk, sigk = np.array([1.7e8]), np.array([5.9e307])
+    assert plausible_rows(fk, sigk, 0.0, 1.7e308, 0.0).tolist() == [0]
+    # fk = -inf: z = inf / hypot(9.8e306, 1.7e308) = inf, though a + b overflows
+    fk, sigk = np.array([-math.inf]), np.array([9.8e306])
+    assert plausible_rows(fk, sigk, 0.0, 1.7e308, 0.0).tolist() == [0]
+
+
+def test_run_rejects_start_past_precision_floor():
+    # rho(1560) = 5e-157: its draw cost 1 / rho**2 overflows
+    problem = problem_registry("norm2")
+    for variant in ("dp", "mp"):
+        with pytest.raises(ConfigError, match="precision floor"):
+            run(problem, SolverConfig(variant=variant, r_init=1560.0))
+    # at r_init = 1534 the poll's cost is finite, but the first search
+    # observes at rho(r_init - r_s) = rho(1539), whose cost overflows; the
+    # start sits at the optimum so that value / rho**2 stays finite too
+    at_optimum = dataclasses.replace(problem, start=(0.0, 0.0))
+    with pytest.raises(ConfigError, match="precision floor"):
+        run(at_optimum, SolverConfig(variant="dp", r_init=1534.0))
+    out = run(at_optimum, SolverConfig(variant="mp", r_init=1534.0, max_iterations=1))
+    assert len(out.records) == 1 and math.isfinite(out.ledger.total_draws)
