@@ -14,7 +14,6 @@ from .blackbox import (
     Point,
     as_point,
     draws_for_sigma,
-    standard_normal,
     vme_draws_for_sigma,
 )
 from .estimation import EvaluationCache, combined_sigma, sigma_to_reach
@@ -117,7 +116,6 @@ __all__ = [
     "run_fixed_precision_baseline",
     "search_step",
     "sigma_to_reach",
-    "standard_normal",
     "update_frame",
     "update_r",
     "validate_records",

@@ -32,11 +32,6 @@ def as_point(coords) -> Point:
     return pt
 
 
-def standard_normal(rng) -> float:
-    """One N(0, 1) variate from a seeded generator, as a plain float."""
-    return float(rng.standard_normal())
-
-
 def _draw_cost(numerator: float, sigma: float) -> float:
     """``numerator / sigma**2``, refusing a sigma whose cost is not finite."""
     if not sigma > 0:

@@ -133,6 +133,7 @@ def cmd_run(args) -> int:
     print(
         f"{args.problem} {algo} seed={config.seed}: "
         f"{len(out.records)} iterations, {out.ledger.total_draws:.6g} draws, "
+        f"stop={out.stop_reason}, "
         f"f_inc={out.cache.estimate(out.incumbent)[0] if out.records else 'n/a'}, "
         f"incumbent={out.incumbent} -> {args.out}"
     )

@@ -1,11 +1,14 @@
-"""Optimization loops for adaptive-precision direct search.
+"""The optimization loop of adaptive-precision direct search.
 
-One iteration: an optional search step re-estimates cached points that
-plausibly beat the incumbent, the poll step evaluates a positive basis of
-mesh candidates around the (possibly re-centred) incumbent to the target
-standard deviation rho(r), and the outcome's p-value drives the frame and
-precision updates. A fixed-precision baseline shares the mesh mechanics
-but treats one observation per point as exact.
+One loop (``_solve``) runs every algorithm: it owns the start check, the
+stopping rules, the run log and the frame update, and calls a step rule
+once per iteration. ``run``'s rule: an optional search step re-estimates
+cached points that plausibly beat the incumbent, the poll step evaluates
+a positive basis of mesh candidates around the (possibly re-centred)
+incumbent to the target standard deviation rho(r), and the outcome's
+p-value drives the frame and precision updates. The fixed-precision
+baseline's rule observes each point once and scores the poll with
+p in {0, 1}, treating one observation per point as exact.
 
 A run is strictly sequential. Independent runs (across seeds, problems or
 variants) share no state and may execute in parallel.
@@ -127,12 +130,19 @@ class IterationRecord:
 
 @dataclass
 class RunOutput:
-    """Result of one run: the incumbent, the full log and the run state."""
+    """Result of one run: the incumbent, the full log and the run state.
+
+    ``stop_reason`` is "frame" (the frame fell below the stopping
+    threshold), "budget" (the draw budget is spent), "max_iterations", or
+    "precision-floor": the next iteration's target sigma has no finite
+    draw cost, or the ledger total overflowed.
+    """
 
     incumbent: Point
     records: list[IterationRecord]
     cache: EvaluationCache
     ledger: DrawLedger
+    stop_reason: str
 
 
 def observe_points(cache, blackbox, points, sigma_for, rng, keys=None) -> list[int | None]:
@@ -277,7 +287,6 @@ def search_step(
     tau: float,
     blackbox: NoisyBlackbox,
     rng,
-    enabled: bool = True,
 ) -> Point:
     """Re-estimate promising cached points, then return the cache minimiser.
 
@@ -286,10 +295,9 @@ def search_step(
     qualifying point receives one observation at rho(r - r_s). The
     incumbent compares against itself with plausibility exactly 0.5, so
     for tau <= 0.5 its own estimate is re-audited every call; this is what
-    flushes out incumbents whose low estimates were lucky noise. Disabled,
-    the step returns the incumbent untouched.
+    flushes out incumbents whose low estimates were lucky noise.
     """
-    if not enabled or not cache.has_incumbent:
+    if not cache.has_incumbent:
         return incumbent
     f_inc, sig_inc = cache.estimate(incumbent)
     if not math.isfinite(f_inc):
@@ -303,37 +311,95 @@ def search_step(
     return cache.incumbent()
 
 
-def _check_precision_floor(config: SolverConfig, blackbox: NoisyBlackbox) -> None:
-    """Refuse a start precision whose first observations cannot be paid for.
+def _past_precision_floor(config: SolverConfig, blackbox: NoisyBlackbox, r: float):
+    """The precision index of an iteration at ``r`` that cannot be paid for, or None.
 
-    The first poll observes at rho(r_init) and, with the search enabled,
-    the first search at rho(r_init - r_s). Past the precision floor the
-    draw cost of such a sigma overflows (and ``sigma_to_reach`` returns 0),
-    so the run would fail inside its first iteration.
+    The poll observes at rho(r) and, with the search enabled, the search
+    at rho(r - r_s). Past the precision floor the draw cost of such a
+    sigma overflows (and ``sigma_to_reach`` returns 0); the first index
+    whose sigma has no finite draw cost is returned.
     """
-    indices = [config.r_init]
-    if config.search_enabled:
-        indices.append(config.r_init - config.r_s)
-    for r in indices:
-        sigma = rho(config.rho_params, r)
+    for index in (r, r - config.r_s) if config.search_enabled else (r,):
         try:
-            cost = blackbox.draw_cost(sigma)
+            cost = blackbox.draw_cost(rho(config.rho_params, index))
         except InvalidSigmaError:
             cost = math.inf
         if not math.isfinite(cost):
-            raise ConfigError(
-                f"precision index {r} is past the precision floor: rho = {sigma} "
-                "has no finite draw cost"
-            )
+            return index
+    return None
+
+
+def _stop_reason(delta_p, stop_delta_p, draws, k, config: SolverConfig) -> str | None:
+    """Why the loop stops before iteration ``k``, or None to go on."""
+    if delta_p < stop_delta_p:
+        return "frame"
+    if draws == math.inf:  # the ledger total overflowed
+        return "precision-floor"
+    if not draws < config.stop_draws:
+        return "budget"
+    if k > config.max_iterations:
+        return "max_iterations"
+    return None
+
+
+def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, step,
+           iteration_hook=None) -> RunOutput:
+    """The iteration loop shared by every algorithm; ``step`` is its rule.
+
+    ``step(cache, incumbent, delta_p, rng)`` runs one iteration's
+    observations and returns ``(poll_center, status, poll, r, p)``, with
+    ``r`` the precision index the iteration used. It returns None instead,
+    observing nothing, when the iteration's target sigma has no finite
+    draw cost. The loop owns the start check, the stopping rules, the log
+    and the frame update.
+    """
+    start = as_point(problem.start)
+    if not blackbox.feasible(start):
+        raise InfeasibleStartError(f"start point {start} is infeasible")
+
+    rng = np.random.default_rng(config.seed)
+    cache = EvaluationCache()
+    delta_p = config.delta_p0
+    stop_delta_p = (
+        config.stop_delta_p if config.stop_delta_p is not None else problem.stop_delta_p
+    )
+    records: list[IterationRecord] = []
+    incumbent = start
+    k = 1
+    ledger = blackbox.ledger
+    while (
+        stop_reason := _stop_reason(delta_p, stop_delta_p, ledger.total_draws, k, config)
+    ) is None:
+        outcome = step(cache, incumbent, delta_p, rng)
+        if outcome is None:
+            stop_reason = "precision-floor"
+            break
+        x_s, status, poll, r, p = outcome
+        incumbent = cache.incumbent()
+        f_inc, sig_inc = cache.estimate(incumbent)
+        record = IterationRecord(
+            k=k, draws=ledger.total_draws, incumbent=incumbent, f_inc=f_inc,
+            sig_inc=sig_inc, delta_p=delta_p, delta_m=poll.delta_m, r=r, p=p,
+            status=status, cache_size=len(cache),
+        )
+        records.append(record)
+        if iteration_hook is not None:
+            iteration_hook(record, poll, x_s, cache)
+        delta_p = update_frame(delta_p, status, p, config.beta_l, config.beta_u)
+        k += 1
+    return RunOutput(incumbent, records, cache, ledger, stop_reason)
 
 
 def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOutput:
     """Adaptive-precision minimisation of ``problem``.
 
-    Stops when the frame size falls below the stopping threshold (the
-    problem default unless the config overrides it), the cumulative draw
-    budget is exhausted, or the iteration cap is hit. ``iteration_hook``,
-    when given, is called after each iteration with
+    Each iteration runs the search step (when enabled and an incumbent is
+    cached), polls around its result at rho(r), and moves the precision
+    index by the poll's p-value. Stops when the frame size falls below the
+    stopping threshold (the problem default unless the config overrides
+    it), the draw budget is spent, the iteration cap is hit, or the next
+    iteration cannot be paid for; ``RunOutput.stop_reason`` says which.
+    ``iteration_hook``, when given, is called after each iteration with
     (record, poll_set, poll_center, cache); it exists for validation
     instrumentation and does not affect the run.
     """
@@ -343,67 +409,32 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
             f"observable cap {problem.sigma_max}"
         )
     blackbox = problem.blackbox()
-    _check_precision_floor(config, blackbox)
-    start = as_point(problem.start)
-    if not blackbox.feasible(start):
-        raise InfeasibleStartError(f"start point {start} is infeasible")
-
-    rng = np.random.default_rng(config.seed)
-    cache = EvaluationCache()
+    floor = _past_precision_floor(config, blackbox, config.r_init)
+    if floor is not None:
+        raise ConfigError(
+            f"precision index {floor} is past the precision floor: "
+            f"rho = {rho(config.rho_params, floor)} has no finite draw cost"
+        )
     policy = config.policy()
-    delta_p = config.delta_p0
-    stop_delta_p = (
-        config.stop_delta_p if config.stop_delta_p is not None else problem.stop_delta_p
-    )
-    records: list[IterationRecord] = []
-    incumbent = start
-    k = 1
-    while (
-        delta_p >= stop_delta_p
-        and blackbox.ledger.total_draws < config.stop_draws
-        and k <= config.max_iterations
-    ):
+
+    def step(cache, incumbent, delta_p, rng):
         r = policy.r
+        if _past_precision_floor(config, blackbox, r) is not None:
+            return None
+        x_s = incumbent
         if config.search_enabled and cache.has_incumbent:
             x_s = search_step(
                 cache, incumbent, r, config.rho_params, config.r_s, config.tau,
                 blackbox, rng,
             )
-        else:
-            x_s = incumbent
-        x_c, status, poll = poll_step(
-            x_s, delta_p, r, config.rho_params, cache, blackbox, rng
-        )
-        if status is IterationStatus.BARRIER:
-            p = 0.0
-            new_r = r
-        else:
+        x_c, status, poll = poll_step(x_s, delta_p, r, config.rho_params, cache, blackbox, rng)
+        p = 0.0
+        if status is not IterationStatus.BARRIER:
             p = p_value(cache, x_c, x_s)
-            new_r = update_r(policy, p)
-        new_delta_p = update_frame(delta_p, status, p, policy.beta_l, policy.beta_u)
+            policy.r = update_r(policy, p)
+        return x_s, status, poll, r, p
 
-        incumbent = cache.incumbent()
-        f_inc, sig_inc = cache.estimate(incumbent)
-        record = IterationRecord(
-            k=k,
-            draws=blackbox.ledger.total_draws,
-            incumbent=incumbent,
-            f_inc=f_inc,
-            sig_inc=sig_inc,
-            delta_p=delta_p,
-            delta_m=poll.delta_m,
-            r=r,
-            p=p,
-            status=status,
-            cache_size=len(cache),
-        )
-        records.append(record)
-        if iteration_hook is not None:
-            iteration_hook(record, poll, x_s, cache)
-        policy.r = new_r
-        delta_p = new_delta_p
-        k += 1
-    return RunOutput(incumbent=incumbent, records=records, cache=cache, ledger=blackbox.ledger)
+    return _solve(problem, config, blackbox, step, iteration_hook)
 
 
 def run_fixed_precision_baseline(
@@ -412,38 +443,20 @@ def run_fixed_precision_baseline(
     """Plain direct search treating one observation per point as exact.
 
     Every point is evaluated once at ``sigma_fixed``; success means strict
-    decrease of the single-observation values, doubling the frame, and any
-    other outcome halves it. Shares the stopping rules and log format with
-    the adaptive runs (the precision column is constantly 0 and the p
-    column records 1.0 on success, 0.0 otherwise).
+    decrease of the single-observation values. The loop is ``run``'s, with
+    p = 1.0 on success and 0.0 otherwise, so the frame doubles on success
+    and halves on any other outcome; the precision column is constantly 0.
     """
     if not 0.0 < sigma_fixed <= problem.sigma_max:
         raise InvalidSigmaError(
             f"sigma_fixed must lie in (0, {problem.sigma_max}], got {sigma_fixed}"
         )
     blackbox = problem.blackbox()
-    start = as_point(problem.start)
-    if not blackbox.feasible(start):
-        raise InfeasibleStartError(f"start point {start} is infeasible")
-
-    rng = np.random.default_rng(config.seed)
-    cache = EvaluationCache()
 
     def once(i: int | None):
         return sigma_fixed if i is None else None
 
-    delta_p = config.delta_p0
-    stop_delta_p = (
-        config.stop_delta_p if config.stop_delta_p is not None else problem.stop_delta_p
-    )
-    records: list[IterationRecord] = []
-    incumbent = start
-    k = 1
-    while (
-        delta_p >= stop_delta_p
-        and blackbox.ledger.total_draws < config.stop_draws
-        and k <= config.max_iterations
-    ):
+    def step(cache, incumbent, delta_p, rng):
         # the center's noise is drawn before the poll direction
         rows = observe_points(cache, blackbox, (incumbent,), once, rng)
         poll = generate_poll(incumbent, delta_p, rng)
@@ -451,30 +464,9 @@ def run_fixed_precision_baseline(
             cache, blackbox, poll.points, once, rng, keys=cache.keys(poll.coords)
         )
         _, status = _poll_outcome(cache, poll, rows)
+        return incumbent, status, poll, 0.0, float(status is IterationStatus.SUCCESS)
 
-        p = 1.0 if status is IterationStatus.SUCCESS else 0.0
-        new_delta_p = 2.0 * delta_p if status is IterationStatus.SUCCESS else delta_p / 2.0
-
-        incumbent = cache.incumbent()
-        f_inc, sig_inc = cache.estimate(incumbent)
-        records.append(
-            IterationRecord(
-                k=k,
-                draws=blackbox.ledger.total_draws,
-                incumbent=incumbent,
-                f_inc=f_inc,
-                sig_inc=sig_inc,
-                delta_p=delta_p,
-                delta_m=poll.delta_m,
-                r=0.0,
-                p=p,
-                status=status,
-                cache_size=len(cache),
-            )
-        )
-        delta_p = new_delta_p
-        k += 1
-    return RunOutput(incumbent=incumbent, records=records, cache=cache, ledger=blackbox.ledger)
+    return _solve(problem, config, blackbox, step)
 
 
 # --- run-log serialisation ---------------------------------------------------

@@ -11,7 +11,6 @@ from apmads import (
     Observation,
     draws_for_sigma,
     problem_registry,
-    standard_normal,
     vme_draws_for_sigma,
 )
 from apmads.blackbox import NoisyBlackbox
@@ -81,19 +80,6 @@ def test_observe_validates_inputs():
         bb.observe((0.0, 0.0), 0.0, rng)
     with pytest.raises(InvalidSigmaError):
         bb.observe((0.0, 0.0), 1.5, rng)  # above sigma_max = 1
-
-
-def test_standard_normal_deterministic_per_seed():
-    first = standard_normal(np.random.default_rng(42))
-    again = standard_normal(np.random.default_rng(42))
-    assert first == again
-
-
-def test_standard_normal_moments():
-    rng = np.random.default_rng(7)
-    samples = np.array([standard_normal(rng) for _ in range(10**6)])
-    assert abs(samples.mean()) < 0.01
-    assert abs(samples.var() - 1.0) < 0.01
 
 
 def test_noise_law_of_observations():

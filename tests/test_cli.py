@@ -13,7 +13,7 @@ from apmads.cli import (
 )
 
 
-def test_run_writes_log_with_fixed_header(tmp_path):
+def test_run_writes_log_with_fixed_header(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code = main(
         ["run", "--problem", "norm2", "--algo", "dpmads", "--seed", "7",
@@ -23,6 +23,7 @@ def test_run_writes_log_with_fixed_header(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size"
     assert len(lines) > 1
+    assert "stop=budget" in capsys.readouterr().out
 
 
 def test_run_unknown_problem_exits_1(capsys):
@@ -41,7 +42,7 @@ def test_run_fixed_requires_sigma(tmp_path, capsys):
     assert "--sigma-fixed" in capsys.readouterr().err
 
 
-def test_run_fixed_baseline(tmp_path):
+def test_run_fixed_baseline(tmp_path, capsys):
     out = tmp_path / "f.csv"
     code = main(
         ["run", "--problem", "norm2", "--algo", "fixed", "--sigma-fixed", "1e-2",
@@ -49,6 +50,7 @@ def test_run_fixed_baseline(tmp_path):
     )
     assert code == 0
     assert out.exists()
+    assert "stop=budget" in capsys.readouterr().out
 
 
 def test_usage_error_exits_1():

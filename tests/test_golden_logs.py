@@ -3,7 +3,8 @@
 Each case's ``log_to_csv(records)`` is pinned by its sha256. A change that
 alters any logged value (incumbent, draws, estimate, frame, precision
 index, p-value, status or cache size) in any iteration fails here, so
-refactors and speed-ups must reproduce the runs exactly.
+refactors and speed-ups must reproduce the runs exactly. Each case also
+states the ``stop_reason`` its run ends with.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 
 from apmads import (
     ProblemDef,
+    RunOutput,
     SolverConfig,
     log_to_csv,
     problem_registry,
@@ -39,27 +41,44 @@ def norm2_n20() -> ProblemDef:
     )
 
 
-def golden_log(key: str) -> str:
-    problem_name, algo, seed = CASES[key]
-    if problem_name == "norm2-n20":
-        problem = norm2_n20()
-        config = SolverConfig(variant=algo, seed=seed, max_iterations=N20_MAX_ITERATIONS)
-        return log_to_csv(run(problem, config).records)
-    problem = problem_registry(problem_name)
+def golden_run(key: str) -> RunOutput:
+    problem_name, algo, seed, overrides, _ = CASES[key]
+    problem = norm2_n20() if problem_name == "norm2-n20" else problem_registry(problem_name)
     if algo == "fixed":
-        out = run_fixed_precision_baseline(problem, SIGMA_FIXED, SolverConfig(seed=seed))
-    else:
-        out = run(problem, SolverConfig(variant=algo, seed=seed))
-    return log_to_csv(out.records)
+        overrides = dict(overrides)
+        sigma = overrides.pop("sigma_fixed", SIGMA_FIXED)
+        return run_fixed_precision_baseline(problem, sigma, SolverConfig(seed=seed, **overrides))
+    return run(problem, SolverConfig(variant=algo, seed=seed, **overrides))
 
 
+# key -> (problem, algo, seed, config overrides, expected stop reason)
 CASES = {
-    f"{problem}-{algo}-s{seed}": (problem, algo, seed)
+    f"{problem}-{algo}-s{seed}": (problem, algo, seed, {}, "frame")
     for problem in ("norm2", "moustache")
     for algo in ("dp", "mp", "fixed")
     for seed in range(3)
 }
-CASES.update({f"norm2-n20-{algo}-s0": ("norm2-n20", algo, 0) for algo in ("dp", "mp")})
+CASES.update({
+    f"norm2-n20-{algo}-s0": ("norm2-n20", algo, 0, {"max_iterations": N20_MAX_ITERATIONS},
+                             "max_iterations")
+    for algo in ("dp", "mp")
+})
+# the baseline's other stops: the draw budget, the iteration cap, a frame
+# threshold override, and the stall of a near-exact sigma (criterion 4)
+FIXED_STOPS = [
+    ("norm2", "draws", {"stop_draws": 5e7}, "budget"),
+    ("norm2", "iters", {"max_iterations": 25}, "max_iterations"),
+    ("norm2", "delta", {"stop_delta_p": 1e-3}, "frame"),
+    ("moustache", "draws", {"stop_draws": 1e8}, "budget"),
+    ("moustache", "iters", {"max_iterations": 25}, "max_iterations"),
+    ("moustache", "delta", {"stop_delta_p": 1e-3}, "frame"),
+]
+CASES.update({
+    f"{problem}-fixed-{stop}-s{seed}": (problem, "fixed", seed, overrides, reason)
+    for problem, stop, overrides, reason in FIXED_STOPS
+    for seed in range(2)
+})
+CASES["norm2-fixed-1e-10-s0"] = ("norm2", "fixed", 0, {"sigma_fixed": 1e-10}, "frame")
 
 DIGESTS = {
     "norm2-dp-s0": "8cec6dd2d22184ff708eaadf2e2090fd9824cf48824014a94607d1f5235c787b",
@@ -82,10 +101,24 @@ DIGESTS = {
     "moustache-fixed-s2": "15ad11cc62588b55ee0f5cd8151f2383c39fdfd002520d81d120c28f56404438",
     "norm2-n20-dp-s0": "d33b92b496f8a48455860cf1d96779344f9e8842b461a224bd0e7299f53f6909",
     "norm2-n20-mp-s0": "5875c988195d1d52788a77617628305ef01299c8e7c6cbf9ca04145e2f4a9e24",
+    "norm2-fixed-draws-s0": "755167afbd81d4140a65ea7be21c08160f2d08d747cd352889cf676ab356ec91",
+    "norm2-fixed-draws-s1": "591d179838b0048d68ff685cf7fa73c88c15705b8fa8c2acb7e60d7887e7d1f3",
+    "norm2-fixed-iters-s0": "dd5965882d27df56a41fe779e6ddb9ad82b6bb1e3cad39bceb68a536e1488c30",
+    "norm2-fixed-iters-s1": "f7062f844c94482d1b13277e49eefc74b2e1ad426ad2825554bd4e05d6d96a84",
+    "norm2-fixed-delta-s0": "479842b002053fe7f57f57aedb96f20198447fb46df60c82442489e9882fdd1f",
+    "norm2-fixed-delta-s1": "71f06b74cf17252f03a63d90132cb0a1fa4991c14b9ae6c28a135a5ba75460d9",
+    "norm2-fixed-1e-10-s0": "89c23b891266d99c782cef2f4601be67566e7199f403b44435517527978875fb",
+    "moustache-fixed-draws-s0": "e30e97a56fcad8fafc5806bed30aa71ba59e16c27b2b412ddf09fd02d5d48c35",
+    "moustache-fixed-draws-s1": "1ce20ed4b64a16b3a71d8f0dcb68248ce5f32ee17ba677bf5c6e2b3e0bef84f2",
+    "moustache-fixed-iters-s0": "53cc56f4b8c299dc8885db45dbd6f97a9e3f6c2bdb6b9d3626557492fd6511c5",
+    "moustache-fixed-iters-s1": "9cbce9d2812f82dc6e0f73e52a1fe52f0b72a7cbc02f2e609bae88ee4077be05",
+    "moustache-fixed-delta-s0": "b6eb7341de8658aa6331ee5c9b9c8f06917493eaf52fb75cc30a5cec52d6c096",
+    "moustache-fixed-delta-s1": "f5ee731c94c07009b1c866d2886dd306239f493b495b1778ba19ebea805e2dad",
 }
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_golden_log_is_byte_identical(key):
-    text = golden_log(key)
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[key]
+    out = golden_run(key)
+    assert hashlib.sha256(log_to_csv(out.records).encode()).hexdigest() == DIGESTS[key]
+    assert out.stop_reason == CASES[key][-1]

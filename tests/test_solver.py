@@ -18,6 +18,7 @@ from apmads import (
     Observation,
     RhoParams,
     SolverConfig,
+    draws_for_sigma,
     log_to_csv,
     on_mesh,
     parse_log,
@@ -28,6 +29,7 @@ from apmads import (
     run_fixed_precision_baseline,
     search_step,
 )
+from apmads import problems
 from apmads.blackbox import NoisyBlackbox
 from apmads.estimation import sigma_to_reach
 from apmads.mesh import generate_poll
@@ -119,19 +121,6 @@ def test_poll_step_enforces_sigma_target():
             assert sigk <= target * (1.0 + 1e-12)
 
 
-def test_search_step_disabled_returns_incumbent_untouched():
-    bb = make_blackbox(lambda x: math.hypot(*x))
-    cache = EvaluationCache()
-    inc = (1.0, 0.0)
-    cache.record(inc, Observation(1.0, 0.5))
-    x_s = search_step(
-        cache, inc, 0.0, RhoParams(), -5.0, 0.25, bb, StubRng(), enabled=False
-    )
-    assert x_s == inc
-    assert cache.n_obs(inc) == 1
-    assert bb.ledger.total_draws == 0.0
-
-
 def test_search_step_no_qualifying_point():
     # tau above 0.5 excludes even the incumbent's self-comparison
     bb = make_blackbox(lambda x: math.hypot(*x))
@@ -166,12 +155,63 @@ def test_search_step_recovers_better_cached_point():
     assert x_s == (1.0, 0.0)
 
 
-def test_run_zero_budget_returns_start():
+@pytest.mark.parametrize("algo", ["dp", "mp", "fixed"])
+def test_run_zero_budget_returns_start(algo):
     problem = problem_registry("norm2")
-    out = run(problem, SolverConfig(variant="dp", stop_draws=0.0))
+    if algo == "fixed":
+        out = run_fixed_precision_baseline(problem, 1e-3, SolverConfig(stop_draws=0.0))
+    else:
+        out = run(problem, SolverConfig(variant=algo, stop_draws=0.0))
     assert out.incumbent == problem.start
     assert out.records == []
     assert out.ledger.total_draws == 0.0
+    assert out.stop_reason == "budget"
+
+
+@pytest.mark.parametrize("variant", ["dp", "mp"])
+def test_run_stop_reasons_budget_and_iteration_cap(variant):
+    problem = problem_registry("norm2")
+    out = run(problem, SolverConfig(variant=variant, seed=5, stop_draws=1e4))
+    assert out.stop_reason == "budget"
+    assert out.records[-1].draws >= 1e4 > out.records[-2].draws
+    out = run(problem, SolverConfig(variant=variant, seed=5, max_iterations=3))
+    assert out.stop_reason == "max_iterations"
+    assert len(out.records) == 3
+
+
+def _flat_norm2_at_origin():
+    # every comparison stays uncertain, so the precision index keeps climbing
+    return dataclasses.replace(
+        problem_registry("norm2"), truth=lambda x: 0.0, start=(0.0, 0.0)
+    )
+
+
+def test_run_stops_at_precision_floor_when_the_ledger_overflows():
+    # the draw costs near rho(1534) are finite, but their sum overflows
+    config = SolverConfig(variant="mp", r_init=1520.0, stop_delta_p=1e-300, seed=0)
+    out = run(_flat_norm2_at_origin(), config)
+    assert out.stop_reason == "precision-floor"
+    assert len(out.records) == 15
+    assert out.records[-1].draws == math.inf
+    assert all(math.isfinite(rec.draws) for rec in out.records[:-1])
+    assert parse_log(log_to_csv(out.records)) == out.records
+
+
+@pytest.mark.parametrize("variant", ["dp", "mp"])
+def test_run_stops_before_an_unpayable_iteration(variant, monkeypatch):
+    # a draw cost with its floor at sigma = 1e-3: the index climbs until
+    # the poll's rho(r) (mp) or the search's rho(r - r_s) (dp) falls below it
+    def floored_cost(sigma):
+        if sigma < 1e-3:
+            raise InvalidSigmaError(f"sigma {sigma} is past the floor")
+        return draws_for_sigma(sigma)
+
+    monkeypatch.setattr(problems, "draws_for_sigma", floored_cost)
+    config = SolverConfig(variant=variant, stop_delta_p=1e-300, seed=0)
+    out = run(_flat_norm2_at_origin(), config)
+    assert out.stop_reason == "precision-floor"
+    assert out.records and math.isfinite(out.ledger.total_draws)
+    assert min(out.ledger.sigmas) >= 1e-3
 
 
 def test_run_rejects_infeasible_start():
@@ -329,6 +369,17 @@ def test_baseline_rejects_bad_sigma():
         run_fixed_precision_baseline(problem, 0.0, SolverConfig())
     with pytest.raises(InvalidSigmaError):
         run_fixed_precision_baseline(problem, 2.0, SolverConfig())
+    # legal, but one observation's draw cost 1 / sigma**2 overflows: the
+    # first observation refuses it before any draw is charged
+    with pytest.raises(InvalidSigmaError, match="not finite"):
+        run_fixed_precision_baseline(problem, 1e-200, SolverConfig())
+
+
+def test_baseline_stops_at_precision_floor_when_the_ledger_overflows():
+    out = run_fixed_precision_baseline(problem_registry("norm2"), 1e-153, SolverConfig(seed=0))
+    assert out.stop_reason == "precision-floor"
+    assert out.records[-1].draws == math.inf
+    assert all(math.isfinite(rec.draws) for rec in out.records[:-1])
 
 
 def test_log_round_trip_is_lossless():
