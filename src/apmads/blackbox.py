@@ -132,53 +132,57 @@ class NoisyBlackbox:
 
         The one-point form of ``observe_batch``.
         """
-        return self.observe_batch([x], [sigma], rng)[0]
+        values, feasible = self.observe_batch([x], [sigma], rng)
+        return Observation(values[0], sigma) if feasible[0] else Observation.infeasible()
 
-    def observe_batch(self, xs, sigmas, rng) -> list[Observation]:
+    def observe_batch(self, xs, sigmas, rng, coords=None) -> tuple[list[float], list[bool]]:
         """Observe each point ``xs[j]`` at noise level ``sigmas[j]``, in order.
 
-        Feasible points return ``truth(x) + z * sigma`` and charge
+        Returns the observed values and the feasibility flags, one per
+        point. Feasible points give ``truth(x) + z * sigma`` and charge
         ``draw_cost(sigma)`` to the ledger; the ``z`` are one
         ``rng.standard_normal(k)`` draw for the k feasible points, which
-        equals k scalar draws in sequence. Infeasible points return an
-        infeasible observation, consume no randomness and cost nothing.
-        The whole batch is validated before any noise is drawn or any draw
-        charged, so a bad point or sigma leaves the ledger and ``rng``
-        untouched. ``truth`` and ``feasible`` are called once per point.
+        equals k scalar draws in sequence. Infeasible points give +inf,
+        consume no randomness and cost nothing. The whole batch is
+        validated before any noise is drawn or any draw charged, so a bad
+        point or sigma leaves the ledger and ``rng`` untouched. ``coords``,
+        when given, holds ``xs`` as a (k, dimension) float array and is
+        validated in place of converting ``xs``. ``truth`` and ``feasible``
+        are called once per point.
         """
         k = len(xs)
         if len(sigmas) != k:
             raise InvalidInputError(f"got {len(sigmas)} sigmas for {k} points")
         if k == 0:
-            return []
-        try:
-            coords = np.asarray(xs, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"points must each have {self.dimension} numeric coordinates"
-            ) from None
+            return [], []
+        if coords is None:
+            try:
+                coords = np.asarray(xs, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"points must each have {self.dimension} numeric coordinates"
+                ) from None
         if coords.shape != (k, self.dimension):
             raise InvalidInputError(
                 f"points have shape {coords.shape}, expected ({k}, {self.dimension})"
             )
-        finite = np.isfinite(coords).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))  # the first point with a non-finite coordinate
+        if not np.isfinite(coords).all():
+            bad = int(np.isfinite(coords).all(axis=1).argmin())  # the first bad point
             raise InvalidInputError(f"point has non-finite coordinate: {xs[bad]}")
+        sigma_max = self.sigma_max
         for sigma in sigmas:
-            if not 0.0 < sigma <= self.sigma_max:
-                raise InvalidSigmaError(
-                    f"sigma must lie in (0, {self.sigma_max}], got {sigma}"
-                )
-        feasible = [bool(self._feasible(x)) for x in xs]
+            if not 0.0 < sigma <= sigma_max:
+                raise InvalidSigmaError(f"sigma must lie in (0, {sigma_max}], got {sigma}")
+        is_feasible = self._feasible
+        feasible = [bool(is_feasible(x)) for x in xs]
         charged = [s for s, ok in zip(sigmas, feasible) if ok]
-        costs = [self.draw_cost(s) for s in charged]
+        draw_cost = self.draw_cost
+        costs = [draw_cost(s) for s in charged]
         noise = iter(rng.standard_normal(len(costs)).tolist() if costs else ())
-        out = []
-        for x, sigma, ok in zip(xs, sigmas, feasible):
-            if ok:
-                out.append(Observation(self._truth(x) + next(noise) * sigma, sigma, True))
-            else:
-                out.append(Observation.infeasible())
+        truth = self._truth
+        values = [
+            truth(x) + next(noise) * sigma if ok else math.inf
+            for x, sigma, ok in zip(xs, sigmas, feasible)
+        ]
         self.ledger.charge_batch(charged, costs)
-        return out
+        return values, feasible

@@ -141,13 +141,21 @@ def cmd_run(args) -> int:
 
 
 def _bench_task(task) -> tuple:
+    """One bench run: its manifest row, with status "ok" or "failed:<ErrorType>".
+
+    A run that raises an ``ApmadsError`` writes no log and leaves its path
+    empty; the other runs go on.
+    """
     (problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values,
      out_path) = task
-    problem, out, _, _ = _execute_run(
-        problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values
-    )
+    try:
+        problem, out, _, _ = _execute_run(
+            problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values
+        )
+    except ApmadsError as exc:
+        return problem_name, algo, seed, "", f"failed:{type(exc).__name__}"
     write_log(out.records, out_path, dimension=problem.dimension)
-    return problem_name, algo, seed, out_path
+    return problem_name, algo, seed, out_path, "ok"
 
 
 def bench_workers(requested: int | None, n_tasks: int) -> int:
@@ -188,10 +196,14 @@ def cmd_bench(args) -> int:
         rows = [_bench_task(task) for task in tasks]
     manifest = os.path.join(args.out_dir, "manifest.csv")
     with open(manifest, "w") as fh:
-        fh.write("problem,algo,seed,path\n")
-        for problem_name, algo, seed, path in sorted(rows):
-            fh.write(f"{problem_name},{algo},{seed},{path}\n")
+        fh.write("problem,algo,seed,path,status\n")
+        for row in sorted(rows):
+            fh.write(",".join(map(str, row)) + "\n")
     print(f"{len(rows)} runs -> {args.out_dir} (manifest: {manifest})")
+    failed = sum(status != "ok" for *_, status in rows)
+    if failed:
+        print(f"error: {failed} of {len(rows)} runs failed (see {manifest})", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -76,7 +76,9 @@ class EvaluationCache:
     doubling: the fusion sums ``sum_w`` and ``sum_wv``, the observation
     count, the feasibility flag and the estimates ``fk``/``sigk``, so
     whole-cache scans (incumbent selection, search-step filtering) stay
-    vectorised.
+    vectorised. ``overflowed`` turns True once a feasible point's fused
+    estimate is not finite, i.e. once ``sum_wv`` overflowed (an observed
+    value times its weight ``1 / sigma**2`` past the largest float).
     """
 
     def __init__(self):
@@ -92,6 +94,7 @@ class EvaluationCache:
         self._sigk = np.full(_INITIAL_CAPACITY, math.inf)
         self._n_estimated = 0
         self._incumbent: tuple[int, Point | None] = (-1, None)
+        self.overflowed = False
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -111,9 +114,9 @@ class EvaluationCache:
         """The keys of the rows of a (k, n) array: ``key`` of each row, vectorised."""
         if coords.ndim != 2:
             raise InvalidInputError(f"coordinates must form a (k, n) array, got {coords.shape}")
-        buf = (coords.astype(np.float64, copy=False) + 0.0).tobytes()
-        width = 8 * coords.shape[1]
-        return [buf[i : i + width] for i in range(0, len(buf), width)]
+        rows = np.add(coords, 0.0, dtype=np.float64, order="C")
+        # each row as one void scalar of its bytes, which tolist() returns as bytes
+        return rows.view(f"V{8 * rows.shape[1]}").ravel().tolist()
 
     def row(self, x: Point) -> int | None:
         """The row of ``x``, or None when it is not cached."""
@@ -130,18 +133,21 @@ class EvaluationCache:
 
     def record(self, x: Point, obs: Observation) -> int:
         """Append one observation (or an infeasibility marker) at ``x``; its row."""
-        return self.record_batch([x], [obs])[0]
+        return self.record_batch([x], [obs.value], [obs.sigma], [obs.feasible])[0]
 
-    def record_batch(self, xs, observations, keys=None) -> list[int]:
-        """Append ``observations[j]`` at ``xs[j]``, in order; the rows of ``xs``.
+    def record_batch(self, xs, values, sigmas, feasible, keys=None) -> list[int]:
+        """Fuse ``values[j]``, observed at ``sigmas[j]``, into ``xs[j]``, in order.
 
-        Equivalent to ``record`` on each pair in turn, repeated points
-        included: a later observation of a point fuses into the estimate
-        left by an earlier one. ``keys``, when given, are the keys of ``xs``.
+        ``feasible[j]`` False marks ``xs[j]`` infeasible instead (its value
+        and sigma are ignored). Equivalent to ``record`` on each point in
+        turn, repeated points included: a later observation of a point
+        fuses into the estimate left by an earlier one. ``keys``, when
+        given, are the keys of ``xs``. Returns the rows of ``xs``.
         """
-        if len(xs) != len(observations):
+        if not len(xs) == len(values) == len(sigmas) == len(feasible):
             raise InvalidInputError(
-                f"got {len(observations)} observations for {len(xs)} points"
+                f"got {len(values)} values, {len(sigmas)} sigmas and "
+                f"{len(feasible)} feasibility flags for {len(xs)} points"
             )
         if keys is None:
             keys = [self.key(x) for x in xs]
@@ -156,32 +162,40 @@ class EvaluationCache:
             self._grow()
         index, new_key = self._index, self._keys.append
         sum_w, sum_wv, n_obs = self._sum_w, self._sum_wv, self._n_obs
-        feasible, fk, sigk = self._feasible, self._fk, self._sigk
+        is_feasible, fk, sigk = self._feasible, self._fk, self._sigk
         rows = []
-        for key, obs in zip(keys, observations):
+        for key, value, sigma, ok in zip(keys, values, sigmas, feasible):
             i = index.get(key)
-            if i is None:
+            fresh = i is None
+            if fresh:
                 i = index[key] = len(index)
                 new_key(key)
             rows.append(i)
-            if not obs.feasible:
-                feasible[i] = False
-                fk[i] = math.inf
-                sigk[i] = math.inf
+            if not ok:
+                is_feasible[i] = False
+                if not fresh:  # a new row's estimates are already (+inf, +inf)
+                    fk[i] = math.inf
+                    sigk[i] = math.inf
                 continue
-            count = n_obs.item(i)
+            if fresh:  # a new row has no observation yet and is feasible
+                count, total_w, total_wv, estimated = 0, 0.0, 0.0, True
+            else:
+                count, total_w, total_wv = n_obs.item(i), sum_w.item(i), sum_wv.item(i)
+                estimated = is_feasible.item(i)
             if count == 0:
                 self._n_estimated += 1
-            n_obs[i] = count + 1
             # Python floats throughout: the order and the scalar pow are
             # what pin the estimates bit for bit
-            w = 1.0 / (obs.sigma * obs.sigma)
-            total_w = sum_w.item(i) + w
-            total_wv = sum_wv.item(i) + w * obs.value
+            w = 1.0 / (sigma * sigma)
+            total_w += w
+            total_wv += w * value
+            n_obs[i] = count + 1
             sum_w[i] = total_w
             sum_wv[i] = total_wv
-            if feasible.item(i) and total_w != 0.0:
-                fk[i] = total_wv / total_w
+            if estimated and total_w != 0.0:
+                f = fk[i] = total_wv / total_w
+                if f - f != 0.0:  # inf or NaN: a fusion sum overflowed
+                    self.overflowed = True
                 sigk[i] = total_w**-0.5
         return rows
 
@@ -207,6 +221,11 @@ class EvaluationCache:
 
     def point_at(self, i: int) -> Point:
         return self._unpack(self._keys[i])
+
+    def coords_at(self, rows) -> np.ndarray:
+        """The points at ``rows`` as a read-only (len(rows), n) array."""
+        n = len(self._keys[0]) // 8 if self._keys else 0
+        return np.frombuffer(b"".join([self._keys[i] for i in rows])).reshape(len(rows), n)
 
     def points(self) -> list[Point]:
         """All cached points in insertion order (including infeasible ones)."""

@@ -35,14 +35,16 @@ def mesh_size(delta_p: float) -> float:
 class PollSet:
     """2n mesh candidates around a center, with their integer mesh steps.
 
-    ``coords`` holds the candidates as a (2n, n) array, row j being
-    ``points[j]``.
+    ``directions`` holds the steps and ``coords`` the candidates, each as
+    a (2n, n) array: ``points[j]`` is row j of ``coords``, which is
+    center + ``delta_m * directions[j]``. Equality compares the center,
+    the sizes and the points.
     """
 
     center: Point
     delta_p: float
     delta_m: float
-    directions: tuple[tuple[float, ...], ...]
+    directions: np.ndarray = field(compare=False, repr=False)
     points: tuple[Point, ...]
     coords: np.ndarray = field(compare=False, repr=False)
 
@@ -84,7 +86,7 @@ def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
         center=tuple(center),
         delta_p=delta_p,
         delta_m=delta_m,
-        directions=tuple(map(tuple, steps.tolist())),
+        directions=steps,
         points=tuple(map(tuple, coords.tolist())),
         coords=coords,
     )

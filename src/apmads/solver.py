@@ -16,7 +16,6 @@ variants) share no state and may execute in parallel.
 
 import io
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .exceptions import (
     InfeasibleStartError,
     InvalidInputError,
     InvalidSigmaError,
+    NoIncumbentError,
 )
 from .mesh import IterationStatus, PollSet, generate_poll, update_frame
 from .normal import p_value, phi_inv
@@ -135,7 +135,9 @@ class RunOutput:
     ``stop_reason`` is "frame" (the frame fell below the stopping
     threshold), "budget" (the draw budget is spent), "max_iterations", or
     "precision-floor": the next iteration's target sigma has no finite
-    draw cost, or the ledger total overflowed.
+    draw cost, the ledger total overflowed, or a fused estimate
+    overflowed (its observations' value / sigma**2 passed the largest
+    float).
     """
 
     incumbent: Point
@@ -145,7 +147,7 @@ class RunOutput:
     stop_reason: str
 
 
-def observe_points(cache, blackbox, points, sigma_for, rng, keys=None) -> list[int | None]:
+def observe_points(cache, blackbox, points, sigma_for, rng, coords=None) -> list[int | None]:
     """Observe each point at ``sigma_for(row)`` in order, skipping None.
 
     ``row`` is the point's cache row, or None when it is not cached yet.
@@ -155,28 +157,34 @@ def observe_points(cache, blackbox, points, sigma_for, rng, keys=None) -> list[i
     chosen from the estimate that occurrence left: the cache, the ledger
     and ``rng`` end exactly as after one observe-and-record per point.
     (A poll repeats a point when ``delta_m * z`` rounds away against a
-    large coordinate.) ``keys``, when given, are the points' cache keys.
+    large coordinate.) ``coords``, when given, holds the points as a
+    (k, n) array: the cache keys and the blackbox's validation read it.
     Returns the row of every point afterwards (None if never recorded).
     """
-    if keys is None:
-        keys = [cache.key(x) for x in points]
+    if coords is None:
+        coords = np.asarray(points, dtype=float)
+    keys = cache.keys(coords)
     find = cache.find
-    batch: list[Point] = []
-    batch_keys: list[bytes] = []
+    batch: list[int] = []  # positions in points
     sigmas: list[float] = []
     pending: set[bytes] = set()
-    for x, key in zip(points, keys):
+
+    def flush():
+        xs = [points[j] for j in batch]
+        values, feasible = blackbox.observe_batch(xs, sigmas, rng, coords.take(batch, axis=0))
+        cache.record_batch(xs, values, sigmas, feasible, [keys[j] for j in batch])
+
+    for j, key in enumerate(keys):
         if key in pending:
-            cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng), batch_keys)
-            batch, batch_keys, sigmas, pending = [], [], [], set()
+            flush()
+            batch, sigmas, pending = [], [], set()
         sigma = sigma_for(find(key))
         if sigma is not None:
-            batch.append(x)
-            batch_keys.append(key)
+            batch.append(j)
             sigmas.append(sigma)
             pending.add(key)
     if batch:
-        cache.record_batch(batch, blackbox.observe_batch(batch, sigmas, rng), batch_keys)
+        flush()
     return [find(key) for key in keys]
 
 
@@ -241,13 +249,10 @@ def poll_step(
     rows = observe_points(
         cache, blackbox, (center, *poll.points),
         _tightening_sigma(cache, sigma_target, blackbox.sigma_max), rng,
-        keys=[cache.key(center), *cache.keys(poll.coords)],
+        coords=np.concatenate(([center], poll.coords)),
     )
     best, status = _poll_outcome(cache, poll, rows)
     return best, status, poll
-
-
-_FLOAT_MAX = sys.float_info.max
 
 
 def plausible_rows(fk, sigk, f_inc: float, sig_inc: float, z_min: float) -> np.ndarray:
@@ -256,24 +261,26 @@ def plausible_rows(fk, sigk, f_inc: float, sig_inc: float, z_min: float) -> np.n
     Equal to evaluating that test on every entry (NaN never passes), but
     ``hypot`` runs only on the entries a cheaper bound cannot rule out.
     With d = f_inc - fk[j], a = sigk[j], b = sig_inc > 0:
-    max(a, b) <= hypot(a, b) <= a + b, so for z_min <= 0 a selected entry
-    has d / (a + b) >= z_min, and for z_min > 0 it has
-    d / max(a, b) >= z_min. The sum overflows whenever hypot does, where a
-    finite d gives z = +-0.0, which passes at z_min = 0; d is capped at
-    the largest float there so that d = +inf does not give inf / inf. The
-    bound is compared with a relative slack of 1e-9, far above the few
-    roundings that separate it from the exact quotient, and an absolute
-    slack of 1e-300 that keeps the entries whose exact quotient underflows
-    to -0.0.
+    max(a, b) <= hypot(a, b) <= a + b. For z_min <= 0 a selected entry
+    has d >= z_min * (a + b), tested without a division as
+    d > c * (a + b) - 1e-300; for z_min > 0 it has d / max(a, b) >= c.
+    Here c = z_min - 1e-9 * |z_min| - 1e-300: the relative slack is far
+    above the few roundings that separate a bound from the exact test,
+    and the absolute slacks keep the entries whose exact quotient
+    underflows to -0.0 (which passes at z_min = 0). When hypot overflows,
+    so does a + b, and the product bound is -inf, which every finite d
+    passes; d = -inf never passes either test.
     """
+    c = z_min - 1e-9 * abs(z_min) - 1e-300
     with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
         d = np.subtract(f_inc, fk)
         if z_min <= 0.0:
-            bound = np.minimum(d, _FLOAT_MAX)
-            bound /= np.add(sigk, sig_inc)
+            bound = np.add(sigk, sig_inc)
+            bound *= c
+            bound -= 1e-300
+            candidates = (d > bound).nonzero()[0]
         else:
-            bound = d / np.maximum(sigk, sig_inc)
-        candidates = (bound >= z_min - 1e-9 * abs(z_min) - 1e-300).nonzero()[0]
+            candidates = (d / np.maximum(sigk, sig_inc) >= c).nonzero()[0]
         z = d[candidates] / np.hypot(sigk[candidates], sig_inc)
     return candidates[z >= z_min]
 
@@ -295,7 +302,9 @@ def search_step(
     qualifying point receives one observation at rho(r - r_s). The
     incumbent compares against itself with plausibility exactly 0.5, so
     for tau <= 0.5 its own estimate is re-audited every call; this is what
-    flushes out incumbents whose low estimates were lucky noise.
+    flushes out incumbents whose low estimates were lucky noise. Once an
+    estimate has overflowed (``cache.overflowed``), ``incumbent`` is
+    returned unchanged: the run stops after this iteration.
     """
     if not cache.has_incumbent:
         return incumbent
@@ -307,8 +316,11 @@ def search_step(
     # undefined points give (-inf) / inf = NaN, which is never selected
     fk, sigk = cache.estimate_arrays()
     rows = plausible_rows(fk, sigk, f_inc, sig_inc, phi_inv(tau)).tolist()
-    observe_points(cache, blackbox, [cache.point_at(i) for i in rows], lambda i: sigma_s, rng)
-    return cache.incumbent()
+    observe_points(
+        cache, blackbox, [cache.point_at(i) for i in rows], lambda i: sigma_s, rng,
+        coords=cache.coords_at(rows),
+    )
+    return incumbent if cache.overflowed else cache.incumbent()
 
 
 def _past_precision_floor(config: SolverConfig, blackbox: NoisyBlackbox, r: float):
@@ -329,11 +341,11 @@ def _past_precision_floor(config: SolverConfig, blackbox: NoisyBlackbox, r: floa
     return None
 
 
-def _stop_reason(delta_p, stop_delta_p, draws, k, config: SolverConfig) -> str | None:
+def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -> str | None:
     """Why the loop stops before iteration ``k``, or None to go on."""
     if delta_p < stop_delta_p:
         return "frame"
-    if draws == math.inf:  # the ledger total overflowed
+    if draws == math.inf or cache.overflowed:  # the ledger total or an estimate overflowed
         return "precision-floor"
     if not draws < config.stop_draws:
         return "budget"
@@ -368,14 +380,19 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
     k = 1
     ledger = blackbox.ledger
     while (
-        stop_reason := _stop_reason(delta_p, stop_delta_p, ledger.total_draws, k, config)
+        stop_reason := _stop_reason(delta_p, stop_delta_p, ledger.total_draws, cache, k, config)
     ) is None:
         outcome = step(cache, incumbent, delta_p, rng)
         if outcome is None:
             stop_reason = "precision-floor"
             break
         x_s, status, poll, r, p = outcome
-        incumbent = cache.incumbent()
+        try:
+            incumbent = cache.incumbent()
+        except NoIncumbentError:
+            if not cache.overflowed:
+                raise
+            # no finite estimate is left to choose from: log the last incumbent
         f_inc, sig_inc = cache.estimate(incumbent)
         record = IterationRecord(
             k=k, draws=ledger.total_draws, incumbent=incumbent, f_inc=f_inc,
@@ -429,7 +446,7 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
             )
         x_c, status, poll = poll_step(x_s, delta_p, r, config.rho_params, cache, blackbox, rng)
         p = 0.0
-        if status is not IterationStatus.BARRIER:
+        if status is not IterationStatus.BARRIER and not cache.overflowed:
             p = p_value(cache, x_c, x_s)
             policy.r = update_r(policy, p)
         return x_s, status, poll, r, p
@@ -460,9 +477,7 @@ def run_fixed_precision_baseline(
         # the center's noise is drawn before the poll direction
         rows = observe_points(cache, blackbox, (incumbent,), once, rng)
         poll = generate_poll(incumbent, delta_p, rng)
-        rows += observe_points(
-            cache, blackbox, poll.points, once, rng, keys=cache.keys(poll.coords)
-        )
+        rows += observe_points(cache, blackbox, poll.points, once, rng, coords=poll.coords)
         _, status = _poll_outcome(cache, poll, rows)
         return incumbent, status, poll, 0.0, float(status is IterationStatus.SUCCESS)
 

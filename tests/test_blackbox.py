@@ -161,14 +161,16 @@ def test_observe_batch_matches_sequential_observe():
 
     bb = problem_registry("moustache").blackbox()
     rng = np.random.default_rng(17)
-    got = bb.observe_batch(BATCH, BATCH_SIGMAS, rng)
+    values, feasible = bb.observe_batch(BATCH, BATCH_SIGMAS, rng)
 
-    assert [o.feasible for o in got] == [True, False, False, True, False, True]
-    assert got == expected
+    assert feasible == [True, False, False, True, False, True]
+    assert feasible == [o.feasible for o in expected]
+    assert values == [o.value for o in expected]
+    assert all(v == math.inf for v, ok in zip(values, feasible) if not ok)
     # independent reference: one scalar draw per feasible point, in order
     problem = problem_registry("moustache")
     ref_rng = np.random.default_rng(17)
-    assert [o.value for o in got if o.feasible] == [
+    assert [v for v, ok in zip(values, feasible) if ok] == [
         problem.truth(x) + float(ref_rng.standard_normal()) * s
         for x, s in zip(BATCH, BATCH_SIGMAS)
         if problem.feasible(x)
@@ -189,8 +191,8 @@ def test_observe_batch_infeasible_points_consume_no_randomness():
     bb = problem_registry("moustache").blackbox()
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    out = bb.observe_batch([(0.0, 3.0), (-1.0, 2.0)], [0.5, 0.5], rng)
-    assert not any(o.feasible for o in out)
+    values, feasible = bb.observe_batch([(0.0, 3.0), (-1.0, 2.0)], [0.5, 0.5], rng)
+    assert feasible == [False, False] and values == [math.inf, math.inf]
     assert rng.bit_generator.state == before
     assert bb.ledger.total_draws == 0.0 and len(bb.ledger) == 0
 
@@ -232,11 +234,30 @@ def test_observe_batch_rejects_bad_entry_before_any_draw(bad_point, bad_sigma, e
         assert calls["truth"] == 0
 
 
+def test_observe_batch_validates_the_given_coordinates():
+    coords = np.array(BATCH)
+    plain, plain_rng = problem_registry("moustache").blackbox(), np.random.default_rng(3)
+    given, given_rng = problem_registry("moustache").blackbox(), np.random.default_rng(3)
+    assert given.observe_batch(BATCH, BATCH_SIGMAS, given_rng, coords) == plain.observe_batch(
+        BATCH, BATCH_SIGMAS, plain_rng
+    )
+    assert given.ledger.draws == plain.ledger.draws
+    # the array, not the tuples, is what gets validated
+    for bad in (np.where(coords == 30.0, math.nan, coords), coords[:, :1], coords[1:]):
+        bb, calls = counting_blackbox()
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidInputError):
+            bb.observe_batch(BATCH, BATCH_SIGMAS, rng, bad)
+        assert rng.bit_generator.state == before
+        assert len(bb.ledger) == 0 and calls == {"truth": 0, "feasible": 0}
+
+
 def test_observe_batch_rejects_mismatched_sigmas():
     bb = problem_registry("norm2").blackbox()
     with pytest.raises(InvalidInputError):
         bb.observe_batch([(0.0, 0.0), (1.0, 0.0)], [0.5], np.random.default_rng(0))
-    assert bb.observe_batch([], [], np.random.default_rng(0)) == []
+    assert bb.observe_batch([], [], np.random.default_rng(0)) == ([], [])
 
 
 def test_draw_cost_overflow_raises_typed_error():

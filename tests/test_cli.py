@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from apmads import InvalidSigmaError, cli
 from apmads.cli import (
     UsageError,
     bench_workers,
@@ -67,7 +68,8 @@ def test_bench_and_profile_pipeline(tmp_path):
     )
     assert code == 0
     manifest = (bench_dir / "manifest.csv").read_text().splitlines()
-    assert manifest[0] == "problem,algo,seed,path"
+    assert manifest[0] == "problem,algo,seed,path,status"
+    assert all(row.endswith(",ok") for row in manifest[1:])
     assert len(manifest) == 5
     logs = sorted(str(p) for p in bench_dir.glob("norm2__*__s*.csv"))
     assert len(logs) == 4
@@ -226,3 +228,31 @@ def test_bench_zero_workers_exits_1_before_any_run(tmp_path, capsys):
     assert code == 1
     assert "--workers" in capsys.readouterr().err
     assert not bench_dir.exists()
+
+
+def test_bench_keeps_going_past_a_failed_run(tmp_path, monkeypatch, capsys):
+    # seed 1 raises; workers=1 runs every task in this process
+    real_execute_run = cli._execute_run
+
+    def execute_run(problem_name, algo, seed, *args):
+        if seed == 1:
+            raise InvalidSigmaError("sigma past the floor")
+        return real_execute_run(problem_name, algo, seed, *args)
+
+    monkeypatch.setattr(cli, "_execute_run", execute_run)
+    bench_dir = tmp_path / "logs"
+    code = main(
+        ["bench", "--problems", "norm2", "--algos", "dpmads", "--seeds", "0", "1", "2",
+         "--budget", "1e4", "--workers", "1", "--out-dir", str(bench_dir)]
+    )
+    assert code == 1
+    assert "1 of 3 runs failed" in capsys.readouterr().err
+    manifest = (bench_dir / "manifest.csv").read_text().splitlines()
+    ok = [str(bench_dir / f"norm2__dpmads__s{seed}.csv") for seed in (0, 2)]
+    assert manifest == [
+        "problem,algo,seed,path,status",
+        f"norm2,dpmads,0,{ok[0]},ok",
+        "norm2,dpmads,1,,failed:InvalidSigmaError",
+        f"norm2,dpmads,2,{ok[1]},ok",
+    ]
+    assert sorted(str(p) for p in bench_dir.glob("norm2__*.csv")) == ok

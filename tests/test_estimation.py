@@ -1,6 +1,7 @@
 """Estimate fusion: cache bookkeeping, combination algebra, incumbents."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,16 @@ from oracles import weighted_mle
 
 def obs(value, sigma):
     return Observation(value=value, sigma=sigma)
+
+
+def record_all(cache, points, observations):
+    """``record_batch`` with the columns of ``observations``."""
+    return cache.record_batch(
+        points,
+        [o.value for o in observations],
+        [o.sigma for o in observations],
+        [o.feasible for o in observations],
+    )
 
 
 def test_single_observation():
@@ -208,6 +219,37 @@ def test_cache_growth_beyond_initial_capacity():
     assert cache.estimate((999.0,)) == (999.0, 1.0)
 
 
+# a few ulps: the weights 1/s**2, their sum and the final **-0.5 each round
+SIGMA_REL_TOL = 4 * sys.float_info.epsilon
+# sigmas whose weights 1/s**2 and sums of a few weights stay finite and normal
+SIGMA = st.floats(min_value=1e-150, max_value=1e150)
+SIGMA_ALGEBRA = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@SIGMA_ALGEBRA
+@given(
+    existing=st.one_of(SIGMA, st.just(math.inf)),
+    new=st.lists(SIGMA, max_size=8),
+    added=SIGMA,
+)
+def test_combined_sigma_is_monotone(existing, new, added):
+    combined = combined_sigma(existing, new)
+    for sigma in (existing, *new):
+        assert combined <= sigma * (1 + SIGMA_REL_TOL)
+    # one more observation never loosens the estimate
+    assert combined_sigma(existing, [*new, added]) <= combined * (1 + SIGMA_REL_TOL)
+
+
+@SIGMA_ALGEBRA
+@given(existing=st.one_of(SIGMA, st.just(math.inf)), target=SIGMA, sigma_max=SIGMA)
+def test_sigma_to_reach_reaches_the_target(existing, target, sigma_max):
+    sigma = sigma_to_reach(existing, target, sigma_max)
+    assert (sigma is None) == (existing <= target)
+    if sigma is not None:
+        assert 0.0 < sigma <= sigma_max
+        assert combined_sigma(existing, [sigma]) <= target * (1 + SIGMA_REL_TOL)
+
+
 def test_clamped_observation_overshoots_target():
     # existing barely above the target: the exact sigma is far above
     # sigma_max, so the clamped (smaller) sigma ends below the target
@@ -238,7 +280,7 @@ def test_record_batch_matches_sequential_record():
     batched = EvaluationCache()
     for start in range(0, len(pairs), 37):
         chunk = pairs[start : start + 37]
-        batched.record_batch([x for x, _ in chunk], [o for _, o in chunk])
+        record_all(batched, [x for x, _ in chunk], [o for _, o in chunk])
     assert batched.dump_csv() == sequential.dump_csv()
     assert batched.has_incumbent == sequential.has_incumbent
     assert batched.incumbent() == sequential.incumbent()
@@ -248,7 +290,9 @@ def test_record_batch_matches_sequential_record():
 
 def test_record_batch_rejects_mismatched_lengths():
     with pytest.raises(InvalidInputError):
-        EvaluationCache().record_batch([(0.0,), (1.0,)], [obs(1.0, 1.0)])
+        record_all(EvaluationCache(), [(0.0,), (1.0,)], [obs(1.0, 1.0)])
+    with pytest.raises(InvalidInputError):
+        EvaluationCache().record_batch([(0.0,), (1.0,)], [1.0, 1.0], [1.0, 1.0], [True])
 
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -281,7 +325,7 @@ def test_mesh_point_from_two_centres_maps_to_one_row(origin, scale, k, data):
     via2 = tuple(c + delta * a for c, a in zip(centre2, z1))
     assert via1 == via2
     cache = EvaluationCache()
-    rows = cache.record_batch([via1, via2], [obs(1.0, 1.0), obs(3.0, 1.0)])
+    rows = record_all(cache, [via1, via2], [obs(1.0, 1.0), obs(3.0, 1.0)])
     assert rows == [0, 0]
     assert len(cache) == 1 and cache.n_obs(via1) == 2
     assert cache.estimate(via2) == (2.0, 2.0**-0.5)
@@ -314,7 +358,7 @@ def test_rows_follow_tuple_equality_and_points_round_trip(n, data):
         | st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 1.0])] * n), max_size=40)
     )
     cache = EvaluationCache()
-    rows = cache.record_batch(points, [obs(1.0, 1.0)] * len(points))
+    rows = record_all(cache, points, [obs(1.0, 1.0)] * len(points))
     for i, a in enumerate(points):
         for j, b in enumerate(points):
             assert (rows[i] == rows[j]) == (a == b)
@@ -335,14 +379,14 @@ def test_cache_memory_per_point():
     # tuple and a Python object graph per point cost about 1.2 kB
     n_points, batch = 20_000, 40
     coords = np.random.default_rng(0).standard_normal((n_points, 20))
-    observations = [obs(1.0, 0.5)] * batch
+    values, sigmas, feasible = [1.0] * batch, [0.5] * batch, [True] * batch
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         cache = EvaluationCache()
         for start in range(0, n_points, batch):
             points = list(map(tuple, coords[start : start + batch].tolist()))
-            cache.record_batch(points, observations)
+            cache.record_batch(points, values, sigmas, feasible)
         del points
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -355,7 +399,7 @@ def test_record_batch_rejects_mixed_dimensions():
     cache = EvaluationCache()
     cache.record((0.0, 1.0), obs(1.0, 1.0))
     with pytest.raises(InvalidInputError):
-        cache.record_batch([(1.0, 1.0), (2.0,)], [obs(1.0, 1.0)] * 2)
+        record_all(cache, [(1.0, 1.0), (2.0,)], [obs(1.0, 1.0)] * 2)
     with pytest.raises(InvalidInputError):
         cache.record((1.0, 2.0, 3.0), obs(1.0, 1.0))
     assert len(cache) == 1

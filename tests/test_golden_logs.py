@@ -63,6 +63,10 @@ CASES.update({
                              "max_iterations")
     for algo in ("dp", "mp")
 })
+# the baseline at n=20, whose observe path is the poll's
+CASES["norm2-n20-fixed-s0"] = (
+    "norm2-n20", "fixed", 0, {"max_iterations": N20_MAX_ITERATIONS}, "max_iterations"
+)
 # the baseline's other stops: the draw budget, the iteration cap, a frame
 # threshold override, and the stall of a near-exact sigma (criterion 4)
 FIXED_STOPS = [
@@ -101,6 +105,7 @@ DIGESTS = {
     "moustache-fixed-s2": "15ad11cc62588b55ee0f5cd8151f2383c39fdfd002520d81d120c28f56404438",
     "norm2-n20-dp-s0": "d33b92b496f8a48455860cf1d96779344f9e8842b461a224bd0e7299f53f6909",
     "norm2-n20-mp-s0": "5875c988195d1d52788a77617628305ef01299c8e7c6cbf9ca04145e2f4a9e24",
+    "norm2-n20-fixed-s0": "bb764cc520a60747c1a609f4663066387028658846fa234c99fe5d7159ddbee5",
     "norm2-fixed-draws-s0": "755167afbd81d4140a65ea7be21c08160f2d08d747cd352889cf676ab356ec91",
     "norm2-fixed-draws-s1": "591d179838b0048d68ff685cf7fa73c88c15705b8fa8c2acb7e60d7887e7d1f3",
     "norm2-fixed-iters-s0": "dd5965882d27df56a41fe779e6ddb9ad82b6bb1e3cad39bceb68a536e1488c30",

@@ -60,8 +60,8 @@ def make_blackbox(truth, feasible=lambda x: True, dimension=2):
 def test_stub_rng_is_noise_free_with_fixed_direction():
     bb = make_blackbox(lambda x: math.hypot(*x))
     points = [(3.0, 4.0), (1.0, 0.0), (0.0, 2.0)]
-    out = bb.observe_batch(points, [0.5, 0.25, 1.0], StubRng())
-    assert [o.value for o in out] == [5.0, 1.0, 2.0]
+    values, _ = bb.observe_batch(points, [0.5, 0.25, 1.0], StubRng())
+    assert values == [5.0, 1.0, 2.0]
     assert bb.observe((3.0, 4.0), 0.5, StubRng()).value == 5.0
     first = generate_poll((0.0, 0.0), 1.0, StubRng())
     assert generate_poll((0.0, 0.0), 1.0, StubRng()) == first
@@ -195,6 +195,37 @@ def test_run_stops_at_precision_floor_when_the_ledger_overflows():
     assert out.records[-1].draws == math.inf
     assert all(math.isfinite(rec.draws) for rec in out.records[:-1])
     assert parse_log(log_to_csv(out.records)) == out.records
+
+
+@pytest.mark.parametrize("variant", ["dp", "mp"])
+def test_run_stops_at_precision_floor_when_the_estimates_overflow(variant):
+    # rho(1534) has a finite draw cost, but its weight 1 / rho**2 times the
+    # start's value (about 11.8) overflows every fusion sum of the first poll
+    config = SolverConfig(variant=variant, search_enabled=False, r_init=1534.0, seed=0)
+    out = run(problem_registry("norm2"), config)
+    assert out.stop_reason == "precision-floor"
+    assert out.cache.overflowed
+    assert len(out.records) == 1
+    last = out.records[-1]
+    assert last.f_inc == math.inf and last.status is IterationStatus.BARRIER
+    assert last.incumbent == out.incumbent == problem_registry("norm2").start
+    assert parse_log(log_to_csv(out.records)) == out.records
+    assert out.ledger.total_draws == last.draws
+
+
+@pytest.mark.parametrize("offset", [100.0, -100.0])
+def test_run_stops_at_precision_floor_when_an_estimate_overflows_mid_run(offset):
+    # the second iteration's search and poll overflow a fusion sum: to +inf
+    # beside finite estimates, or to -inf (which would otherwise win)
+    problem = dataclasses.replace(
+        problem_registry("norm2"), truth=lambda x: offset + math.hypot(*x)
+    )
+    out = run(problem, SolverConfig(variant="dp", r_init=1526.0, seed=0))
+    assert out.stop_reason == "precision-floor"
+    assert out.cache.overflowed
+    assert len(out.records) == 2
+    assert parse_log(log_to_csv(out.records)) == out.records
+    assert out.ledger.total_draws == out.records[-1].draws
 
 
 @pytest.mark.parametrize("variant", ["dp", "mp"])
@@ -520,6 +551,10 @@ def test_plausible_rows_keeps_edge_quotients():
     # fk = -inf: z = inf / hypot(9.8e306, 1.7e308) = inf, though a + b overflows
     fk, sigk = np.array([-math.inf]), np.array([9.8e306])
     assert plausible_rows(fk, sigk, 0.0, 1.7e308, 0.0).tolist() == [0]
+    # at tau = 0.25: hypot(1.04e308, 1.46e308) overflows, so
+    # z = -1.8e308 / inf = -0.0 passes
+    fk, sigk = np.array([1.7976931348623157e308]), np.array([1.0446954579968726e308])
+    assert plausible_rows(fk, sigk, 0.0, 1.4629805218019156e308, phi_inv(0.25)).tolist() == [0]
 
 
 def test_run_rejects_start_past_precision_floor():
