@@ -7,7 +7,8 @@ tracks this exactly.
 
 import numpy as np
 
-from apmads import draws_for_sigma, problem_registry, vme_draws_for_sigma
+from apmads import problem_registry
+from apmads.blackbox import draws_for_sigma
 
 problem = problem_registry("norm2")
 bb = problem.blackbox()
@@ -30,8 +31,3 @@ before = moustache.ledger.total_draws
 obs = moustache.observe((0.0, 3.0), 0.5, rng)
 print(f"  (0, 3) outside the ribbon: feasible={obs.feasible}, value={obs.value}")
 print(f"  ledger unchanged: {moustache.ledger.total_draws == before}")
-
-print()
-print("alternative draw accounting (preconditioned asset simulator):")
-for sigma in (1800.0, 900.0, 450.0):
-    print(f"  sigma={sigma:<6g} -> {vme_draws_for_sigma(sigma):.0f} draws")

@@ -7,12 +7,9 @@ The p-value then quantifies how plausibly one cached point beats another.
 
 import numpy as np
 
-from apmads import (
-    EvaluationCache,
-    p_value,
-    problem_registry,
-    sigma_to_reach,
-)
+from apmads import problem_registry
+from apmads.estimation import EvaluationCache, sigma_to_reach
+from apmads.normal import p_value
 
 problem = problem_registry("norm2")
 bb = problem.blackbox()

@@ -6,7 +6,8 @@ from sigma_max toward sigma_min. The monotone policy only ever raises r
 a comparison was far more decisive than needed.
 """
 
-from apmads import PrecisionPolicy, RhoParams, rho, update_r
+from apmads import RhoParams
+from apmads.precision import PrecisionPolicy, rho, update_r
 
 params = RhoParams()  # sigma_min=0, sigma_max=1, r0=0, theta=0.1
 print("sigma schedule rho(r) with default parameters:")
@@ -16,8 +17,8 @@ for r in (-20, -10, 0, 10, 20, 50, 100):
 print()
 print("policies reacting to the same stream of comparison p-values:")
 stream = [0.52, 0.93, 0.999, 0.45, 0.03, 0.5, 0.97, 0.72]
-mp = PrecisionPolicy.mp()
-dp = PrecisionPolicy.dp()
+mp = PrecisionPolicy("mp")
+dp = PrecisionPolicy("dp")
 print(f"  {'p':>6} {'mp r':>6} {'dp r':>6}")
 for p in stream:
     mp.r = update_r(mp, p)

@@ -6,7 +6,8 @@ sits on the boundary x = 20. Infeasible candidates trigger barrier
 iterations that shrink the frame at zero draw cost.
 """
 
-from apmads import IterationStatus, SolverConfig, problem_registry, run
+from apmads import SolverConfig, problem_registry, run
+from apmads.mesh import IterationStatus
 from apmads.problems import moustache_half_width, moustache_ridge
 
 problem = problem_registry("moustache")

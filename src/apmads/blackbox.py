@@ -19,10 +19,6 @@ from .exceptions import InvalidInputError, InvalidSigmaError
 
 Point = tuple[float, ...]
 
-VME_BASE_DRAWS = 1024.0
-VME_BASE_SIGMA = 1800.0
-
-
 def as_point(coords) -> Point:
     """Normalise a coordinate sequence to a finite float tuple."""
     pt = tuple(float(c) for c in coords)
@@ -32,17 +28,6 @@ def as_point(coords) -> Point:
     return pt
 
 
-def _draw_cost(numerator: float, sigma: float) -> float:
-    """``numerator / sigma**2``, refusing a sigma whose cost is not finite."""
-    if not sigma > 0:
-        raise InvalidSigmaError(f"sigma must be positive, got {sigma}")
-    square = sigma * sigma
-    cost = numerator / square if square > 0.0 else math.inf
-    if not math.isfinite(cost):
-        raise InvalidSigmaError(f"draw cost of sigma={sigma} is not finite")
-    return cost
-
-
 def draws_for_sigma(sigma: float) -> float:
     """Equivalent Monte-Carlo draw cost of one observation at ``sigma``.
 
@@ -50,18 +35,13 @@ def draws_for_sigma(sigma: float) -> float:
     draws; the count is real-valued, not an integer. A sigma so small that
     the count overflows raises ``InvalidSigmaError``.
     """
-    return _draw_cost(1.0, sigma)
-
-
-def vme_draws_for_sigma(sigma: float) -> float:
-    """Draw cost under the asset-simulator preconditioning.
-
-    Calibrated so that 2**10 draws correspond to sigma = 1800, with sigma
-    halving whenever the draw count quadruples:
-    ``N = 2**10 * 1800**2 / sigma**2``. Overflow raises as in
-    ``draws_for_sigma``.
-    """
-    return _draw_cost(VME_BASE_DRAWS * VME_BASE_SIGMA * VME_BASE_SIGMA, sigma)
+    if not sigma > 0:
+        raise InvalidSigmaError(f"sigma must be positive, got {sigma}")
+    square = sigma * sigma
+    cost = 1.0 / square if square > 0.0 else math.inf
+    if not math.isfinite(cost):
+        raise InvalidSigmaError(f"draw cost of sigma={sigma} is not finite")
+    return cost
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,13 +95,11 @@ class NoisyBlackbox:
         feasible: Callable[[Point], bool],
         dimension: int,
         sigma_max: float = 1.0,
-        draw_cost: Callable[[float], float] = draws_for_sigma,
     ):
         self._truth = truth
         self._feasible = feasible
         self.dimension = int(dimension)
         self.sigma_max = float(sigma_max)
-        self.draw_cost = draw_cost
         self.ledger = DrawLedger()
 
     def feasible(self, x: Point) -> bool:
@@ -140,7 +118,7 @@ class NoisyBlackbox:
 
         Returns the observed values and the feasibility flags, one per
         point. Feasible points give ``truth(x) + z * sigma`` and charge
-        ``draw_cost(sigma)`` to the ledger; the ``z`` are one
+        ``draws_for_sigma(sigma)`` to the ledger; the ``z`` are one
         ``rng.standard_normal(k)`` draw for the k feasible points, which
         equals k scalar draws in sequence. Infeasible points give +inf,
         consume no randomness and cost nothing. The whole batch is
@@ -176,8 +154,7 @@ class NoisyBlackbox:
         is_feasible = self._feasible
         feasible = [bool(is_feasible(x)) for x in xs]
         charged = [s for s, ok in zip(sigmas, feasible) if ok]
-        draw_cost = self.draw_cost
-        costs = [draw_cost(s) for s in charged]
+        costs = [draws_for_sigma(s) for s in charged]
         noise = iter(rng.standard_normal(len(costs)).tolist() if costs else ())
         truth = self._truth
         values = [

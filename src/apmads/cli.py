@@ -13,6 +13,7 @@ recovers the run metadata from that naming convention.
 import argparse
 import os
 import sys
+from dataclasses import fields
 from multiprocessing import Pool
 
 from .exceptions import ApmadsError, ConfigError, UnknownProblemError
@@ -37,22 +38,8 @@ from .solver import (
 ALGOS = ("dpmads", "mpmads", "fixed")
 _ALGO_VARIANT = {"dpmads": "dp", "mpmads": "mp"}
 
-_RHO_KEYS = ("sigma_min", "sigma_max", "r0", "theta")
-_CONFIG_KEYS = _RHO_KEYS + (
-    "variant",
-    "beta_l",
-    "beta_u",
-    "dp_decrease_threshold",
-    "search_enabled",
-    "r_s",
-    "tau",
-    "delta_p0",
-    "r_init",
-    "stop_delta_p",
-    "stop_draws",
-    "max_iterations",
-    "seed",
-)
+_RHO_KEYS = tuple(f.name for f in fields(RhoParams))
+_CONFIG_KEYS = _RHO_KEYS + tuple(f.name for f in fields(SolverConfig) if f.name != "rho_params")
 
 
 class UsageError(Exception):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .exceptions import ConfigError, InvalidInputError
 
-MP_DEFAULT_BETAS = (0.0003, 0.997)
-DP_DEFAULT_BETAS = (0.15, 0.85)
+# (beta_l, beta_u) of each variant: the monotone variant needs near
+# certainty (0.03%, 99.7%) to freeze r, the dynamic one acts at (15%, 85%)
+VARIANT_BETAS = {"mp": (0.0003, 0.997), "dp": (0.15, 0.85)}
 DP_DEFAULT_DECREASE_THRESHOLD = 0.05
 
 
@@ -66,20 +67,26 @@ def rho(params: RhoParams, r: float) -> float:
 class PrecisionPolicy:
     """Update policy for the precision index, with its current value.
 
+    Unset betas take the variant's defaults (``VARIANT_BETAS``).
     ``dp_decrease_threshold`` only matters for the dynamic variant: when
     min(p, 1 - p) falls below it, the comparison is considered decisive
     enough to pay for a precision decrease.
     """
 
     variant: str = "dp"
-    beta_l: float = DP_DEFAULT_BETAS[0]
-    beta_u: float = DP_DEFAULT_BETAS[1]
+    beta_l: float | None = None
+    beta_u: float | None = None
     dp_decrease_threshold: float = DP_DEFAULT_DECREASE_THRESHOLD
     r: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("mp", "dp"):
+        if self.variant not in VARIANT_BETAS:
             raise ConfigError(f"variant must be 'mp' or 'dp', got {self.variant!r}")
+        default_l, default_u = VARIANT_BETAS[self.variant]
+        if self.beta_l is None:
+            self.beta_l = default_l
+        if self.beta_u is None:
+            self.beta_u = default_u
         if not 0.0 < self.beta_l <= 0.5:
             raise ConfigError(f"beta_l must lie in (0, 0.5], got {self.beta_l}")
         if not 0.5 <= self.beta_u < 1.0:
@@ -89,14 +96,6 @@ class PrecisionPolicy:
                 "dp_decrease_threshold must lie in (0, beta_l), got "
                 f"{self.dp_decrease_threshold}"
             )
-
-    @classmethod
-    def mp(cls, r: float = 0.0) -> "PrecisionPolicy":
-        return cls("mp", *MP_DEFAULT_BETAS, DP_DEFAULT_DECREASE_THRESHOLD, r)
-
-    @classmethod
-    def dp(cls, r: float = 0.0) -> "PrecisionPolicy":
-        return cls("dp", *DP_DEFAULT_BETAS, DP_DEFAULT_DECREASE_THRESHOLD, r)
 
 
 def update_r(policy: PrecisionPolicy, p: float) -> float:

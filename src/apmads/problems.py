@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .blackbox import NoisyBlackbox, Point, draws_for_sigma, vme_draws_for_sigma
+from .blackbox import NoisyBlackbox, Point
 from .exceptions import UnknownProblemError
 
 MOUSTACHE_L_MIN = 0.05
@@ -65,14 +65,10 @@ class ProblemDef:
     best_truth: float
     stop_delta_p: float
     sigma_max: float = 1.0
-    draw_conversion: str = "standard"
 
     def blackbox(self) -> NoisyBlackbox:
         """Fresh solver-facing blackbox with its own empty draw ledger."""
-        cost = vme_draws_for_sigma if self.draw_conversion == "vme" else draws_for_sigma
-        return NoisyBlackbox(
-            self.truth, self.feasible, self.dimension, self.sigma_max, cost
-        )
+        return NoisyBlackbox(self.truth, self.feasible, self.dimension, self.sigma_max)
 
     @property
     def start_truth(self) -> float:

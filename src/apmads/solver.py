@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blackbox import DrawLedger, NoisyBlackbox, Point, as_point
+from .blackbox import DrawLedger, NoisyBlackbox, Point, as_point, draws_for_sigma
 from .estimation import EvaluationCache, sigma_to_reach
 from .exceptions import (
     ConfigError,
@@ -32,8 +32,7 @@ from .exceptions import (
 from .mesh import IterationStatus, PollSet, generate_poll, update_frame
 from .normal import p_value, phi_inv
 from .precision import (
-    DP_DEFAULT_BETAS,
-    MP_DEFAULT_BETAS,
+    DP_DEFAULT_DECREASE_THRESHOLD,
     PrecisionPolicy,
     RhoParams,
     rho,
@@ -41,27 +40,22 @@ from .precision import (
 )
 from .problems import ProblemDef
 
-VARIANT_DEFAULTS = {
-    "mp": {"beta_l": MP_DEFAULT_BETAS[0], "beta_u": MP_DEFAULT_BETAS[1], "search_enabled": False},
-    "dp": {"beta_l": DP_DEFAULT_BETAS[0], "beta_u": DP_DEFAULT_BETAS[1], "search_enabled": True},
-}
-
 
 @dataclass
 class SolverConfig:
     """Run parameters. Unset policy fields default per variant.
 
-    The monotone variant disables the search step and uses the tight
-    comparison thresholds (0.03%, 99.7%); the dynamic variant enables it
-    and uses (15%, 85%). A disabled search requires sigma_min = 0, since
-    the poll alone can then never push an estimate below sigma_min.
+    The betas come from ``PrecisionPolicy``'s per-variant table; the search
+    step is enabled for the dynamic variant only. A disabled search
+    requires sigma_min = 0, since the poll alone can then never push an
+    estimate below sigma_min.
     """
 
     variant: str = "dp"
     rho_params: RhoParams = field(default_factory=RhoParams)
     beta_l: float | None = None
     beta_u: float | None = None
-    dp_decrease_threshold: float = 0.05
+    dp_decrease_threshold: float = DP_DEFAULT_DECREASE_THRESHOLD
     search_enabled: bool | None = None
     r_s: float = -5.0
     tau: float = 0.25
@@ -73,15 +67,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANT_DEFAULTS:
-            raise ConfigError(f"variant must be 'mp' or 'dp', got {self.variant!r}")
-        defaults = VARIANT_DEFAULTS[self.variant]
-        if self.beta_l is None:
-            self.beta_l = defaults["beta_l"]
-        if self.beta_u is None:
-            self.beta_u = defaults["beta_u"]
+        policy = self.policy()  # validates the variant and the betas
+        self.beta_l, self.beta_u = policy.beta_l, policy.beta_u
         if self.search_enabled is None:
-            self.search_enabled = defaults["search_enabled"]
+            self.search_enabled = self.variant == "dp"
         if not self.search_enabled and self.rho_params.sigma_min != 0.0:
             raise ConfigError(
                 "sigma_min must be 0 when the search step is disabled "
@@ -95,7 +84,6 @@ class SolverConfig:
             raise ConfigError(f"stop_delta_p must be positive, got {self.stop_delta_p}")
         if self.stop_draws < 0:
             raise ConfigError(f"stop_draws must be >= 0, got {self.stop_draws}")
-        self.policy()  # validates the beta ranges
 
     def policy(self) -> PrecisionPolicy:
         return PrecisionPolicy(
@@ -323,7 +311,7 @@ def search_step(
     return incumbent if cache.overflowed else cache.incumbent()
 
 
-def _past_precision_floor(config: SolverConfig, blackbox: NoisyBlackbox, r: float):
+def _past_precision_floor(config: SolverConfig, r: float):
     """The precision index of an iteration at ``r`` that cannot be paid for, or None.
 
     The poll observes at rho(r) and, with the search enabled, the search
@@ -333,10 +321,8 @@ def _past_precision_floor(config: SolverConfig, blackbox: NoisyBlackbox, r: floa
     """
     for index in (r, r - config.r_s) if config.search_enabled else (r,):
         try:
-            cost = blackbox.draw_cost(rho(config.rho_params, index))
+            draws_for_sigma(rho(config.rho_params, index))
         except InvalidSigmaError:
-            cost = math.inf
-        if not math.isfinite(cost):
             return index
     return None
 
@@ -354,12 +340,11 @@ def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -
     return None
 
 
-def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, step,
-           iteration_hook=None) -> RunOutput:
+def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, step) -> RunOutput:
     """The iteration loop shared by every algorithm; ``step`` is its rule.
 
     ``step(cache, incumbent, delta_p, rng)`` runs one iteration's
-    observations and returns ``(poll_center, status, poll, r, p)``, with
+    observations and returns ``(status, poll, r, p)``, with
     ``r`` the precision index the iteration used. It returns None instead,
     observing nothing, when the iteration's target sigma has no finite
     draw cost. The loop owns the start check, the stopping rules, the log
@@ -386,7 +371,7 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
         if outcome is None:
             stop_reason = "precision-floor"
             break
-        x_s, status, poll, r, p = outcome
+        status, poll, r, p = outcome
         try:
             incumbent = cache.incumbent()
         except NoIncumbentError:
@@ -394,20 +379,17 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
                 raise
             # no finite estimate is left to choose from: log the last incumbent
         f_inc, sig_inc = cache.estimate(incumbent)
-        record = IterationRecord(
+        records.append(IterationRecord(
             k=k, draws=ledger.total_draws, incumbent=incumbent, f_inc=f_inc,
             sig_inc=sig_inc, delta_p=delta_p, delta_m=poll.delta_m, r=r, p=p,
             status=status, cache_size=len(cache),
-        )
-        records.append(record)
-        if iteration_hook is not None:
-            iteration_hook(record, poll, x_s, cache)
+        ))
         delta_p = update_frame(delta_p, status, p, config.beta_l, config.beta_u)
         k += 1
     return RunOutput(incumbent, records, cache, ledger, stop_reason)
 
 
-def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOutput:
+def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     """Adaptive-precision minimisation of ``problem``.
 
     Each iteration runs the search step (when enabled and an incumbent is
@@ -416,9 +398,6 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
     stopping threshold (the problem default unless the config overrides
     it), the draw budget is spent, the iteration cap is hit, or the next
     iteration cannot be paid for; ``RunOutput.stop_reason`` says which.
-    ``iteration_hook``, when given, is called after each iteration with
-    (record, poll_set, poll_center, cache); it exists for validation
-    instrumentation and does not affect the run.
     """
     if config.rho_params.sigma_max > problem.sigma_max:
         raise ConfigError(
@@ -426,7 +405,7 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
             f"observable cap {problem.sigma_max}"
         )
     blackbox = problem.blackbox()
-    floor = _past_precision_floor(config, blackbox, config.r_init)
+    floor = _past_precision_floor(config, config.r_init)
     if floor is not None:
         raise ConfigError(
             f"precision index {floor} is past the precision floor: "
@@ -436,7 +415,7 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
 
     def step(cache, incumbent, delta_p, rng):
         r = policy.r
-        if _past_precision_floor(config, blackbox, r) is not None:
+        if _past_precision_floor(config, r) is not None:
             return None
         x_s = incumbent
         if config.search_enabled and cache.has_incumbent:
@@ -449,9 +428,9 @@ def run(problem: ProblemDef, config: SolverConfig, iteration_hook=None) -> RunOu
         if status is not IterationStatus.BARRIER and not cache.overflowed:
             p = p_value(cache, x_c, x_s)
             policy.r = update_r(policy, p)
-        return x_s, status, poll, r, p
+        return status, poll, r, p
 
-    return _solve(problem, config, blackbox, step, iteration_hook)
+    return _solve(problem, config, blackbox, step)
 
 
 def run_fixed_precision_baseline(
@@ -479,7 +458,7 @@ def run_fixed_precision_baseline(
         poll = generate_poll(incumbent, delta_p, rng)
         rows += observe_points(cache, blackbox, poll.points, once, rng, coords=poll.coords)
         _, status = _poll_outcome(cache, poll, rows)
-        return incumbent, status, poll, 0.0, float(status is IterationStatus.SUCCESS)
+        return status, poll, 0.0, float(status is IterationStatus.SUCCESS)
 
     return _solve(problem, config, blackbox, step)
 

@@ -10,31 +10,29 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import apmads.solver
 from apmads import (
-    EvaluationCache,
-    Observation,
     SolverConfig,
     accuracy,
     budget_to_solve,
-    check_condition,
-    combined_sigma,
     data_profile,
     log_to_csv,
-    on_mesh,
+    make_run_result,
     performance_profile,
     problem_registry,
-    rho,
     run,
     run_fixed_precision_baseline,
-    sigma_to_reach,
 )
-from apmads.precision import PrecisionPolicy
-from apmads.profiles import make_run_result
+from apmads.blackbox import Observation
+from apmads.estimation import EvaluationCache, combined_sigma, sigma_to_reach
+from apmads.mesh import on_mesh
+from apmads.precision import PrecisionPolicy, check_condition
 
 from oracles import ks_critical, weighted_mle
 from test_normal import pvalue_limit_pass_rate, pvalue_uniformity_ks
 from test_precision import conformance_rate
 from test_profiles import synthetic_result
+from test_solver import sigma_checking_poll_step
 
 
 @contextmanager
@@ -151,26 +149,21 @@ def test_criterion_7_condition_conformance(moustache_mp_runs):
         assert conformance_rate("mp", n=10_000) == 1.0
         assert conformance_rate("dp", n=10_000) == 1.0
         # spot-check the checker against a hand-rolled violating rule
-        policy = PrecisionPolicy.dp(r=0.0)
+        policy = PrecisionPolicy("dp", r=0.0)
         assert not check_condition(policy, 0.0, 0.0, 0.5)
         for res in moustache_mp_runs:
             rs = [rec.r for rec in res.records]
             assert all(b >= a for a, b in zip(rs, rs[1:]))
 
 
-def test_criterion_8_structural_invariants_per_run():
+def test_criterion_8_structural_invariants_per_run(monkeypatch):
     with report("[8] mesh membership, coupling, sigma enforcement, ledger, determinism"):
         problem = problem_registry("norm2")
         config = SolverConfig(variant="dp", seed=0, stop_draws=1e10)
-
-        def hook(record, poll, center, cache):
-            target = rho(config.rho_params, record.r)
-            for x in (*poll.points, center):
-                f, sigk = cache.estimate(x)
-                if math.isfinite(f):
-                    assert sigk <= target * (1.0 + 1e-12)
-
-        out = run(problem, config, iteration_hook=hook)
+        checked = []
+        monkeypatch.setattr(apmads.solver, "poll_step", sigma_checking_poll_step(checked))
+        out = run(problem, config)
+        assert checked
         delta_min = min(rec.delta_m for rec in out.records)
         for point in out.cache.points():
             assert on_mesh(point, problem.start, delta_min)

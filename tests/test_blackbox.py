@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from apmads import (
-    InvalidInputError,
-    InvalidSigmaError,
-    Observation,
-    draws_for_sigma,
-    problem_registry,
-    vme_draws_for_sigma,
-)
-from apmads.blackbox import NoisyBlackbox
+from apmads import InvalidInputError, InvalidSigmaError, problem_registry
+from apmads.blackbox import NoisyBlackbox, Observation, draws_for_sigma
 from apmads.problems import moustache_half_width, moustache_ridge
 
 from oracles import ks_critical, ks_statistic_normal
@@ -33,15 +26,6 @@ def test_draws_for_sigma_values():
         draws_for_sigma(0.0)
     with pytest.raises(InvalidSigmaError):
         draws_for_sigma(-2.0)
-
-
-def test_vme_conversion_values():
-    assert vme_draws_for_sigma(1800.0) == 1024.0
-    assert vme_draws_for_sigma(900.0) == 4096.0
-    # sigma floor of the preconditioned simulator maps back to its draw cap
-    assert vme_draws_for_sigma(34.1144) == pytest.approx(2850812, rel=1e-5)
-    with pytest.raises(InvalidSigmaError):
-        vme_draws_for_sigma(0.0)
 
 
 def test_observe_noise_free_at_origin():
@@ -264,8 +248,5 @@ def test_draw_cost_overflow_raises_typed_error():
     for sigma in (1e-160, 1e-170, 5e-324):
         with pytest.raises(InvalidSigmaError):
             draws_for_sigma(sigma)
-        with pytest.raises(InvalidSigmaError):
-            vme_draws_for_sigma(sigma)
-    # the smallest sigmas with a finite cost still work
+    # the smallest sigma with a finite cost still works
     assert math.isfinite(draws_for_sigma(1e-154))
-    assert math.isfinite(vme_draws_for_sigma(1e-145))

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +179,14 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
                  str(tmp_path / "x.csv")])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_readme_lists_the_config_keys_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("`--config FILE`"):].split("\n\n", 1)[0]
+    spans = re.findall(r"`([^`]*)`", paragraph[paragraph.index("Keys:"):])
+    keys = [key.strip() for span in spans for key in span.split(",")]
+    assert tuple(keys) == cli._CONFIG_KEYS
 
 
 def test_cli_flags_override_config_file(tmp_path):

@@ -9,14 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmads import (
-    EvaluationCache,
-    InvalidInputError,
-    NoIncumbentError,
-    Observation,
-    combined_sigma,
-    sigma_to_reach,
-)
+from apmads import InvalidInputError, NoIncumbentError
+from apmads.blackbox import Observation
+from apmads.estimation import EvaluationCache, combined_sigma, sigma_to_reach
 
 from oracles import weighted_mle
 

@@ -5,14 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apmads import (
-    InvalidInputError,
-    IterationStatus,
-    generate_poll,
-    mesh_size,
-    on_mesh,
-    update_frame,
-)
+from apmads import InvalidInputError
+from apmads.mesh import IterationStatus, generate_poll, mesh_size, on_mesh, update_frame
 
 from oracles import positively_spans
 

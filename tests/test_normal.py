@@ -5,15 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from apmads import (
-    EvaluationCache,
-    InvalidInputError,
-    Observation,
-    UndefinedComparisonError,
-    p_value,
-    phi,
-    phi_inv,
-)
+from apmads import InvalidInputError, UndefinedComparisonError
+from apmads.blackbox import Observation
+from apmads.estimation import EvaluationCache
+from apmads.normal import p_value, phi, phi_inv
 
 from oracles import (
     cdf_by_quadrature,

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from apmads import (
-    ConfigError,
-    InvalidInputError,
-    PrecisionPolicy,
-    RhoParams,
-    check_condition,
-    rho,
-    update_r,
-)
+from apmads import ConfigError, InvalidInputError, RhoParams
+from apmads.precision import PrecisionPolicy, check_condition, rho, update_r
 
 
 def test_rho_midpoint_with_illustration_parameters():
@@ -78,9 +71,9 @@ def test_rho_params_validation():
 
 
 def test_policy_defaults_and_validation():
-    mp = PrecisionPolicy.mp()
+    mp = PrecisionPolicy("mp")
     assert (mp.beta_l, mp.beta_u) == (0.0003, 0.997)
-    dp = PrecisionPolicy.dp()
+    dp = PrecisionPolicy("dp")
     assert (dp.beta_l, dp.beta_u) == (0.15, 0.85)
     with pytest.raises(ConfigError):
         PrecisionPolicy("mp", beta_l=0.0)
@@ -95,14 +88,14 @@ def test_policy_defaults_and_validation():
 
 
 def test_update_r_monotone_variant():
-    policy = PrecisionPolicy.mp(r=3.0)
+    policy = PrecisionPolicy("mp", r=3.0)
     assert update_r(policy, 0.5) == 4.0
     assert update_r(policy, 0.999) == 3.0
     assert update_r(policy, 0.0001) == 3.0
 
 
 def test_update_r_dynamic_variant():
-    policy = PrecisionPolicy.dp(r=3.0)
+    policy = PrecisionPolicy("dp", r=3.0)
     assert update_r(policy, 0.5) == 4.0  # uncertain: must increase
     assert update_r(policy, 0.999) == 2.0  # decisively better: can relax
     assert update_r(policy, 0.001) == 2.0  # decisively worse: can relax
@@ -112,16 +105,16 @@ def test_update_r_dynamic_variant():
 
 def test_update_r_rejects_bad_p():
     with pytest.raises(InvalidInputError):
-        update_r(PrecisionPolicy.dp(), 1.5)
+        update_r(PrecisionPolicy("dp"), 1.5)
     with pytest.raises(InvalidInputError):
-        update_r(PrecisionPolicy.mp(), -0.1)
+        update_r(PrecisionPolicy("mp"), -0.1)
 
 
 def test_check_condition_examples():
-    dp = PrecisionPolicy.dp()
+    dp = PrecisionPolicy("dp")
     assert check_condition(dp, 3.0, 4.0, 0.5)
     assert not check_condition(dp, 3.0, 3.0, 0.5)
-    mp = PrecisionPolicy.mp()
+    mp = PrecisionPolicy("mp")
     # p = 0.99 sits inside the monotone interval, so r must increase
     assert not check_condition(mp, 3.0, 2.0, 0.99)
     # outside the interval the monotone variant freezes r
@@ -132,7 +125,7 @@ def test_check_condition_examples():
 def conformance_rate(variant: str, n: int = 10_000, seed: int = 0) -> float:
     """Fraction of random p values whose update satisfies its own condition."""
     rng = np.random.default_rng(seed)
-    policy = PrecisionPolicy.mp(r=0.0) if variant == "mp" else PrecisionPolicy.dp(r=0.0)
+    policy = PrecisionPolicy(variant, r=0.0)
     ok = 0
     for _ in range(n):
         p = float(rng.uniform(0.0, 1.0))

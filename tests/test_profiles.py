@@ -6,7 +6,6 @@ import pytest
 
 from apmads import (
     DegenerateNormalizationError,
-    IterationStatus,
     RunResult,
     SolverConfig,
     accuracy,
@@ -19,6 +18,7 @@ from apmads import (
     run,
     validate_records,
 )
+from apmads.mesh import IterationStatus
 from apmads.profiles import (
     accuracy_csv,
     convergence_csv,

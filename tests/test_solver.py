@@ -9,32 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apmads.blackbox
+import apmads.solver
 from apmads import (
     ConfigError,
-    EvaluationCache,
     InfeasibleStartError,
     InvalidSigmaError,
-    IterationStatus,
-    Observation,
     RhoParams,
     SolverConfig,
-    draws_for_sigma,
     log_to_csv,
-    on_mesh,
     parse_log,
-    poll_step,
     problem_registry,
-    rho,
     run,
     run_fixed_precision_baseline,
-    search_step,
 )
-from apmads import problems
-from apmads.blackbox import NoisyBlackbox
-from apmads.estimation import sigma_to_reach
-from apmads.mesh import generate_poll
+from apmads.blackbox import NoisyBlackbox, Observation, draws_for_sigma
+from apmads.estimation import EvaluationCache, sigma_to_reach
+from apmads.mesh import IterationStatus, generate_poll, on_mesh
 from apmads.normal import phi_inv
-from apmads.solver import observe_points, plausible_rows
+from apmads.precision import PrecisionPolicy, rho
+from apmads.solver import observe_points, plausible_rows, poll_step, search_step
 
 
 class StubRng:
@@ -237,7 +231,8 @@ def test_run_stops_before_an_unpayable_iteration(variant, monkeypatch):
             raise InvalidSigmaError(f"sigma {sigma} is past the floor")
         return draws_for_sigma(sigma)
 
-    monkeypatch.setattr(problems, "draws_for_sigma", floored_cost)
+    monkeypatch.setattr(apmads.blackbox, "draws_for_sigma", floored_cost)
+    monkeypatch.setattr(apmads.solver, "draws_for_sigma", floored_cost)
     config = SolverConfig(variant=variant, stop_delta_p=1e-300, seed=0)
     out = run(_flat_norm2_at_origin(), config)
     assert out.stop_reason == "precision-floor"
@@ -256,6 +251,11 @@ def test_config_variant_defaults():
     assert (dp.beta_l, dp.beta_u, dp.search_enabled) == (0.15, 0.85, True)
     mp = SolverConfig(variant="mp")
     assert (mp.beta_l, mp.beta_u, mp.search_enabled) == (0.0003, 0.997, False)
+
+
+@pytest.mark.parametrize("variant", ["dp", "mp"])
+def test_config_policy_is_the_variant_default_policy(variant):
+    assert SolverConfig(variant=variant).policy() == PrecisionPolicy(variant)
 
 
 def test_config_rejects_sigma_min_without_search():
@@ -329,21 +329,32 @@ def test_run_all_evaluated_points_on_mesh():
         assert on_mesh(point, problem.start, delta_min)
 
 
-def test_run_hook_sees_sigma_enforcement():
-    problem = problem_registry("norm2")
-    config = SolverConfig(variant="dp", seed=4, stop_draws=1e5)
-    target_of = lambda r: rho(config.rho_params, r)
-    checked = []
+def sigma_checking_poll_step(checked: list):
+    """``poll_step`` asserting that the poll leaves its feasible points at rho(r).
 
-    def hook(record, poll, center, cache):
-        target = target_of(record.r)
-        for x in (*poll.points, center):
+    After each poll, the centre and every feasible candidate must have
+    sigma_hat <= rho(r), up to rounding; each point checked is appended
+    to ``checked``. The run itself is unchanged.
+    """
+    original = apmads.solver.poll_step
+
+    def poll_step_then_check(center, delta_p, r, rho_params, cache, blackbox, rng):
+        best, status, poll = original(center, delta_p, r, rho_params, cache, blackbox, rng)
+        target = rho(rho_params, r)
+        for x in (center, *poll.points):
             f, sigk = cache.estimate(x)
             if math.isfinite(f):
                 assert sigk <= target * (1.0 + 1e-12)
                 checked.append(x)
+        return best, status, poll
 
-    run(problem, config, iteration_hook=hook)
+    return poll_step_then_check
+
+
+def test_run_poll_enforces_target_sigma(monkeypatch):
+    checked = []
+    monkeypatch.setattr(apmads.solver, "poll_step", sigma_checking_poll_step(checked))
+    run(problem_registry("norm2"), SolverConfig(variant="dp", seed=4, stop_draws=1e5))
     assert checked
 
 
