@@ -110,11 +110,17 @@ class NoisyBlackbox:
 
         The one-point form of ``observe_batch``.
         """
-        values, feasible = self.observe_batch([x], [sigma], rng)
+        try:
+            coords = np.array([x], dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"points must each have {self.dimension} numeric coordinates"
+            ) from None
+        values, feasible = self.observe_batch(coords, [sigma], rng)
         return Observation(values[0], sigma) if feasible[0] else Observation.infeasible()
 
-    def observe_batch(self, xs, sigmas, rng, coords=None) -> tuple[list[float], list[bool]]:
-        """Observe each point ``xs[j]`` at noise level ``sigmas[j]``, in order.
+    def observe_batch(self, coords, sigmas, rng) -> tuple[list[float], list[bool]]:
+        """Observe row j of the (k, dimension) array ``coords`` at ``sigmas[j]``, in order.
 
         Returns the observed values and the feasibility flags, one per
         point. Feasible points give ``truth(x) + z * sigma`` and charge
@@ -123,34 +129,29 @@ class NoisyBlackbox:
         equals k scalar draws in sequence. Infeasible points give +inf,
         consume no randomness and cost nothing. The whole batch is
         validated before any noise is drawn or any draw charged, so a bad
-        point or sigma leaves the ledger and ``rng`` untouched. ``coords``,
-        when given, holds ``xs`` as a (k, dimension) float array and is
-        validated in place of converting ``xs``. ``truth`` and ``feasible``
-        are called once per point.
+        point or sigma leaves the ledger and ``rng`` untouched. ``truth``
+        and ``feasible`` are called once per point, with the row as a
+        tuple of floats.
         """
-        k = len(xs)
+        k = len(coords)
         if len(sigmas) != k:
             raise InvalidInputError(f"got {len(sigmas)} sigmas for {k} points")
         if k == 0:
             return [], []
-        if coords is None:
-            try:
-                coords = np.asarray(xs, dtype=float)
-            except (TypeError, ValueError):
-                raise InvalidInputError(
-                    f"points must each have {self.dimension} numeric coordinates"
-                ) from None
         if coords.shape != (k, self.dimension):
             raise InvalidInputError(
                 f"points have shape {coords.shape}, expected ({k}, {self.dimension})"
             )
         if not np.isfinite(coords).all():
             bad = int(np.isfinite(coords).all(axis=1).argmin())  # the first bad point
-            raise InvalidInputError(f"point has non-finite coordinate: {xs[bad]}")
+            raise InvalidInputError(
+                f"point has non-finite coordinate: {tuple(coords[bad].tolist())}"
+            )
         sigma_max = self.sigma_max
         for sigma in sigmas:
             if not 0.0 < sigma <= sigma_max:
                 raise InvalidSigmaError(f"sigma must lie in (0, {sigma_max}], got {sigma}")
+        xs = list(map(tuple, coords.tolist()))
         is_feasible = self._feasible
         feasible = [bool(is_feasible(x)) for x in xs]
         charged = [s for s, ok in zip(sigmas, feasible) if ok]

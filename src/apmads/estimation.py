@@ -66,19 +66,19 @@ class EvaluationCache:
 
     Each point is keyed once by its packed float64 coordinates (``key``),
     and the key is also the only copy of the coordinates: ``point_at``,
-    ``points`` and ``incumbent`` unpack tuples on demand. Adding 0.0 before
+    ``coords_at`` and ``incumbent`` unpack them on demand. Adding 0.0 before
     packing maps -0.0 to 0.0, so two points share a key exactly when their
     coordinate tuples compare equal; points come back with 0.0 for -0.0.
     Candidates are generated on binary meshes, so revisited points collide
     bit-for-bit and no epsilon keying is needed.
 
     A point's row (its insertion index) indexes flat arrays that grow by
-    doubling: the fusion sums ``sum_w`` and ``sum_wv``, the observation
-    count, the feasibility flag and the estimates ``fk``/``sigk``, so
-    whole-cache scans (incumbent selection, search-step filtering) stay
-    vectorised. ``overflowed`` turns True once a feasible point's fused
-    estimate is not finite, i.e. once ``sum_wv`` overflowed (an observed
-    value times its weight ``1 / sigma**2`` past the largest float).
+    doubling: the fusion sums ``sum_w`` and ``sum_wv``, the feasibility
+    flag and the estimates ``fk``/``sigk``, so whole-cache scans
+    (incumbent selection, search-step filtering) stay vectorised.
+    ``overflowed`` turns True once a feasible point's fused estimate is
+    not finite, i.e. once ``sum_wv`` overflowed (an observed value times
+    its weight ``1 / sigma**2`` past the largest float).
     """
 
     def __init__(self):
@@ -88,11 +88,9 @@ class EvaluationCache:
         self._unpack = None  # struct unpacker for the key width, set by the first point
         self._sum_w = np.zeros(_INITIAL_CAPACITY)
         self._sum_wv = np.zeros(_INITIAL_CAPACITY)
-        self._n_obs = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         self._feasible = np.ones(_INITIAL_CAPACITY, dtype=bool)
         self._fk = np.full(_INITIAL_CAPACITY, math.inf)
         self._sigk = np.full(_INITIAL_CAPACITY, math.inf)
-        self._n_estimated = 0
         self._incumbent: tuple[int, Point | None] = (-1, None)
         self.overflowed = False
 
@@ -126,31 +124,28 @@ class EvaluationCache:
         n, capacity = len(self._fk), 2 * len(self._fk)
         self._sum_w = _extended(self._sum_w, n, capacity, 0.0)
         self._sum_wv = _extended(self._sum_wv, n, capacity, 0.0)
-        self._n_obs = _extended(self._n_obs, n, capacity, 0)
         self._feasible = _extended(self._feasible, n, capacity, True)
         self._fk = _extended(self._fk, n, capacity, math.inf)
         self._sigk = _extended(self._sigk, n, capacity, math.inf)
 
     def record(self, x: Point, obs: Observation) -> int:
         """Append one observation (or an infeasibility marker) at ``x``; its row."""
-        return self.record_batch([x], [obs.value], [obs.sigma], [obs.feasible])[0]
+        return self.record_batch([self.key(x)], [obs.value], [obs.sigma], [obs.feasible])[0]
 
-    def record_batch(self, xs, values, sigmas, feasible, keys=None) -> list[int]:
-        """Fuse ``values[j]``, observed at ``sigmas[j]``, into ``xs[j]``, in order.
+    def record_batch(self, keys, values, sigmas, feasible) -> list[int]:
+        """Fuse ``values[j]``, observed at ``sigmas[j]``, into the point keyed ``keys[j]``.
 
-        ``feasible[j]`` False marks ``xs[j]`` infeasible instead (its value
+        ``feasible[j]`` False marks the point infeasible instead (its value
         and sigma are ignored). Equivalent to ``record`` on each point in
         turn, repeated points included: a later observation of a point
-        fuses into the estimate left by an earlier one. ``keys``, when
-        given, are the keys of ``xs``. Returns the rows of ``xs``.
+        fuses into the estimate left by an earlier one. The keys are those
+        of ``key`` or ``keys``. Returns the points' rows.
         """
-        if not len(xs) == len(values) == len(sigmas) == len(feasible):
+        if not len(keys) == len(values) == len(sigmas) == len(feasible):
             raise InvalidInputError(
                 f"got {len(values)} values, {len(sigmas)} sigmas and "
-                f"{len(feasible)} feasibility flags for {len(xs)} points"
+                f"{len(feasible)} feasibility flags for {len(keys)} points"
             )
-        if keys is None:
-            keys = [self.key(x) for x in xs]
         if not keys:
             return []
         width = len(self._keys[0]) if self._keys else len(keys[0])
@@ -161,7 +156,7 @@ class EvaluationCache:
         while len(self._keys) + len(keys) > len(self._fk):
             self._grow()
         index, new_key = self._index, self._keys.append
-        sum_w, sum_wv, n_obs = self._sum_w, self._sum_wv, self._n_obs
+        sum_w, sum_wv = self._sum_w, self._sum_wv
         is_feasible, fk, sigk = self._feasible, self._fk, self._sigk
         rows = []
         for key, value, sigma, ok in zip(keys, values, sigmas, feasible):
@@ -178,18 +173,15 @@ class EvaluationCache:
                     sigk[i] = math.inf
                 continue
             if fresh:  # a new row has no observation yet and is feasible
-                count, total_w, total_wv, estimated = 0, 0.0, 0.0, True
+                total_w, total_wv, estimated = 0.0, 0.0, True
             else:
-                count, total_w, total_wv = n_obs.item(i), sum_w.item(i), sum_wv.item(i)
+                total_w, total_wv = sum_w.item(i), sum_wv.item(i)
                 estimated = is_feasible.item(i)
-            if count == 0:
-                self._n_estimated += 1
             # Python floats throughout: the order and the scalar pow are
             # what pin the estimates bit for bit
             w = 1.0 / (sigma * sigma)
             total_w += w
             total_wv += w * value
-            n_obs[i] = count + 1
             sum_w[i] = total_w
             sum_wv[i] = total_wv
             if estimated and total_w != 0.0:
@@ -214,11 +206,6 @@ class EvaluationCache:
         """False once row ``i`` has been recorded infeasible."""
         return self._feasible.item(i)
 
-    def n_obs(self, x: Point) -> int:
-        """Number of feasible observations fused at ``x`` (0 when not cached)."""
-        i = self.row(x)
-        return 0 if i is None else self._n_obs.item(i)
-
     def point_at(self, i: int) -> Point:
         return self._unpack(self._keys[i])
 
@@ -226,14 +213,6 @@ class EvaluationCache:
         """The points at ``rows`` as a read-only (len(rows), n) array."""
         n = len(self._keys[0]) // 8 if self._keys else 0
         return np.frombuffer(b"".join([self._keys[i] for i in rows])).reshape(len(rows), n)
-
-    def points(self) -> list[Point]:
-        """All cached points in insertion order (including infeasible ones)."""
-        return [self._unpack(key) for key in self._keys]
-
-    @property
-    def has_incumbent(self) -> bool:
-        return self._n_estimated > 0
 
     def estimate_arrays(self):
         """Views (f_hat, sig_hat) aligned with insertion order.
@@ -255,21 +234,6 @@ class EvaluationCache:
         if self._incumbent[0] != i:  # one tuple per incumbent, shared by the run log
             self._incumbent = (i, self.point_at(i))
         return self._incumbent[1]
-
-    def dump_csv(self) -> str:
-        """Per-point summary (coordinates, observation count, estimates) as CSV."""
-        if not self._keys:
-            return ""
-        n_coords = len(self._keys[0]) // 8
-        header = ",".join(f"x{j}" for j in range(n_coords)) + ",n_obs,f_k,sigma_k"
-        lines = [header]
-        for i, x in enumerate(self.points()):
-            coords = ",".join(format(c, ".17g") for c in x)
-            lines.append(
-                f"{coords},{self._n_obs[i]},"
-                f"{format(self._fk[i], '.17g')},{format(self._sigk[i], '.17g')}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _extended(a: np.ndarray, n: int, capacity: int, fill) -> np.ndarray:

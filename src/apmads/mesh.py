@@ -31,22 +31,19 @@ def mesh_size(delta_p: float) -> float:
     return min(delta_p, delta_p * delta_p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PollSet:
     """2n mesh candidates around a center, with their integer mesh steps.
 
     ``directions`` holds the steps and ``coords`` the candidates, each as
-    a (2n, n) array: ``points[j]`` is row j of ``coords``, which is
-    center + ``delta_m * directions[j]``. Equality compares the center,
-    the sizes and the points.
+    a (2n, n) array: row j of ``coords`` is center + ``delta_m * directions[j]``.
     """
 
     center: Point
     delta_p: float
     delta_m: float
-    directions: np.ndarray = field(compare=False, repr=False)
-    points: tuple[Point, ...]
-    coords: np.ndarray = field(compare=False, repr=False)
+    directions: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
 
 
 def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
@@ -87,7 +84,6 @@ def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
         delta_p=delta_p,
         delta_m=delta_m,
         directions=steps,
-        points=tuple(map(tuple, coords.tolist())),
         coords=coords,
     )
 

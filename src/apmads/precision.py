@@ -36,14 +36,14 @@ class RhoParams:
     theta: float = 0.1
 
     def __post_init__(self):
-        if self.sigma_min < 0:
+        if not self.sigma_min >= 0:
             raise ConfigError(f"sigma_min must be >= 0, got {self.sigma_min}")
         if not math.isfinite(self.sigma_max) or self.sigma_max <= self.sigma_min:
             raise ConfigError(
                 f"sigma_max must be finite and above sigma_min, got {self.sigma_max}"
             )
-        if not self.theta > 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
         if not math.isfinite(self.r0):
             raise ConfigError(f"r0 must be finite, got {self.r0}")
 

@@ -78,11 +78,11 @@ class SolverConfig:
             )
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
-        if not self.delta_p0 > 0:
-            raise ConfigError(f"delta_p0 must be positive, got {self.delta_p0}")
+        if not 0.0 < self.delta_p0 < math.inf:
+            raise ConfigError(f"delta_p0 must be positive and finite, got {self.delta_p0}")
         if self.stop_delta_p is not None and not self.stop_delta_p > 0:
             raise ConfigError(f"stop_delta_p must be positive, got {self.stop_delta_p}")
-        if self.stop_draws < 0:
+        if not self.stop_draws >= 0:
             raise ConfigError(f"stop_draws must be >= 0, got {self.stop_draws}")
 
     def policy(self) -> PrecisionPolicy:
@@ -135,8 +135,8 @@ class RunOutput:
     stop_reason: str
 
 
-def observe_points(cache, blackbox, points, sigma_for, rng, coords=None) -> list[int | None]:
-    """Observe each point at ``sigma_for(row)`` in order, skipping None.
+def observe_points(cache, blackbox, coords, sigma_for, rng) -> list[int | None]:
+    """Observe each row of the (k, n) array ``coords`` at ``sigma_for(row)``, skipping None.
 
     ``row`` is the point's cache row, or None when it is not cached yet.
     Points go to ``blackbox.observe_batch`` and ``cache.record_batch`` in
@@ -145,22 +145,18 @@ def observe_points(cache, blackbox, points, sigma_for, rng, coords=None) -> list
     chosen from the estimate that occurrence left: the cache, the ledger
     and ``rng`` end exactly as after one observe-and-record per point.
     (A poll repeats a point when ``delta_m * z`` rounds away against a
-    large coordinate.) ``coords``, when given, holds the points as a
-    (k, n) array: the cache keys and the blackbox's validation read it.
-    Returns the row of every point afterwards (None if never recorded).
+    large coordinate.) Returns the row of every point afterwards (None if
+    never recorded).
     """
-    if coords is None:
-        coords = np.asarray(points, dtype=float)
     keys = cache.keys(coords)
     find = cache.find
-    batch: list[int] = []  # positions in points
+    batch: list[int] = []  # row positions in coords
     sigmas: list[float] = []
     pending: set[bytes] = set()
 
     def flush():
-        xs = [points[j] for j in batch]
-        values, feasible = blackbox.observe_batch(xs, sigmas, rng, coords.take(batch, axis=0))
-        cache.record_batch(xs, values, sigmas, feasible, [keys[j] for j in batch])
+        values, feasible = blackbox.observe_batch(coords.take(batch, axis=0), sigmas, rng)
+        cache.record_batch([keys[j] for j in batch], values, sigmas, feasible)
 
     for j, key in enumerate(keys):
         if key in pending:
@@ -197,7 +193,7 @@ def _tightening_sigma(cache, sigma_target: float, sigma_max: float):
     return sigma_for
 
 
-def _poll_outcome(cache, poll: PollSet, rows) -> tuple[Point | None, IterationStatus]:
+def _poll_outcome(cache, rows) -> tuple[Point | None, IterationStatus]:
     """Best candidate and status from the rows of the center and the candidates.
 
     The first candidate with the lowest estimate wins; none is feasible
@@ -206,14 +202,13 @@ def _poll_outcome(cache, poll: PollSet, rows) -> tuple[Point | None, IterationSt
     f_center, *f_poll = map(cache.estimate_arrays()[0].item, rows)
     best = None
     best_f = math.inf
-    for x, f in zip(poll.points, f_poll):
+    for i, f in zip(rows[1:], f_poll):
         if f < best_f:
-            best, best_f = x, f
+            best, best_f = i, f
     if best is None:
         return None, IterationStatus.BARRIER
-    if best_f < f_center:
-        return best, IterationStatus.SUCCESS
-    return best, IterationStatus.FAILURE
+    status = IterationStatus.SUCCESS if best_f < f_center else IterationStatus.FAILURE
+    return cache.point_at(best), status
 
 
 def poll_step(
@@ -235,11 +230,10 @@ def poll_step(
     sigma_target = rho(rho_params, r)
     poll = generate_poll(center, delta_p, rng)
     rows = observe_points(
-        cache, blackbox, (center, *poll.points),
+        cache, blackbox, np.concatenate(([center], poll.coords)),
         _tightening_sigma(cache, sigma_target, blackbox.sigma_max), rng,
-        coords=np.concatenate(([center], poll.coords)),
     )
-    best, status = _poll_outcome(cache, poll, rows)
+    best, status = _poll_outcome(cache, rows)
     return best, status, poll
 
 
@@ -292,10 +286,10 @@ def search_step(
     for tau <= 0.5 its own estimate is re-audited every call; this is what
     flushes out incumbents whose low estimates were lucky noise. Once an
     estimate has overflowed (``cache.overflowed``), ``incumbent`` is
-    returned unchanged: the run stops after this iteration.
+    returned unchanged: the run stops after this iteration. So is an
+    incumbent without a finite estimate (an empty cache, say), and then
+    nothing is observed.
     """
-    if not cache.has_incumbent:
-        return incumbent
     f_inc, sig_inc = cache.estimate(incumbent)
     if not math.isfinite(f_inc):
         return incumbent
@@ -304,10 +298,7 @@ def search_step(
     # undefined points give (-inf) / inf = NaN, which is never selected
     fk, sigk = cache.estimate_arrays()
     rows = plausible_rows(fk, sigk, f_inc, sig_inc, phi_inv(tau)).tolist()
-    observe_points(
-        cache, blackbox, [cache.point_at(i) for i in rows], lambda i: sigma_s, rng,
-        coords=cache.coords_at(rows),
-    )
+    observe_points(cache, blackbox, cache.coords_at(rows), lambda i: sigma_s, rng)
     return incumbent if cache.overflowed else cache.incumbent()
 
 
@@ -392,9 +383,8 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
 def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     """Adaptive-precision minimisation of ``problem``.
 
-    Each iteration runs the search step (when enabled and an incumbent is
-    cached), polls around its result at rho(r), and moves the precision
-    index by the poll's p-value. Stops when the frame size falls below the
+    Each iteration runs the search step (when enabled), polls around its
+    result at rho(r), and moves the precision index by the poll's p-value. Stops when the frame size falls below the
     stopping threshold (the problem default unless the config overrides
     it), the draw budget is spent, the iteration cap is hit, or the next
     iteration cannot be paid for; ``RunOutput.stop_reason`` says which.
@@ -418,7 +408,7 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
         if _past_precision_floor(config, r) is not None:
             return None
         x_s = incumbent
-        if config.search_enabled and cache.has_incumbent:
+        if config.search_enabled:
             x_s = search_step(
                 cache, incumbent, r, config.rho_params, config.r_s, config.tau,
                 blackbox, rng,
@@ -454,10 +444,10 @@ def run_fixed_precision_baseline(
 
     def step(cache, incumbent, delta_p, rng):
         # the center's noise is drawn before the poll direction
-        rows = observe_points(cache, blackbox, (incumbent,), once, rng)
+        rows = observe_points(cache, blackbox, np.array([incumbent]), once, rng)
         poll = generate_poll(incumbent, delta_p, rng)
-        rows += observe_points(cache, blackbox, poll.points, once, rng, coords=poll.coords)
-        _, status = _poll_outcome(cache, poll, rows)
+        rows += observe_points(cache, blackbox, poll.coords, once, rng)
+        _, status = _poll_outcome(cache, rows)
         return status, poll, 0.0, float(status is IterationStatus.SUCCESS)
 
     return _solve(problem, config, blackbox, step)

@@ -3,7 +3,8 @@
 These deliberately avoid the implementation paths they check: the CDF
 oracle integrates the density by quadrature, the estimator oracle is a
 direct brute-force weighted least squares, and positive spanning is
-verified directionally on a dense sphere sample.
+verified directionally on a dense sphere sample. ``cache_state`` reads
+an evaluation cache whole, to compare two routes to the same state.
 """
 
 import math
@@ -83,3 +84,19 @@ def positively_spans(directions, n_samples: int = 4096, seed: int = 0) -> bool:
         sample = rng.standard_normal((n_samples, n))
         sample /= np.linalg.norm(sample, axis=1, keepdims=True)
     return bool((sample @ dirs.T > 1e-12).any(axis=1).all())
+
+
+def cache_state(cache) -> tuple:
+    """Every row of an ``EvaluationCache``: its point, estimates and feasibility.
+
+    Points and estimates compare as bytes, so a -0.0 or a NaN that differs
+    from the reference shows.
+    """
+    rows = range(len(cache))
+    fk, sigk = cache.estimate_arrays()
+    return (
+        cache.coords_at(rows).tobytes(),
+        fk.tobytes(),
+        sigk.tobytes(),
+        [cache.feasible_at(i) for i in rows],
+    )

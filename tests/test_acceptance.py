@@ -165,7 +165,7 @@ def test_criterion_8_structural_invariants_per_run(monkeypatch):
         out = run(problem, config)
         assert checked
         delta_min = min(rec.delta_m for rec in out.records)
-        for point in out.cache.points():
+        for point in out.cache.coords_at(range(len(out.cache))).tolist():
             assert on_mesh(point, problem.start, delta_min)
         for rec in out.records:
             assert rec.delta_m == min(rec.delta_p, rec.delta_p**2)

@@ -60,10 +60,15 @@ def test_observe_validates_inputs():
         bb.observe((math.nan, 0.0), 0.5, rng)
     with pytest.raises(InvalidInputError):
         bb.observe((0.0, 0.0, 0.0), 0.5, rng)
+    with pytest.raises(InvalidInputError):
+        bb.observe((0.0, (1.0, 2.0)), 0.5, rng)  # ragged
+    with pytest.raises(InvalidInputError):
+        bb.observe(("a", 0.0), 0.5, rng)  # not numeric
     with pytest.raises(InvalidSigmaError):
         bb.observe((0.0, 0.0), 0.0, rng)
     with pytest.raises(InvalidSigmaError):
         bb.observe((0.0, 0.0), 1.5, rng)  # above sigma_max = 1
+    assert len(bb.ledger) == 0
 
 
 def test_noise_law_of_observations():
@@ -145,7 +150,7 @@ def test_observe_batch_matches_sequential_observe():
 
     bb = problem_registry("moustache").blackbox()
     rng = np.random.default_rng(17)
-    values, feasible = bb.observe_batch(BATCH, BATCH_SIGMAS, rng)
+    values, feasible = bb.observe_batch(np.array(BATCH), BATCH_SIGMAS, rng)
 
     assert feasible == [True, False, False, True, False, True]
     assert feasible == [o.feasible for o in expected]
@@ -167,7 +172,7 @@ def test_observe_batch_matches_sequential_observe():
 
 def test_observe_batch_calls_truth_and_feasible_once_per_point():
     bb, calls = counting_blackbox()
-    bb.observe_batch(BATCH, BATCH_SIGMAS, np.random.default_rng(0))
+    bb.observe_batch(np.array(BATCH), BATCH_SIGMAS, np.random.default_rng(0))
     assert calls == {"truth": 3, "feasible": len(BATCH)}
 
 
@@ -175,14 +180,14 @@ def test_observe_batch_infeasible_points_consume_no_randomness():
     bb = problem_registry("moustache").blackbox()
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    values, feasible = bb.observe_batch([(0.0, 3.0), (-1.0, 2.0)], [0.5, 0.5], rng)
+    values, feasible = bb.observe_batch(np.array([(0.0, 3.0), (-1.0, 2.0)]), [0.5, 0.5], rng)
     assert feasible == [False, False] and values == [math.inf, math.inf]
     assert rng.bit_generator.state == before
     assert bb.ledger.total_draws == 0.0 and len(bb.ledger) == 0
 
     # a mixed batch draws exactly one variate per feasible point
     mixed = problem_registry("moustache").blackbox()
-    mixed.observe_batch([(0.0, 3.0), (0.0, 2.0), (-1.0, 2.0)], [0.5] * 3, rng)
+    mixed.observe_batch(np.array([(0.0, 3.0), (0.0, 2.0), (-1.0, 2.0)]), [0.5] * 3, rng)
     reference = np.random.default_rng(5)
     reference.standard_normal()
     assert rng.bit_generator.state == reference.bit_generator.state
@@ -211,8 +216,11 @@ def test_observe_batch_rejects_bad_entry_before_any_draw(bad_point, bad_sigma, e
         sigmas = [0.5, 0.5, 0.25, 0.5]
         xs.insert(position, bad_point)
         sigmas.insert(position, bad_sigma)
+        # a point of another width makes the batch an array of that width
+        width = len(bad_point)
+        coords = np.array([x if len(x) == width else (x * width)[:width] for x in xs])
         with pytest.raises(error):
-            bb.observe_batch(xs, sigmas, rng)
+            bb.observe_batch(coords, sigmas, rng)
         assert rng.bit_generator.state == before
         assert bb.ledger.total_draws == 0.0 and len(bb.ledger) == 0
         assert calls["truth"] == 0
@@ -220,19 +228,19 @@ def test_observe_batch_rejects_bad_entry_before_any_draw(bad_point, bad_sigma, e
 
 def test_observe_batch_validates_the_given_coordinates():
     coords = np.array(BATCH)
-    plain, plain_rng = problem_registry("moustache").blackbox(), np.random.default_rng(3)
-    given, given_rng = problem_registry("moustache").blackbox(), np.random.default_rng(3)
-    assert given.observe_batch(BATCH, BATCH_SIGMAS, given_rng, coords) == plain.observe_batch(
-        BATCH, BATCH_SIGMAS, plain_rng
-    )
-    assert given.ledger.draws == plain.ledger.draws
-    # the array, not the tuples, is what gets validated
-    for bad in (np.where(coords == 30.0, math.nan, coords), coords[:, :1], coords[1:]):
+    bad_arrays = {
+        r"non-finite coordinate: \(nan, 2\.0\)": np.where(coords == 30.0, math.nan, coords),
+        r"shape \(6, 1\)": coords[:, :1],
+        r"5 points": coords[1:],
+        r"shape \(6,\)": coords[:, 0],
+        r"shape \(6, 2, 1\)": coords[:, :, None],
+    }
+    for message, bad in bad_arrays.items():
         bb, calls = counting_blackbox()
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        with pytest.raises(InvalidInputError):
-            bb.observe_batch(BATCH, BATCH_SIGMAS, rng, bad)
+        with pytest.raises(InvalidInputError, match=message):
+            bb.observe_batch(bad, BATCH_SIGMAS, rng)
         assert rng.bit_generator.state == before
         assert len(bb.ledger) == 0 and calls == {"truth": 0, "feasible": 0}
 
@@ -240,8 +248,8 @@ def test_observe_batch_validates_the_given_coordinates():
 def test_observe_batch_rejects_mismatched_sigmas():
     bb = problem_registry("norm2").blackbox()
     with pytest.raises(InvalidInputError):
-        bb.observe_batch([(0.0, 0.0), (1.0, 0.0)], [0.5], np.random.default_rng(0))
-    assert bb.observe_batch([], [], np.random.default_rng(0)) == ([], [])
+        bb.observe_batch(np.array([(0.0, 0.0), (1.0, 0.0)]), [0.5], np.random.default_rng(0))
+    assert bb.observe_batch(np.empty((0, 2)), [], np.random.default_rng(0)) == ([], [])
 
 
 def test_draw_cost_overflow_raises_typed_error():

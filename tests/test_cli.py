@@ -181,6 +181,17 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["delta_p0 = inf", "stop_draws = nan"])
+def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    code = main(["run", "--problem", "norm2", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_lists_the_config_keys_in_order():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     paragraph = readme[readme.index("`--config FILE`"):].split("\n\n", 1)[0]

@@ -13,7 +13,7 @@ from apmads import InvalidInputError, NoIncumbentError
 from apmads.blackbox import Observation
 from apmads.estimation import EvaluationCache, combined_sigma, sigma_to_reach
 
-from oracles import weighted_mle
+from oracles import cache_state, weighted_mle
 
 
 def obs(value, sigma):
@@ -21,9 +21,9 @@ def obs(value, sigma):
 
 
 def record_all(cache, points, observations):
-    """``record_batch`` with the columns of ``observations``."""
+    """``record_batch`` at the keys of ``points``, with the columns of ``observations``."""
     return cache.record_batch(
-        points,
+        [cache.key(x) for x in points],
         [o.value for o in observations],
         [o.sigma for o in observations],
         [o.feasible for o in observations],
@@ -179,30 +179,12 @@ def test_incumbent_errors_without_feasible_points():
     cache.record((0.0,), Observation.infeasible())
     with pytest.raises(NoIncumbentError):
         cache.incumbent()
-    assert not cache.has_incumbent
 
 
 def test_infeasible_point_estimates_to_infinity():
     cache = EvaluationCache()
     cache.record((0.0,), Observation.infeasible())
     assert cache.estimate((0.0,)) == (math.inf, math.inf)
-
-
-def test_cache_dump_csv():
-    cache = EvaluationCache()
-    cache.record((1.0, 2.0), obs(5.0, 1.0))
-    cache.record((1.0, 2.0), obs(7.0, 1.0))
-    cache.record((3.0, 4.0), Observation.infeasible())
-    text = cache.dump_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "x0,x1,n_obs,f_k,sigma_k"
-    first = lines[1].split(",")
-    assert first[:2] == ["1", "2"]
-    assert first[2] == "2"
-    assert float(first[3]) == 6.0
-    second = lines[2].split(",")
-    assert second[2] == "0"
-    assert float(second[3]) == math.inf
 
 
 def test_cache_growth_beyond_initial_capacity():
@@ -276,8 +258,7 @@ def test_record_batch_matches_sequential_record():
     for start in range(0, len(pairs), 37):
         chunk = pairs[start : start + 37]
         record_all(batched, [x for x, _ in chunk], [o for _, o in chunk])
-    assert batched.dump_csv() == sequential.dump_csv()
-    assert batched.has_incumbent == sequential.has_incumbent
+    assert cache_state(batched) == cache_state(sequential)
     assert batched.incumbent() == sequential.incumbent()
     for x, _ in pairs:
         assert batched.estimate(x) == sequential.estimate(x)
@@ -287,7 +268,8 @@ def test_record_batch_rejects_mismatched_lengths():
     with pytest.raises(InvalidInputError):
         record_all(EvaluationCache(), [(0.0,), (1.0,)], [obs(1.0, 1.0)])
     with pytest.raises(InvalidInputError):
-        EvaluationCache().record_batch([(0.0,), (1.0,)], [1.0, 1.0], [1.0, 1.0], [True])
+        keys = [EvaluationCache.key((0.0,)), EvaluationCache.key((1.0,))]
+        EvaluationCache().record_batch(keys, [1.0, 1.0], [1.0, 1.0], [True])
 
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -322,8 +304,8 @@ def test_mesh_point_from_two_centres_maps_to_one_row(origin, scale, k, data):
     cache = EvaluationCache()
     rows = record_all(cache, [via1, via2], [obs(1.0, 1.0), obs(3.0, 1.0)])
     assert rows == [0, 0]
-    assert len(cache) == 1 and cache.n_obs(via1) == 2
-    assert cache.estimate(via2) == (2.0, 2.0**-0.5)
+    assert len(cache) == 1
+    assert cache.estimate(via2) == (2.0, 2.0**-0.5)  # both observations fused
 
 
 @PROPERTY
@@ -335,11 +317,11 @@ def test_negative_and_positive_zero_map_to_one_row(point):
     assert cache.record(negative, obs(1.0, 1.0)) == 0
     assert cache.row(positive) == 0 and positive in cache
     assert cache.record(positive, obs(3.0, 1.0)) == 0
-    assert len(cache) == 1 and cache.n_obs(negative) == 2
+    assert len(cache) == 1 and cache.estimate(negative) == (2.0, 2.0**-0.5)
     # the batch key path agrees with the one-point path
     assert cache.keys(np.array([negative, positive])) == [cache.key(positive)] * 2
     # coordinates come back with 0.0 for -0.0
-    assert np.array(cache.points()).tobytes() == (np.array([point]) + 0.0).tobytes()
+    assert cache.coords_at([0]).tobytes() == (np.array([point]) + 0.0).tobytes()
 
 
 @PROPERTY
@@ -363,15 +345,15 @@ def test_rows_follow_tuple_equality_and_points_round_trip(n, data):
     assert [cache.row(x) for x in points] == rows
     if points:
         assert cache.keys(np.array(points)) == [cache.key(x) for x in points]
-    got = np.array(cache.points(), dtype=float).reshape(len(first), n)
+    got = cache.coords_at(range(len(cache))).reshape(len(first), n)
     assert got.tobytes() == (np.array(first, dtype=float).reshape(len(first), n) + 0.0).tobytes()
 
 
 def test_cache_memory_per_point():
-    # 20k distinct n=20 points, each a tuple the caller drops after
-    # recording it, as the solver's polls do: one packed key, its dict
-    # entry and array rows per point (about 330 B), where keeping the
-    # tuple and a Python object graph per point cost about 1.2 kB
+    # 20k distinct n=20 points, recorded by the keys of each batch's rows
+    # as the solver's polls are: one packed key, its dict entry and array
+    # rows per point (about 315 B), where keeping a tuple and a Python
+    # object graph per point cost about 1.2 kB
     n_points, batch = 20_000, 40
     coords = np.random.default_rng(0).standard_normal((n_points, 20))
     values, sigmas, feasible = [1.0] * batch, [0.5] * batch, [True] * batch
@@ -380,9 +362,7 @@ def test_cache_memory_per_point():
         before = tracemalloc.get_traced_memory()[0]
         cache = EvaluationCache()
         for start in range(0, n_points, batch):
-            points = list(map(tuple, coords[start : start + batch].tolist()))
-            cache.record_batch(points, values, sigmas, feasible)
-        del points
+            cache.record_batch(cache.keys(coords[start : start + batch]), values, sigmas, feasible)
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

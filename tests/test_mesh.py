@@ -22,14 +22,14 @@ def test_mesh_size():
 def test_poll_1d_is_plus_minus_one():
     rng = np.random.default_rng(0)
     poll = generate_poll((3.0,), 1.0, rng)
-    assert set(poll.points) == {(2.0,), (4.0,)}
+    assert set(map(tuple, poll.coords.tolist())) == {(2.0,), (4.0,)}
     assert positively_spans(poll.directions)
 
 
 def test_poll_2d_unit_frame():
     rng = np.random.default_rng(1)
     poll = generate_poll((0.0, 0.0), 1.0, rng)
-    assert len(poll.points) == 4
+    assert poll.coords.shape == (4, 2)
     assert poll.delta_m == 1.0
     for z in poll.directions:
         assert max(abs(c) for c in z) <= 1.0
@@ -42,7 +42,7 @@ def test_poll_candidates_inside_frame_and_on_mesh():
     center = (0.5, -1.25)
     poll = generate_poll(center, 0.5, rng)
     assert poll.delta_m == 0.25
-    for x in poll.points:
+    for x in poll.coords.tolist():
         assert max(abs(a - b) for a, b in zip(x, center)) <= 0.5 + 1e-15
         assert on_mesh(x, center, 0.25)
 
@@ -54,7 +54,7 @@ def test_poll_positive_spanning_property():
         for _ in range(100):
             delta_p = float(2.0 ** rng.integers(-8, 3))
             poll = generate_poll(center, delta_p, rng)
-            assert len(poll.points) == 2 * n
+            assert poll.coords.shape == (2 * n, n)
             assert positively_spans(poll.directions)
 
 
@@ -63,7 +63,7 @@ def test_poll_respects_frame_for_small_delta():
     for _ in range(50):
         delta_p = float(2.0 ** rng.integers(-20, 1))
         poll = generate_poll((1.0, 2.0, 3.0), delta_p, rng)
-        for x in poll.points:
+        for x in poll.coords.tolist():
             assert max(abs(a - b) for a, b in zip(x, poll.center)) <= delta_p * (
                 1 + 1e-12
             )

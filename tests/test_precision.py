@@ -1,5 +1,7 @@
 """Precision schedule and the index update policies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,12 @@ def test_rho_params_validation():
         RhoParams(sigma_min=2.0, sigma_max=1.0)
     with pytest.raises(ConfigError):
         RhoParams(theta=0.0)
+    # NaN and inf must not slip past the range checks
+    for theta in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="theta"):
+            RhoParams(theta=theta)
+    with pytest.raises(ConfigError, match="sigma_min"):
+        RhoParams(sigma_min=math.nan)
 
 
 def test_policy_defaults_and_validation():

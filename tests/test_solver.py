@@ -30,6 +30,8 @@ from apmads.normal import phi_inv
 from apmads.precision import PrecisionPolicy, rho
 from apmads.solver import observe_points, plausible_rows, poll_step, search_step
 
+from oracles import cache_state
+
 
 class StubRng:
     """Fixed poll direction, noise-free observations.
@@ -51,14 +53,21 @@ def make_blackbox(truth, feasible=lambda x: True, dimension=2):
     return NoisyBlackbox(truth, feasible, dimension)
 
 
+def candidates(poll):
+    """The poll's candidates as tuples, in generation order."""
+    return list(map(tuple, poll.coords.tolist()))
+
+
 def test_stub_rng_is_noise_free_with_fixed_direction():
     bb = make_blackbox(lambda x: math.hypot(*x))
     points = [(3.0, 4.0), (1.0, 0.0), (0.0, 2.0)]
-    values, _ = bb.observe_batch(points, [0.5, 0.25, 1.0], StubRng())
+    values, _ = bb.observe_batch(np.array(points), [0.5, 0.25, 1.0], StubRng())
     assert values == [5.0, 1.0, 2.0]
     assert bb.observe((3.0, 4.0), 0.5, StubRng()).value == 5.0
     first = generate_poll((0.0, 0.0), 1.0, StubRng())
-    assert generate_poll((0.0, 0.0), 1.0, StubRng()) == first
+    again = generate_poll((0.0, 0.0), 1.0, StubRng())
+    assert np.array_equal(again.directions, first.directions)
+    assert np.array_equal(again.coords, first.coords)
 
 
 def test_poll_step_barrier_when_no_candidate_feasible():
@@ -70,7 +79,7 @@ def test_poll_step_barrier_when_no_candidate_feasible():
     )
     assert status is IterationStatus.BARRIER
     assert x_c is None
-    assert all(not cache.feasible_at(cache.row(x)) for x in poll.points)
+    assert all(not cache.feasible_at(cache.row(x)) for x in candidates(poll))
     # barrier candidates cost nothing; only the center was observed
     assert len(bb.ledger) == 1
 
@@ -81,7 +90,7 @@ def test_poll_step_success_and_generation_order_tiebreak():
     x_c, status, poll = poll_step((1.0, 1.0), 1.0, 0.0, RhoParams(), cache, bb, StubRng())
     assert status is IterationStatus.SUCCESS
     # noise-free: both (1,0) and (0,1) estimate to 1; the first generated wins
-    assert x_c == poll.points[0]
+    assert x_c == candidates(poll)[0]
     assert cache.estimate(x_c)[0] < cache.estimate((1.0, 1.0))[0]
 
 
@@ -98,8 +107,10 @@ def test_poll_step_skips_already_precise_center():
     cache = EvaluationCache()
     center = (0.0, 0.0)
     cache.record(center, Observation(1.0, 0.01))  # tighter than rho(0) = 0.5
-    poll_step(center, 1.0, 0.0, RhoParams(), cache, bb, StubRng())
-    assert cache.n_obs(center) == 1
+    _, _, poll = poll_step(center, 1.0, 0.0, RhoParams(), cache, bb, StubRng())
+    # one charge per candidate, none for the center
+    assert len(bb.ledger) == len(poll.coords)
+    assert cache.estimate(center) == (1.0, 0.01)
 
 
 def test_poll_step_enforces_sigma_target():
@@ -110,7 +121,7 @@ def test_poll_step_enforces_sigma_target():
     for r in (0.0, 3.0, 7.0):
         _, _, poll = poll_step((1.0, 1.0), 0.5, r, params, cache, bb, rng)
         target = rho(params, r)
-        for x in (*poll.points, poll.center):
+        for x in (*candidates(poll), poll.center):
             _, sigk = cache.estimate(x)
             assert sigk <= target * (1.0 + 1e-12)
 
@@ -135,8 +146,21 @@ def test_search_step_audits_incumbent_estimate():
     cache.record(inc, Observation(-5.0, 0.5))
     x_s = search_step(cache, inc, 40.0, RhoParams(), -5.0, 0.25, bb, StubRng())
     assert x_s == inc
-    assert cache.n_obs(inc) == 2
+    # one audit observation, at rho(r - r_s)
+    assert list(bb.ledger.sigmas) == [rho(RhoParams(), 45.0)]
     assert cache.estimate(inc)[0] == pytest.approx(2.0, abs=1e-3)
+
+
+def test_search_step_on_an_empty_cache_observes_nothing():
+    bb = make_blackbox(lambda x: 1.0)
+    cache = EvaluationCache()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    inc = (1.0, 2.0)
+    assert search_step(cache, inc, 0.0, RhoParams(), -5.0, 0.25, bb, rng) == inc
+    assert rng.bit_generator.state == before
+    assert len(bb.ledger) == 0 and bb.ledger.total_draws == 0.0
+    assert len(cache) == 0
 
 
 def test_search_step_recovers_better_cached_point():
@@ -272,6 +296,14 @@ def test_config_rejects_bad_fields():
         SolverConfig(tau=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(delta_p0=0.0)
+    # NaN and inf must not slip past the range checks
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            SolverConfig(delta_p0=bad)
+    with pytest.raises(ConfigError):
+        SolverConfig(stop_draws=math.nan)
+    with pytest.raises(ConfigError):
+        SolverConfig(stop_draws=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(beta_l=0.7)
 
@@ -325,7 +357,7 @@ def test_run_all_evaluated_points_on_mesh():
     problem = problem_registry("moustache")
     out = run(problem, SolverConfig(variant="dp", seed=9, stop_draws=1e6))
     delta_min = min(rec.delta_m for rec in out.records)
-    for point in out.cache.points():
+    for point in out.cache.coords_at(range(len(out.cache))).tolist():
         assert on_mesh(point, problem.start, delta_min)
 
 
@@ -341,7 +373,7 @@ def sigma_checking_poll_step(checked: list):
     def poll_step_then_check(center, delta_p, r, rho_params, cache, blackbox, rng):
         best, status, poll = original(center, delta_p, r, rho_params, cache, blackbox, rng)
         target = rho(rho_params, r)
-        for x in (center, *poll.points):
+        for x in (center, *candidates(poll)):
             f, sigk = cache.estimate(x)
             if math.isfinite(f):
                 assert sigk <= target * (1.0 + 1e-12)
@@ -387,10 +419,9 @@ def test_baseline_observes_each_point_once():
     out = run_fixed_precision_baseline(
         problem, 1e-3, SolverConfig(seed=1, stop_draws=1e9)
     )
-    for point in out.cache.points():
-        assert out.cache.n_obs(point) == 1
     # one charge per point, each at the fixed sigma
     assert len(out.ledger) == len(out.cache)
+    assert np.allclose(out.cache.estimate_arrays()[1], 1e-3, rtol=1e-12, atol=0.0)
     assert set(out.ledger.sigmas) == {1e-3}
 
 
@@ -462,9 +493,9 @@ def test_run_incumbents_stay_bounded():
             assert math.hypot(*rec.incumbent) <= start_norm + 10.0
 
 
-def _observe_points_one_by_one(cache, blackbox, points, sigma_for, rng):
+def _observe_points_one_by_one(cache, blackbox, coords, sigma_for, rng):
     """The per-point loop that ``observe_points`` batches."""
-    for x in points:
+    for x in map(tuple, coords.tolist()):
         sigma = sigma_for(cache.row(x))
         if sigma is not None:
             cache.record(x, blackbox.observe(x, sigma, rng))
@@ -498,17 +529,17 @@ def test_observe_points_flushes_on_repeat_like_point_by_point(rule):
         rng = np.random.default_rng(31)
         cache.record(c, bb.observe(c, 0.9, rng))
         param = 0.3 if rule is _tighten_rule else 0.2
-        observe(cache, bb, points, rule(cache, param), rng)
+        observe(cache, bb, np.array(points), rule(cache, param), rng)
         return cache, bb, rng
 
     cache, bb, rng = state(observe_points)
     ref_cache, ref_bb, ref_rng = state(_observe_points_one_by_one)
-    assert cache.dump_csv() == ref_cache.dump_csv()
+    assert cache_state(cache) == cache_state(ref_cache)
     assert bb.ledger.sigmas == ref_bb.ledger.sigmas
     assert bb.ledger.draws == ref_bb.ledger.draws
     assert bb.ledger.total_draws == ref_bb.ledger.total_draws
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert cache.n_obs(a) >= 1
+    assert math.isfinite(cache.estimate(a)[1])  # a was observed
 
 
 FINITE_SIGMA = st.one_of(
