@@ -155,7 +155,9 @@ class NoisyBlackbox:
         is_feasible = self._feasible
         feasible = [bool(is_feasible(x)) for x in xs]
         charged = [s for s, ok in zip(sigmas, feasible) if ok]
-        costs = [draws_for_sigma(s) for s in charged]
+        # a poll's fresh candidates share one sigma: cost each distinct sigma once
+        cost_of = {s: draws_for_sigma(s) for s in dict.fromkeys(charged)}
+        costs = list(map(cost_of.__getitem__, charged))
         noise = iter(rng.standard_normal(len(costs)).tolist() if costs else ())
         truth = self._truth
         values = [

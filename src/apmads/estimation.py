@@ -102,10 +102,16 @@ class EvaluationCache:
 
     @staticmethod
     def key(x: Point) -> bytes:
-        """The cache key of ``x``: its coordinates packed as float64."""
-        if 0.0 in x:  # -0.0 == 0.0 too: + 0.0 maps -0.0 to 0.0
-            x = [c + 0.0 for c in x]
-        return struct.pack(f"{len(x)}d", *x)
+        """The cache key of ``x``: its coordinates packed as float64.
+
+        Raises ``InvalidInputError`` when ``x`` is not a sequence of numbers.
+        """
+        try:
+            if 0.0 in x:  # -0.0 == 0.0 too: + 0.0 maps -0.0 to 0.0
+                x = [c + 0.0 for c in x]
+            return struct.pack(f"{len(x)}d", *x)
+        except (struct.error, TypeError):
+            raise InvalidInputError(f"a point must be a sequence of numbers, got {x!r}") from None
 
     @staticmethod
     def keys(coords: np.ndarray) -> list[bytes]:
@@ -129,8 +135,15 @@ class EvaluationCache:
         self._sigk = _extended(self._sigk, n, capacity, math.inf)
 
     def record(self, x: Point, obs: Observation) -> int:
-        """Append one observation (or an infeasibility marker) at ``x``; its row."""
-        return self.record_batch([self.key(x)], [obs.value], [obs.sigma], [obs.feasible])[0]
+        """Append one observation (or an infeasibility marker) at ``x``; its row.
+
+        A point with a non-finite coordinate raises ``InvalidInputError``
+        and leaves the cache as it was.
+        """
+        key = self.key(x)
+        if not all(map(math.isfinite, x)):
+            raise InvalidInputError(f"point has non-finite coordinate: {tuple(x)}")
+        return self.record_batch([key], [obs.value], [obs.sigma], [obs.feasible])[0]
 
     def record_batch(self, keys, values, sigmas, feasible) -> list[int]:
         """Fuse ``values[j]``, observed at ``sigmas[j]``, into the point keyed ``keys[j]``.

@@ -13,7 +13,7 @@ functions of the logs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,14 @@ from .mesh import IterationStatus, mesh_size, on_mesh
 from .problems import ProblemDef
 from .solver import IterationRecord
 
-_FMT = ".17g"
-
 
 @dataclass
 class RunResult:
-    """A finished run annotated with the true values of its incumbents."""
+    """A finished run annotated with the true values of its incumbents.
+
+    ``accuracy_curve`` computes the run's curve once and keeps it, so the
+    records and the truth values are not to change after that.
+    """
 
     algorithm: str
     problem: str
@@ -40,6 +42,9 @@ class RunResult:
     truth_trace: list[float]
     start_truth: float
     best_truth: float
+    _curve: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def make_run_result(
@@ -59,17 +64,20 @@ def make_run_result(
 
 
 def accuracy_curve(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
-    """(budgets, best-so-far accuracy) aligned with the run log."""
+    """(budgets, best-so-far accuracy) aligned with the run log, as read-only arrays."""
+    if result._curve is not None:
+        return result._curve
     denom = result.start_truth - result.best_truth
     if denom == 0.0:
         raise DegenerateNormalizationError(
             f"start and optimum share the value {result.best_truth}"
         )
-    if not result.records:
-        return np.empty(0), np.empty(0)
-    budgets = np.array([rec.draws for rec in result.records])
+    budgets = np.array([rec.draws for rec in result.records], dtype=float)
     best = np.minimum.accumulate(np.asarray(result.truth_trace, dtype=float))
-    return budgets, (result.start_truth - best) / denom
+    facc = (result.start_truth - best) / denom
+    budgets.flags.writeable = facc.flags.writeable = False
+    result._curve = budgets, facc
+    return result._curve
 
 
 def accuracy(result: RunResult, budget: float) -> float:
@@ -172,51 +180,50 @@ def data_profile(results, tau: float, sigma_ref: float = 1e-3, log_budget: bool 
 
 
 # --- CSV renderings -----------------------------------------------------------
+#
+# Floats use 17 significant digits, like the run log.
 
 
 def performance_profile_csv(results, tau: float, log_budget: bool = False) -> str:
     alphas, fractions = performance_profile(results, tau, log_budget)
-    lines = ["alpha,algo,fraction"]
-    for i, alpha in enumerate(alphas):
-        for algo in sorted(fractions):
-            lines.append(
-                f"{format(alpha, _FMT)},{algo},{format(fractions[algo][i], _FMT)}"
-            )
-    return "\n".join(lines) + "\n"
+    return _profile_csv("alpha", alphas, fractions)
 
 
 def data_profile_csv(
     results, tau: float, sigma_ref: float = 1e-3, log_budget: bool = False
 ) -> str:
     groups, fractions = data_profile(results, tau, sigma_ref, log_budget)
-    lines = ["groups,algo,fraction"]
-    for i, g in enumerate(groups):
-        for algo in sorted(fractions):
-            lines.append(f"{format(g, _FMT)},{algo},{format(fractions[algo][i], _FMT)}")
-    return "\n".join(lines) + "\n"
+    return _profile_csv("groups", groups, fractions)
+
+
+def _profile_csv(abscissa: str, xs: np.ndarray, fractions: dict) -> str:
+    lines = [f"{abscissa},algo,fraction"]
+    columns = [(algo, fractions[algo].tolist()) for algo in sorted(fractions)]
+    for i, x in enumerate(xs.tolist()):
+        lines.extend([f"{x:.17g},{algo},{column[i]:.17g}" for algo, column in columns])
+    lines.append("")
+    return "\n".join(lines)
 
 
 def accuracy_csv(results) -> str:
     lines = ["budget,algo,problem,seed,f_acc"]
     for res in sorted(results, key=lambda r: (r.algorithm, r.problem, r.seed)):
         budgets, facc = accuracy_curve(res)
-        for b, f in zip(budgets, facc):
-            lines.append(
-                f"{format(b, _FMT)},{res.algorithm},{res.problem},{res.seed},"
-                f"{format(f, _FMT)}"
-            )
-    return "\n".join(lines) + "\n"
+        run = f"{res.algorithm},{res.problem},{res.seed}"
+        lines.extend([f"{b:.17g},{run},{f:.17g}" for b, f in zip(budgets.tolist(), facc.tolist())])
+    lines.append("")
+    return "\n".join(lines)
 
 
 def convergence_csv(result: RunResult) -> str:
     """Truth-versus-draws curve of one run (plus the estimates for context)."""
     lines = ["draws,f_true_inc,f_inc,sig_inc"]
-    for rec, truth in zip(result.records, result.truth_trace):
-        lines.append(
-            f"{format(rec.draws, _FMT)},{format(truth, _FMT)},"
-            f"{format(rec.f_inc, _FMT)},{format(rec.sig_inc, _FMT)}"
-        )
-    return "\n".join(lines) + "\n"
+    lines.extend([
+        "%.17g,%.17g,%.17g,%.17g" % (rec.draws, truth, rec.f_inc, rec.sig_inc)
+        for rec, truth in zip(result.records, result.truth_trace)
+    ])
+    lines.append("")
+    return "\n".join(lines)
 
 
 # --- log validation -----------------------------------------------------------

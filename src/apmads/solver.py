@@ -14,7 +14,6 @@ A run is strictly sequential. Independent runs (across seeds, problems or
 variants) share no state and may execute in parallel.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -95,12 +94,13 @@ class SolverConfig:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """One row of the run log.
 
     ``delta_p``, ``delta_m`` and ``r`` are the values used during the
     iteration; ``draws`` and the incumbent fields are taken at its end.
+    The class has slots, so it holds only these fields.
     """
 
     k: int
@@ -457,13 +457,11 @@ def run_fixed_precision_baseline(
 #
 # Fixed header: k,draws,inc0..inc{n-1},f_inc,sig_inc,delta_p,delta_m,r,p,status,
 # cache_size. Floats use 17 significant digits so a parsed log replays the
-# original values exactly.
+# original values exactly. Both directions work a column (or a row) at a
+# time rather than a field at a time: a log is thousands of rows.
 
 _FIXED_COLUMNS_AFTER_COORDS = 8
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+_STATUS = {status.value: status for status in IterationStatus}
 
 
 def log_header(dimension: int) -> str:
@@ -471,23 +469,30 @@ def log_header(dimension: int) -> str:
     return f"k,draws,{coords},f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size"
 
 
-def format_record(rec: IterationRecord) -> str:
-    coords = ",".join(_fmt(c) for c in rec.incumbent)
-    return (
-        f"{rec.k},{_fmt(rec.draws)},{coords},{_fmt(rec.f_inc)},{_fmt(rec.sig_inc)},"
-        f"{_fmt(rec.delta_p)},{_fmt(rec.delta_m)},{_fmt(rec.r)},{_fmt(rec.p)},"
-        f"{rec.status.value},{rec.cache_size}"
-    )
-
-
 def log_to_csv(records: list[IterationRecord], dimension: int | None = None) -> str:
+    """The run log as CSV text: the header, then one row per record.
+
+    Every incumbent must have ``dimension`` coordinates (by default, as
+    many as the first record's).
+    """
     if dimension is None:
         if not records:
             raise InvalidInputError("cannot infer dimension from an empty log")
         dimension = len(records[0].incumbent)
-    lines = [log_header(dimension)]
-    lines.extend(format_record(rec) for rec in records)
-    return "\n".join(lines) + "\n"
+    # one %-template per log: fills a row faster than a format call per field
+    row = "%s,%.17g," + "%.17g," * dimension + "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s"
+    try:
+        rows = [
+            row % (rec.k, rec.draws, *rec.incumbent, rec.f_inc, rec.sig_inc, rec.delta_p,
+                   rec.delta_m, rec.r, rec.p, rec.status.value, rec.cache_size)
+            for rec in records
+        ]
+    except TypeError as exc:
+        raise InvalidInputError(
+            f"a record does not fit a log row with {dimension} coordinates: {exc}"
+        ) from None
+    rows.append("")
+    return log_header(dimension) + "\n" + "\n".join(rows)
 
 
 def write_log(records: list[IterationRecord], path, dimension: int | None = None) -> None:
@@ -496,35 +501,63 @@ def write_log(records: list[IterationRecord], path, dimension: int | None = None
 
 
 def parse_log(text: str) -> list[IterationRecord]:
-    """Parse a run-log CSV back into records, losslessly."""
-    lines = [ln for ln in io.StringIO(text).read().splitlines() if ln]
+    """Parse a run-log CSV back into records, losslessly.
+
+    Blank lines are skipped. An empty log, an unrecognised header, and a
+    row with the wrong number of fields, a field that does not parse (an
+    integer for ``k`` and ``cache_size``, a float elsewhere) or an unknown
+    status all raise ``InvalidInputError``; a bad row is named by its line
+    number.
+    """
+    lines = [ln for ln in text.splitlines() if ln]
     if not lines:
         raise InvalidInputError("empty log")
     header = lines[0].split(",")
-    n = len(header) - 2 - _FIXED_COLUMNS_AFTER_COORDS
+    width = len(header)
+    n = width - 2 - _FIXED_COLUMNS_AFTER_COORDS
     if n < 1 or header[:2] != ["k", "draws"] or header[-1] != "cache_size":
         raise InvalidInputError(f"unrecognised log header: {lines[0]!r}")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise InvalidInputError(f"malformed log row: {line!r}")
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                draws=float(parts[1]),
-                incumbent=tuple(float(c) for c in parts[2 : 2 + n]),
-                f_inc=float(parts[2 + n]),
-                sig_inc=float(parts[3 + n]),
-                delta_p=float(parts[4 + n]),
-                delta_m=float(parts[5 + n]),
-                r=float(parts[6 + n]),
-                p=float(parts[7 + n]),
-                status=IterationStatus(parts[8 + n]),
-                cache_size=int(parts[9 + n]),
-            )
-        )
+    rows = [ln.split(",") for ln in lines[1:]]
+    if not rows:
+        return []
+    if any(len(row) != width for row in rows):
+        raise _row_error(text, header)
+    columns = list(zip(*rows))
+    try:
+        records = list(map(
+            IterationRecord,
+            map(int, columns[0]),
+            map(float, columns[1]),
+            zip(*[map(float, col) for col in columns[2 : 2 + n]]),
+            *[map(float, col) for col in columns[2 + n : 8 + n]],
+            map(_STATUS.__getitem__, columns[8 + n]),
+            map(int, columns[9 + n]),
+        ))
+    except (KeyError, ValueError):
+        raise _row_error(text, header) from None
     return records
+
+
+def _row_error(text: str, header: list[str]) -> InvalidInputError:
+    """The error naming the first row of ``text`` that does not parse."""
+    parsers = [int] + [float] * (len(header) - 3) + [_STATUS.__getitem__, int]
+    rows = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln)
+    next(rows)  # the header
+    for lineno, line in rows:
+        parts = line.split(",")
+        problem = None
+        if len(parts) != len(header):
+            problem = f"expected {len(header)} fields, got {len(parts)}"
+        else:
+            for name, parse, part in zip(header, parsers, parts):
+                try:
+                    parse(part)
+                except (KeyError, ValueError):
+                    problem = f"bad {name} {part!r}"
+                    break
+        if problem is not None:
+            return InvalidInputError(f"malformed log row at line {lineno}: {problem}: {line!r}")
+    raise AssertionError("parse_log failed on a log whose rows all parse")
 
 
 def read_log(path) -> list[IterationRecord]:

@@ -5,6 +5,8 @@ oracle integrates the density by quadrature, the estimator oracle is a
 direct brute-force weighted least squares, and positive spanning is
 verified directionally on a dense sphere sample. ``cache_state`` reads
 an evaluation cache whole, to compare two routes to the same state.
+``log_rows_fieldwise`` and ``parse_log_rowwise`` are the run-log writer
+and reader one field at a time, the reference for the column-wise ones.
 """
 
 import math
@@ -100,3 +102,42 @@ def cache_state(cache) -> tuple:
         sigk.tobytes(),
         [cache.feasible_at(i) for i in rows],
     )
+
+
+def log_rows_fieldwise(records) -> list[str]:
+    """The data rows of a run log, one ``format(x, ".17g")`` per float field."""
+    def fmt(x):
+        return format(x, ".17g")
+
+    return [
+        ",".join([str(rec.k), fmt(rec.draws), *map(fmt, rec.incumbent), fmt(rec.f_inc),
+                  fmt(rec.sig_inc), fmt(rec.delta_p), fmt(rec.delta_m), fmt(rec.r),
+                  fmt(rec.p), rec.status.value, str(rec.cache_size)])
+        for rec in records
+    ]
+
+
+def parse_log_rowwise(text: str) -> list:
+    """A run log's records, parsed row by row and field by field."""
+    from apmads.mesh import IterationStatus
+    from apmads.solver import IterationRecord
+
+    lines = [ln for ln in text.splitlines() if ln]
+    n = len(lines[0].split(",")) - 10
+    records = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        records.append(IterationRecord(
+            k=int(parts[0]),
+            draws=float(parts[1]),
+            incumbent=tuple(float(c) for c in parts[2 : 2 + n]),
+            f_inc=float(parts[2 + n]),
+            sig_inc=float(parts[3 + n]),
+            delta_p=float(parts[4 + n]),
+            delta_m=float(parts[5 + n]),
+            r=float(parts[6 + n]),
+            p=float(parts[7 + n]),
+            status=IterationStatus(parts[8 + n]),
+            cache_size=int(parts[9 + n]),
+        ))
+    return records

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import apmads.blackbox
 from apmads import InvalidInputError, InvalidSigmaError, problem_registry
 from apmads.blackbox import NoisyBlackbox, Observation, draws_for_sigma
 from apmads.problems import moustache_half_width, moustache_ridge
@@ -174,6 +175,24 @@ def test_observe_batch_calls_truth_and_feasible_once_per_point():
     bb, calls = counting_blackbox()
     bb.observe_batch(np.array(BATCH), BATCH_SIGMAS, np.random.default_rng(0))
     assert calls == {"truth": 3, "feasible": len(BATCH)}
+
+
+def test_observe_batch_costs_each_distinct_sigma_once(monkeypatch):
+    costed = []
+
+    def counting(sigma):
+        costed.append(sigma)
+        return draws_for_sigma(sigma)
+
+    monkeypatch.setattr(apmads.blackbox, "draws_for_sigma", counting)
+    bb = problem_registry("norm2").blackbox()
+    sigmas = [0.5, 0.25, 0.5, 0.5, 0.25, 0.125]
+    coords = np.array([(float(i), 0.0) for i in range(len(sigmas))])
+    bb.observe_batch(coords, sigmas, np.random.default_rng(0))
+    assert costed == [0.5, 0.25, 0.125]
+    assert list(bb.ledger.sigmas) == sigmas
+    assert list(bb.ledger.draws) == [4.0, 16.0, 4.0, 4.0, 16.0, 64.0]
+    assert bb.ledger.total_draws == 108.0
 
 
 def test_observe_batch_infeasible_points_consume_no_randomness():

@@ -128,6 +128,18 @@ def test_profile_rejects_unparseable_names(tmp_path, capsys):
     assert "cannot infer" in capsys.readouterr().err
 
 
+def test_profile_on_a_malformed_log_exits_2(tmp_path, capsys):
+    log = tmp_path / "norm2__dpmads__s0.csv"
+    log.write_text(
+        "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size\n"
+        "1,44,0.5,-1,2.5,0.25,1,1,0,0.75,Z,5\n"
+    )
+    code = main(["profile", str(log), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed log row at line 2: bad status 'Z'" in err
+
+
 def test_validate_ok_and_corrupted(tmp_path, capsys):
     log = tmp_path / "norm2__mpmads__s0.csv"
     main(["run", "--problem", "norm2", "--algo", "mpmads", "--seed", "0",

@@ -379,3 +379,28 @@ def test_record_batch_rejects_mixed_dimensions():
         cache.record((1.0, 2.0, 3.0), obs(1.0, 1.0))
     assert len(cache) == 1
     assert (1.0, 2.0, 3.0) not in cache
+
+
+@pytest.mark.parametrize("point", [("a", 1.0), (None, 0.0), (0.0, "b"), 5, "ab"])
+def test_key_rejects_non_numeric_points(point):
+    cache = EvaluationCache()
+    with pytest.raises(InvalidInputError, match="sequence of numbers"):
+        cache.key(point)
+    with pytest.raises(InvalidInputError):
+        cache.record(point, obs(1.0, 1.0))
+    assert len(cache) == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_record_rejects_non_finite_points_before_writing(bad):
+    cache = EvaluationCache()
+    with pytest.raises(InvalidInputError, match="non-finite coordinate"):
+        cache.record((bad, 1.0), obs(1.0, 1.0))
+    assert len(cache) == 0
+    with pytest.raises(NoIncumbentError):
+        cache.incumbent()
+    cache.record((0.0, 1.0), obs(2.0, 1.0))
+    with pytest.raises(InvalidInputError):
+        cache.record((1.0, bad), obs(-5.0, 1.0))
+    assert len(cache) == 1
+    assert cache.incumbent() == (0.0, 1.0)

@@ -20,7 +20,9 @@ from apmads import (
     problem_registry,
     run,
     run_fixed_precision_baseline,
+    write_log,
 )
+from apmads.cli import main
 from apmads.problems import norm2_feasible, norm2_truth
 
 SIGMA_FIXED = 1e-3
@@ -127,3 +129,68 @@ def test_golden_log_is_byte_identical(key):
     out = golden_run(key)
     assert hashlib.sha256(log_to_csv(out.records).encode()).hexdigest() == DIGESTS[key]
     assert out.stop_reason == CASES[key][-1]
+
+
+# --- golden profile outputs ---------------------------------------------------
+#
+# ``apmads profile --tau 1e-2 1e-3`` over the logs of the paper cases
+# ({norm2, moustache} x {dp, mp, fixed} x seeds 0-2): every CSV it writes
+# is pinned by its sha256, so changes to log I/O and profile computation
+# must reproduce the outputs byte for byte.
+
+PAPER_CASES = [
+    key for key, (problem, _, _, overrides, _) in CASES.items()
+    if problem in ("norm2", "moustache") and not overrides
+]
+_CLI_ALGO = {"dp": "dpmads", "mp": "mpmads", "fixed": "fixed"}
+
+PROFILE_DIGESTS = {
+    "acc.csv": "95b5ec2f669fcd499779169fff6034aae8f37b95477e20604d0884043425d652",
+    "perf_tau0.01.csv": "92f8b23ca7d8f76a82e3261863864af8c084c76348e332887cc6935fbf9e3e37",
+    "perf_tau0.001.csv": "6f93c06967fd6e22f6c82ea3233dfcda5f0a67a50c4bc1a8018b4d3a177dc889",
+    "data_tau0.01.csv": "4eeef83951e280a718fc011b5395b71028102d7046af7db3bab8dec5a2e45c2e",
+    "data_tau0.001.csv": "26db3f35e40d74d60c3bb6d9a1c028289fdf853a16cfaa7559d258ef9b7d6999",
+    "conv__norm2__dpmads__s0.csv": "6a8e58886fe67ff341d8ecd97872d6f445b6c3ea61e77143f85762cdb8c55b86",
+    "conv__norm2__dpmads__s1.csv": "15b2b0a9b54381df24e7217e9e8f41ff709b00e83bf6da4cd06620445d055a89",
+    "conv__norm2__dpmads__s2.csv": "4e71ee50ecfa17f08b78f13cb0d11ddfe82f2e1faab0e11bebc51cc85dc96faf",
+    "conv__norm2__mpmads__s0.csv": "0a761ad3a02363ea5da928579899dcd8aa2339645cd0ecdf72e0acbea71f6933",
+    "conv__norm2__mpmads__s1.csv": "91ea12073da78d066ecfba2ef480c64fc17fea0994dd18e9e08a5c60da373703",
+    "conv__norm2__mpmads__s2.csv": "e9d5e0812e480a2cf6884ced54cd4c0eecf190871ceb26dc17e572635f036e0f",
+    "conv__norm2__fixed__s0.csv": "d9f073ba638131aed061e8e3d2d743bdbbe2b8494c4f60e7f8fb6c0113b94867",
+    "conv__norm2__fixed__s1.csv": "e4bc115590fa47d950b5720075a9247cb4d108cc0e68e68e891378ebd793b866",
+    "conv__norm2__fixed__s2.csv": "73fac00fcf08ea22bbea786a1970b00a91504154a8a6ed6a9d95b08e6e594969",
+    "conv__moustache__dpmads__s0.csv": "a8b3d6b08800bac3e80a12a92630c4ca010747275313c10dec612a0328455bf4",
+    "conv__moustache__dpmads__s1.csv": "a8b61a267e003d1328da41eb0b025e39d84a045693e8929d03ece82bcc097960",
+    "conv__moustache__dpmads__s2.csv": "a5500ec7992e24295357327985cf2921bcec513e64641427c9544abb6575786c",
+    "conv__moustache__mpmads__s0.csv": "991280f314d8811dcf146306599f5ff5c78e2d1fed0d13bbf86feea494cb78fb",
+    "conv__moustache__mpmads__s1.csv": "a89d358399d9db402981698ea643bbacefae7101b89a803152ef3392be8c0547",
+    "conv__moustache__mpmads__s2.csv": "6698d3029b36e04ce51330f2fb084198896620cfc95f0b91364c935ee64227ac",
+    "conv__moustache__fixed__s0.csv": "15c063f9054cdf513dbe05f9289ac9276f9b1124d4d659995e9f2025ea82e682",
+    "conv__moustache__fixed__s1.csv": "ec0d2605447f2e17522f1937ca807bfa4875173c04e95c89cb88b89282d43c55",
+    "conv__moustache__fixed__s2.csv": "6bb22a1dd3685370a5dfc75a0a445c3c34ea85010fec0e85fee6008be417034b",
+}
+
+
+@pytest.fixture(scope="module")
+def profile_outputs(tmp_path_factory):
+    assert len(PAPER_CASES) == 18
+    root = tmp_path_factory.mktemp("golden-profile")
+    logs = []
+    for key in PAPER_CASES:
+        problem, algo, seed, _, _ = CASES[key]
+        path = root / f"{problem}__{_CLI_ALGO[algo]}__s{seed}.csv"
+        write_log(golden_run(key).records, path)
+        logs.append(str(path))
+    out_dir = root / "profile"
+    code = main(["profile", *logs, "--tau", "1e-2", "1e-3", "--out-dir", str(out_dir)])
+    assert code == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
+def test_profile_writes_exactly_the_pinned_files(profile_outputs):
+    assert sorted(profile_outputs) == sorted(PROFILE_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
+def test_golden_profile_output_is_byte_identical(profile_outputs, name):
+    assert profile_outputs[name] == PROFILE_DIGESTS[name]

@@ -85,6 +85,19 @@ def test_accuracy_best_so_far_monotone_despite_regression():
     assert all(b >= a for a, b in zip(facc, facc[1:]))
 
 
+def test_accuracy_curve_is_computed_once_per_result():
+    res = synthetic_result("a", 0, [(10.0, -1.0), (100.0, -5.0)])
+    fresh = synthetic_result("a", 0, [(10.0, -1.0), (100.0, -5.0)])
+    curve = accuracy_curve(res)
+    accuracy_csv([res])
+    budget_to_solve(res, 0.5)
+    assert accuracy_curve(res) is curve
+    budgets, facc = curve
+    assert not budgets.flags.writeable and not facc.flags.writeable
+    assert res == fresh  # the kept curve takes no part in equality
+    assert "_curve" not in repr(res)
+
+
 def test_accuracy_degenerate_normalisation():
     res = synthetic_result("a", 0, [(10.0, 0.0)])
     res.best_truth = 0.0

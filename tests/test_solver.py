@@ -14,6 +14,7 @@ import apmads.solver
 from apmads import (
     ConfigError,
     InfeasibleStartError,
+    InvalidInputError,
     InvalidSigmaError,
     RhoParams,
     SolverConfig,
@@ -30,7 +31,7 @@ from apmads.normal import phi_inv
 from apmads.precision import PrecisionPolicy, rho
 from apmads.solver import observe_points, plausible_rows, poll_step, search_step
 
-from oracles import cache_state
+from oracles import cache_state, log_rows_fieldwise, parse_log_rowwise
 
 
 class StubRng:
@@ -465,6 +466,109 @@ def test_log_round_trip_is_lossless():
     parsed = parse_log(text)
     assert parsed == out.records
     assert log_to_csv(parsed) == text
+
+
+HEADER = "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size"
+ROW = "1,44,0.5,-1,2.5,0.25,1,1,0,0.75,S,5"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,x,0.5,-1,2.5,0.25,1,1,0,0.75,S,5", "bad draws 'x'"),
+        ("1,44,0.5,-1,2.5,0.25,1,1,0,0.75,Z,5", "bad status 'Z'"),
+        ("1.5,44,0.5,-1,2.5,0.25,1,1,0,0.75,S,5", "bad k '1.5'"),
+        ("1,44,0.5,-1,2.5,0.25,1,1,0,0.75,S,5.0", "bad cache_size '5.0'"),
+        ("1,44,0.5,2.5,0.25,1,1,0,0.75,S,5", "expected 12 fields, got 11"),
+        (ROW + ",7", "expected 12 fields, got 13"),
+    ],
+)
+def test_parse_log_names_the_malformed_row(row, message):
+    # the bad row follows a good one and a blank line: line 4 of the text
+    text = f"{HEADER}\n{ROW}\n\n{row}\n{ROW}\n"
+    with pytest.raises(InvalidInputError, match="line 4") as err:
+        parse_log(text)
+    assert message in str(err.value)
+    assert row in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_parse_log_rejects_an_empty_log(text):
+    with pytest.raises(InvalidInputError, match="empty log"):
+        parse_log(text)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["draws,k,inc0,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size",
+     "k,draws,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size",
+     HEADER + ",extra"],
+)
+def test_parse_log_rejects_a_bad_header(header):
+    with pytest.raises(InvalidInputError, match="unrecognised log header"):
+        parse_log(f"{header}\n{ROW}\n")
+
+
+def test_parse_log_of_a_header_alone_is_empty():
+    assert parse_log(HEADER + "\n") == []
+    assert log_to_csv([], dimension=2) == HEADER + "\n"
+
+
+def test_log_to_csv_rejects_an_incumbent_of_the_wrong_width():
+    rec = parse_log(f"{HEADER}\n{ROW}\n")[0]
+    with pytest.raises(InvalidInputError, match="log row with 3 coordinates"):
+        log_to_csv([rec], dimension=3)
+
+
+def test_iteration_record_has_no_ad_hoc_attributes():
+    rec = parse_log(f"{HEADER}\n{ROW}\n")[0]
+    with pytest.raises(AttributeError):
+        rec.note = "x"
+
+
+LOG_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+                     -1e308, 1.7976931348623157e308, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def log_records(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 6))
+    records = [
+        apmads.solver.IterationRecord(
+            k=draw(st.integers(-(2**70), 2**70)),
+            draws=draw(st.one_of(st.just(math.inf), LOG_FLOATS)),
+            incumbent=tuple(draw(LOG_FLOATS) for _ in range(n)),
+            f_inc=draw(LOG_FLOATS),
+            sig_inc=draw(LOG_FLOATS),
+            delta_p=draw(LOG_FLOATS),
+            delta_m=draw(LOG_FLOATS),
+            r=draw(LOG_FLOATS),
+            p=draw(LOG_FLOATS),
+            status=draw(st.sampled_from(IterationStatus)),
+            cache_size=draw(st.integers(0, 2**70)),
+        )
+        for _ in range(count)
+    ]
+    return n, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_records())
+def test_log_round_trip_property(case):
+    n, records = case
+    text = log_to_csv(records, dimension=n)
+    assert text.splitlines()[1:] == log_rows_fieldwise(records)
+    parsed = parse_log(text)
+    assert parsed == records == parse_log_rowwise(text)
+    assert log_to_csv(parsed, dimension=n) == text
+    # -0.0 == 0.0, so compare the signs too
+    assert [math.copysign(1.0, c) for rec in parsed for c in rec.incumbent] == [
+        math.copysign(1.0, c) for rec in records for c in rec.incumbent
+    ]
 
 
 def test_stop_delta_p_override():
