@@ -61,25 +61,23 @@ class Observation:
 class DrawLedger:
     """Exact running account of the equivalent Monte-Carlo draws consumed.
 
-    ``total_draws`` is the running sum in charge order; the columns
-    ``sigmas`` and ``draws`` hold one entry per charged observation.
+    ``total_draws`` is the running sum in charge order; ``sigmas`` holds
+    one entry per charged observation, which cost ``draws_for_sigma(sigma)``.
     """
 
     total_draws: float = 0.0
     sigmas: array = field(default_factory=lambda: array("d"))
-    draws: array = field(default_factory=lambda: array("d"))
 
     def __len__(self) -> int:
-        return len(self.draws)
+        return len(self.sigmas)
 
     def charge_batch(self, sigmas, draws) -> None:
-        """Charge one observation per ``(sigmas[j], draws[j])``, in order."""
+        """Charge one observation at ``sigmas[j]`` costing ``draws[j]``, in order."""
         total = self.total_draws
         for d in draws:
             total += d
         self.total_draws = total
         self.sigmas.extend(sigmas)
-        self.draws.extend(draws)
 
 
 class NoisyBlackbox:

@@ -90,7 +90,7 @@ def _execute_run(problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, fi
     values = dict(file_values or {})
     if algo is None:
         # fall back to the config file's variant, then to the dynamic default
-        algo = {"dp": "dpmads", "mp": "mpmads"}.get(values.get("variant"), "dpmads")
+        algo = {v: a for a, v in _ALGO_VARIANT.items()}.get(values.get("variant"), "dpmads")
     if algo not in ALGOS:
         raise UsageError(f"unknown algo {algo!r}; choose from {', '.join(ALGOS)}")
     problem = problem_registry(problem_name)

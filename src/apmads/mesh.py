@@ -8,7 +8,6 @@ which keeps all mesh arithmetic exact in binary floating point.
 """
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -31,23 +30,11 @@ def mesh_size(delta_p: float) -> float:
     return min(delta_p, delta_p * delta_p)
 
 
-@dataclass(frozen=True, eq=False)
-class PollSet:
-    """2n mesh candidates around a center, with their integer mesh steps.
-
-    ``directions`` holds the steps and ``coords`` the candidates, each as
-    a (2n, n) array: row j of ``coords`` is center + ``delta_m * directions[j]``.
-    """
-
-    center: Point
-    delta_p: float
-    delta_m: float
-    directions: np.ndarray = field(repr=False)
-    coords: np.ndarray = field(repr=False)
-
-
-def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
+def generate_poll(center: Point, delta_p: float, rng) -> np.ndarray:
     """Candidates from a rounded random orthogonal basis, mirrored.
+
+    Returns the (2n, n) array whose row j is center + delta_m * z_j, with
+    delta_m = ``mesh_size(delta_p)`` and z_j the integer mesh steps.
 
     The rows of the Householder reflection of a random unit direction are
     scaled to the frame radius in mesh units and rounded half away from
@@ -78,14 +65,7 @@ def generate_poll(center: Point, delta_p: float, rng) -> PollSet:
         basis = radius * np.eye(n)
 
     steps = np.concatenate((basis, -basis))
-    coords = np.asarray(center, dtype=float) + delta_m * steps
-    return PollSet(
-        center=tuple(center),
-        delta_p=delta_p,
-        delta_m=delta_m,
-        directions=steps,
-        coords=coords,
-    )
+    return np.asarray(center, dtype=float) + delta_m * steps
 
 
 def update_frame(

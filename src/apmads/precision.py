@@ -12,14 +12,20 @@ comparison:
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 from .exceptions import ConfigError, InvalidInputError
 
 # (beta_l, beta_u) of each variant: the monotone variant needs near
 # certainty (0.03%, 99.7%) to freeze r, the dynamic one acts at (15%, 85%)
 VARIANT_BETAS = {"mp": (0.0003, 0.997), "dp": (0.15, 0.85)}
-DP_DEFAULT_DECREASE_THRESHOLD = 0.05
+
+
+def check_real(name: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,8 @@ class RhoParams:
     theta: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            check_real(f.name, getattr(self, f.name))
         if not self.sigma_min >= 0:
             raise ConfigError(f"sigma_min must be >= 0, got {self.sigma_min}")
         if not math.isfinite(self.sigma_max) or self.sigma_max <= self.sigma_min:
@@ -63,60 +71,29 @@ def rho(params: RhoParams, r: float) -> float:
     return min(max(value, params.sigma_min), params.sigma_max)
 
 
-@dataclass
-class PrecisionPolicy:
-    """Update policy for the precision index, with its current value.
+def update_r(config, r: float, p: float) -> float:
+    """New precision index after a comparison at index ``r`` with p-value ``p``.
 
-    Unset betas take the variant's defaults (``VARIANT_BETAS``).
-    ``dp_decrease_threshold`` only matters for the dynamic variant: when
-    min(p, 1 - p) falls below it, the comparison is considered decisive
-    enough to pay for a precision decrease.
-    """
-
-    variant: str = "dp"
-    beta_l: float | None = None
-    beta_u: float | None = None
-    dp_decrease_threshold: float = DP_DEFAULT_DECREASE_THRESHOLD
-    r: float = 0.0
-
-    def __post_init__(self):
-        if self.variant not in VARIANT_BETAS:
-            raise ConfigError(f"variant must be 'mp' or 'dp', got {self.variant!r}")
-        default_l, default_u = VARIANT_BETAS[self.variant]
-        if self.beta_l is None:
-            self.beta_l = default_l
-        if self.beta_u is None:
-            self.beta_u = default_u
-        if not 0.0 < self.beta_l <= 0.5:
-            raise ConfigError(f"beta_l must lie in (0, 0.5], got {self.beta_l}")
-        if not 0.5 <= self.beta_u < 1.0:
-            raise ConfigError(f"beta_u must lie in [0.5, 1), got {self.beta_u}")
-        if self.variant == "dp" and not 0.0 < self.dp_decrease_threshold < self.beta_l:
-            raise ConfigError(
-                "dp_decrease_threshold must lie in (0, beta_l), got "
-                f"{self.dp_decrease_threshold}"
-            )
-
-
-def update_r(policy: PrecisionPolicy, p: float) -> float:
-    """New precision index after a comparison with p-value ``p``.
-
-    Both variants take unit steps. The increase branch is checked first so
-    the required behaviour inside [beta_l, beta_u] always wins.
+    ``config`` is a ``SolverConfig``: the rule reads its ``variant``,
+    ``beta_l``, ``beta_u`` and ``dp_decrease_threshold``. Both variants
+    take unit steps. The increase branch is checked first so the required
+    behaviour inside [beta_l, beta_u] always wins; the dynamic variant
+    decreases r when min(p, 1 - p) falls below ``dp_decrease_threshold``,
+    a comparison decisive enough to pay for less precision.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"p must lie in [0, 1], got {p}")
-    if policy.beta_l <= p <= policy.beta_u:
-        return policy.r + 1.0
-    if policy.variant == "mp":
-        return policy.r
-    if min(p, 1.0 - p) < policy.dp_decrease_threshold:
-        return policy.r - 1.0
-    return policy.r
+    if config.beta_l <= p <= config.beta_u:
+        return r + 1.0
+    if config.variant == "mp":
+        return r
+    if min(p, 1.0 - p) < config.dp_decrease_threshold:
+        return r - 1.0
+    return r
 
 
-def check_condition(policy: PrecisionPolicy, r_old: float, r_new: float, p: float) -> bool:
-    """Whether an (r_old -> r_new) update is legal for the policy's variant.
+def check_condition(config, r_old: float, r_new: float, p: float) -> bool:
+    """Whether an (r_old -> r_new) update is legal for ``config``'s variant.
 
     The dynamic condition requires a strict increase whenever p lies inside
     [beta_l, beta_u]; the monotone condition additionally freezes r outside
@@ -124,9 +101,9 @@ def check_condition(policy: PrecisionPolicy, r_old: float, r_new: float, p: floa
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"p must lie in [0, 1], got {p}")
-    inside = policy.beta_l <= p <= policy.beta_u
+    inside = config.beta_l <= p <= config.beta_u
     if inside and not r_new > r_old:
         return False
-    if policy.variant == "mp" and not inside and r_new != r_old:
+    if config.variant == "mp" and not inside and r_new != r_old:
         return False
     return True

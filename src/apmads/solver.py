@@ -15,6 +15,7 @@ variants) share no state and may execute in parallel.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,33 +29,29 @@ from .exceptions import (
     InvalidSigmaError,
     NoIncumbentError,
 )
-from .mesh import IterationStatus, PollSet, generate_poll, update_frame
+from .mesh import IterationStatus, generate_poll, mesh_size, update_frame
 from .normal import p_value, phi_inv
-from .precision import (
-    DP_DEFAULT_DECREASE_THRESHOLD,
-    PrecisionPolicy,
-    RhoParams,
-    rho,
-    update_r,
-)
+from .precision import VARIANT_BETAS, RhoParams, check_real, rho, update_r
 from .problems import ProblemDef
 
 
 @dataclass
 class SolverConfig:
-    """Run parameters. Unset policy fields default per variant.
+    """Run parameters. Unset betas and ``search_enabled`` default per variant.
 
-    The betas come from ``PrecisionPolicy``'s per-variant table; the search
-    step is enabled for the dynamic variant only. A disabled search
-    requires sigma_min = 0, since the poll alone can then never push an
-    estimate below sigma_min.
+    The betas come from ``precision.VARIANT_BETAS``; the search step is
+    enabled for the dynamic variant only. A disabled search requires
+    sigma_min = 0, since the poll alone can then never push an estimate
+    below sigma_min. ``dp_decrease_threshold`` matters for the dynamic
+    variant only (see ``precision.update_r``) and must lie in (0, beta_l).
+    A field of the wrong type or out of range raises ``ConfigError``.
     """
 
     variant: str = "dp"
     rho_params: RhoParams = field(default_factory=RhoParams)
     beta_l: float | None = None
     beta_u: float | None = None
-    dp_decrease_threshold: float = DP_DEFAULT_DECREASE_THRESHOLD
+    dp_decrease_threshold: float = 0.05
     search_enabled: bool | None = None
     r_s: float = -5.0
     tau: float = 0.25
@@ -66,10 +63,38 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        policy = self.policy()  # validates the variant and the betas
-        self.beta_l, self.beta_u = policy.beta_l, policy.beta_u
+        if self.variant not in VARIANT_BETAS:
+            raise ConfigError(f"variant must be 'mp' or 'dp', got {self.variant!r}")
+        default_l, default_u = VARIANT_BETAS[self.variant]
+        self.beta_l = default_l if self.beta_l is None else self.beta_l
+        self.beta_u = default_u if self.beta_u is None else self.beta_u
+        for name in ("beta_l", "beta_u", "dp_decrease_threshold", "r_s", "tau",
+                     "delta_p0", "r_init", "stop_draws"):
+            check_real(name, getattr(self, name))
+        if self.stop_delta_p is not None:
+            check_real("stop_delta_p", self.stop_delta_p)
+        for name in ("max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
         if self.search_enabled is None:
             self.search_enabled = self.variant == "dp"
+        if not isinstance(self.search_enabled, bool):
+            raise ConfigError(
+                f"search_enabled must be true or false, got {self.search_enabled!r}"
+            )
+        if not 0.0 < self.beta_l <= 0.5:
+            raise ConfigError(f"beta_l must lie in (0, 0.5], got {self.beta_l}")
+        if not 0.5 <= self.beta_u < 1.0:
+            raise ConfigError(f"beta_u must lie in [0.5, 1), got {self.beta_u}")
+        if self.variant == "dp" and not 0.0 < self.dp_decrease_threshold < self.beta_l:
+            raise ConfigError(
+                "dp_decrease_threshold must lie in (0, beta_l), got "
+                f"{self.dp_decrease_threshold}"
+            )
+        for name in ("r_s", "r_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.search_enabled and self.rho_params.sigma_min != 0.0:
             raise ConfigError(
                 "sigma_min must be 0 when the search step is disabled "
@@ -83,15 +108,6 @@ class SolverConfig:
             raise ConfigError(f"stop_delta_p must be positive, got {self.stop_delta_p}")
         if not self.stop_draws >= 0:
             raise ConfigError(f"stop_draws must be >= 0, got {self.stop_draws}")
-
-    def policy(self) -> PrecisionPolicy:
-        return PrecisionPolicy(
-            variant=self.variant,
-            beta_l=self.beta_l,
-            beta_u=self.beta_u,
-            dp_decrease_threshold=self.dp_decrease_threshold,
-            r=self.r_init,
-        )
 
 
 @dataclass(slots=True)
@@ -219,22 +235,22 @@ def poll_step(
     cache: EvaluationCache,
     blackbox: NoisyBlackbox,
     rng,
-) -> tuple[Point | None, IterationStatus, PollSet]:
+) -> tuple[Point | None, IterationStatus, np.ndarray]:
     """One poll around ``center`` at precision target rho(r).
 
     The center and every feasible candidate whose estimate is looser than
     the target receive new observations. Returns the best candidate (None
     exactly when no candidate is feasible), the iteration status, and the
-    generated poll set.
+    ``(2n, n)`` array of candidates that ``generate_poll`` returned.
     """
     sigma_target = rho(rho_params, r)
-    poll = generate_poll(center, delta_p, rng)
+    coords = generate_poll(center, delta_p, rng)
     rows = observe_points(
-        cache, blackbox, np.concatenate(([center], poll.coords)),
+        cache, blackbox, np.concatenate(([center], coords)),
         _tightening_sigma(cache, sigma_target, blackbox.sigma_max), rng,
     )
     best, status = _poll_outcome(cache, rows)
-    return best, status, poll
+    return best, status, coords
 
 
 def plausible_rows(fk, sigk, f_inc: float, sig_inc: float, z_min: float) -> np.ndarray:
@@ -335,8 +351,8 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
     """The iteration loop shared by every algorithm; ``step`` is its rule.
 
     ``step(cache, incumbent, delta_p, rng)`` runs one iteration's
-    observations and returns ``(status, poll, r, p)``, with
-    ``r`` the precision index the iteration used. It returns None instead,
+    observations and returns ``(status, r, p)``, with ``r`` the precision
+    index the iteration used. It returns None instead,
     observing nothing, when the iteration's target sigma has no finite
     draw cost. The loop owns the start check, the stopping rules, the log
     and the frame update.
@@ -362,7 +378,7 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
         if outcome is None:
             stop_reason = "precision-floor"
             break
-        status, poll, r, p = outcome
+        status, r, p = outcome
         try:
             incumbent = cache.incumbent()
         except NoIncumbentError:
@@ -372,7 +388,7 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
         f_inc, sig_inc = cache.estimate(incumbent)
         records.append(IterationRecord(
             k=k, draws=ledger.total_draws, incumbent=incumbent, f_inc=f_inc,
-            sig_inc=sig_inc, delta_p=delta_p, delta_m=poll.delta_m, r=r, p=p,
+            sig_inc=sig_inc, delta_p=delta_p, delta_m=mesh_size(delta_p), r=r, p=p,
             status=status, cache_size=len(cache),
         ))
         delta_p = update_frame(delta_p, status, p, config.beta_l, config.beta_u)
@@ -401,10 +417,11 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
             f"precision index {floor} is past the precision floor: "
             f"rho = {rho(config.rho_params, floor)} has no finite draw cost"
         )
-    policy = config.policy()
+    r_next = config.r_init
 
     def step(cache, incumbent, delta_p, rng):
-        r = policy.r
+        nonlocal r_next
+        r = r_next
         if _past_precision_floor(config, r) is not None:
             return None
         x_s = incumbent
@@ -413,12 +430,12 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
                 cache, incumbent, r, config.rho_params, config.r_s, config.tau,
                 blackbox, rng,
             )
-        x_c, status, poll = poll_step(x_s, delta_p, r, config.rho_params, cache, blackbox, rng)
+        x_c, status, _ = poll_step(x_s, delta_p, r, config.rho_params, cache, blackbox, rng)
         p = 0.0
         if status is not IterationStatus.BARRIER and not cache.overflowed:
             p = p_value(cache, x_c, x_s)
-            policy.r = update_r(policy, p)
-        return status, poll, r, p
+            r_next = update_r(config, r, p)
+        return status, r, p
 
     return _solve(problem, config, blackbox, step)
 
@@ -445,10 +462,9 @@ def run_fixed_precision_baseline(
     def step(cache, incumbent, delta_p, rng):
         # the center's noise is drawn before the poll direction
         rows = observe_points(cache, blackbox, np.array([incumbent]), once, rng)
-        poll = generate_poll(incumbent, delta_p, rng)
-        rows += observe_points(cache, blackbox, poll.coords, once, rng)
+        rows += observe_points(cache, blackbox, generate_poll(incumbent, delta_p, rng), once, rng)
         _, status = _poll_outcome(cache, rows)
-        return status, poll, 0.0, float(status is IterationStatus.SUCCESS)
+        return status, 0.0, float(status is IterationStatus.SUCCESS)
 
     return _solve(problem, config, blackbox, step)
 

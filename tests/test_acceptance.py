@@ -26,7 +26,7 @@ from apmads import (
 from apmads.blackbox import Observation
 from apmads.estimation import EvaluationCache, combined_sigma, sigma_to_reach
 from apmads.mesh import on_mesh
-from apmads.precision import PrecisionPolicy, check_condition
+from apmads.precision import check_condition
 
 from oracles import ks_critical, weighted_mle
 from test_normal import pvalue_limit_pass_rate, pvalue_uniformity_ks
@@ -149,8 +149,7 @@ def test_criterion_7_condition_conformance(moustache_mp_runs):
         assert conformance_rate("mp", n=10_000) == 1.0
         assert conformance_rate("dp", n=10_000) == 1.0
         # spot-check the checker against a hand-rolled violating rule
-        policy = PrecisionPolicy("dp", r=0.0)
-        assert not check_condition(policy, 0.0, 0.0, 0.5)
+        assert not check_condition(SolverConfig(variant="dp"), 0.0, 0.0, 0.5)
         for res in moustache_mp_runs:
             rs = [rec.r for rec in res.records]
             assert all(b >= a for a, b in zip(rs, rs[1:]))

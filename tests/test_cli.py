@@ -193,7 +193,12 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["delta_p0 = inf", "stop_draws = nan"])
+@pytest.mark.parametrize("line", [
+    "delta_p0 = inf", "stop_draws = nan",
+    # values of the wrong type
+    "tau = abc", "r_s = abc", "max_iterations = abc", "seed = 1.5", "seed = -1",
+    "max_iterations = nan", "search_enabled = yes",
+])
 def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text(line + "\n")
@@ -227,15 +232,25 @@ def test_cli_flags_override_config_file(tmp_path):
     assert out_c.read_text() != out_a.read_text()
 
 
-def test_bench_parallel_workers(tmp_path):
-    bench_dir = tmp_path / "logs"
-    code = main(
-        ["bench", "--problems", "norm2", "--algos", "dpmads",
-         "--seeds", "0", "1", "2", "3", "--budget", "1e4", "--workers", "2",
-         "--out-dir", str(bench_dir)]
-    )
-    assert code == 0
-    assert len(list(bench_dir.glob("norm2__dpmads__s*.csv"))) == 4
+def test_bench_parallel_workers(tmp_path, monkeypatch):
+    def bench(workers):
+        # a relative --out-dir in a fresh directory: the manifest's paths
+        # are the same for both runs
+        run_dir = tmp_path / f"workers{workers}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code = main(
+            ["bench", "--problems", "norm2", "--algos", "dpmads",
+             "--seeds", "0", "1", "2", "3", "--budget", "1e4", "--workers", workers,
+             "--out-dir", "logs"]
+        )
+        assert code == 0
+        return {path.name: path.read_bytes() for path in (run_dir / "logs").iterdir()}
+
+    parallel = bench("2")
+    assert sorted(parallel) == ["manifest.csv"] + [f"norm2__dpmads__s{i}.csv" for i in range(4)]
+    # each log and the manifest are independent of the worker count
+    assert bench("1") == parallel
 
 
 def test_bench_workers_capped_at_task_count():

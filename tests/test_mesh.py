@@ -21,28 +21,29 @@ def test_mesh_size():
 
 def test_poll_1d_is_plus_minus_one():
     rng = np.random.default_rng(0)
-    poll = generate_poll((3.0,), 1.0, rng)
-    assert set(map(tuple, poll.coords.tolist())) == {(2.0,), (4.0,)}
-    assert positively_spans(poll.directions)
+    coords = generate_poll((3.0,), 1.0, rng)
+    assert set(map(tuple, coords.tolist())) == {(2.0,), (4.0,)}
+    assert positively_spans(coords - 3.0)
 
 
 def test_poll_2d_unit_frame():
     rng = np.random.default_rng(1)
-    poll = generate_poll((0.0, 0.0), 1.0, rng)
-    assert poll.coords.shape == (4, 2)
-    assert poll.delta_m == 1.0
-    for z in poll.directions:
+    coords = generate_poll((0.0, 0.0), 1.0, rng)
+    assert coords.shape == (4, 2)
+    # zero centre and power-of-two mesh: the division is exact
+    steps = coords / mesh_size(1.0)
+    for z in steps:
         assert max(abs(c) for c in z) <= 1.0
         assert all(c == int(c) for c in z)
-    assert positively_spans(poll.directions)
+    assert positively_spans(steps)
 
 
 def test_poll_candidates_inside_frame_and_on_mesh():
     rng = np.random.default_rng(2)
     center = (0.5, -1.25)
-    poll = generate_poll(center, 0.5, rng)
-    assert poll.delta_m == 0.25
-    for x in poll.coords.tolist():
+    coords = generate_poll(center, 0.5, rng)
+    assert mesh_size(0.5) == 0.25
+    for x in coords.tolist():
         assert max(abs(a - b) for a, b in zip(x, center)) <= 0.5 + 1e-15
         assert on_mesh(x, center, 0.25)
 
@@ -53,21 +54,19 @@ def test_poll_positive_spanning_property():
         center = tuple(0.0 for _ in range(n))
         for _ in range(100):
             delta_p = float(2.0 ** rng.integers(-8, 3))
-            poll = generate_poll(center, delta_p, rng)
-            assert poll.coords.shape == (2 * n, n)
-            assert positively_spans(poll.directions)
+            coords = generate_poll(center, delta_p, rng)
+            assert coords.shape == (2 * n, n)
+            assert positively_spans(coords / mesh_size(delta_p))
 
 
 def test_poll_respects_frame_for_small_delta():
     rng = np.random.default_rng(3)
     for _ in range(50):
         delta_p = float(2.0 ** rng.integers(-20, 1))
-        poll = generate_poll((1.0, 2.0, 3.0), delta_p, rng)
-        for x in poll.coords.tolist():
-            assert max(abs(a - b) for a, b in zip(x, poll.center)) <= delta_p * (
-                1 + 1e-12
-            )
-            assert on_mesh(x, poll.center, poll.delta_m)
+        center = (1.0, 2.0, 3.0)
+        for x in generate_poll(center, delta_p, rng).tolist():
+            assert max(abs(a - b) for a, b in zip(x, center)) <= delta_p * (1 + 1e-12)
+            assert on_mesh(x, center, mesh_size(delta_p))
 
 
 def test_update_frame_rules():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from apmads import ConfigError, InvalidInputError, RhoParams
-from apmads.precision import PrecisionPolicy, check_condition, rho, update_r
+from apmads import ConfigError, InvalidInputError, RhoParams, SolverConfig
+from apmads.precision import check_condition, rho, update_r
 
 
 def test_rho_midpoint_with_illustration_parameters():
@@ -79,50 +79,50 @@ def test_rho_params_validation():
 
 
 def test_policy_defaults_and_validation():
-    mp = PrecisionPolicy("mp")
+    mp = SolverConfig(variant="mp")
     assert (mp.beta_l, mp.beta_u) == (0.0003, 0.997)
-    dp = PrecisionPolicy("dp")
+    dp = SolverConfig(variant="dp")
     assert (dp.beta_l, dp.beta_u) == (0.15, 0.85)
     with pytest.raises(ConfigError):
-        PrecisionPolicy("mp", beta_l=0.0)
+        SolverConfig(variant="mp", beta_l=0.0)
     with pytest.raises(ConfigError):
-        PrecisionPolicy("mp", beta_l=0.6)
+        SolverConfig(variant="mp", beta_l=0.6)
     with pytest.raises(ConfigError):
-        PrecisionPolicy("dp", beta_u=1.0)
+        SolverConfig(variant="dp", beta_u=1.0)
     with pytest.raises(ConfigError):
-        PrecisionPolicy("dp", dp_decrease_threshold=0.2)  # not below beta_l
+        SolverConfig(variant="dp", dp_decrease_threshold=0.2)  # not below beta_l
     with pytest.raises(ConfigError):
-        PrecisionPolicy("xx")
+        SolverConfig(variant="xx")
 
 
 def test_update_r_monotone_variant():
-    policy = PrecisionPolicy("mp", r=3.0)
-    assert update_r(policy, 0.5) == 4.0
-    assert update_r(policy, 0.999) == 3.0
-    assert update_r(policy, 0.0001) == 3.0
+    mp = SolverConfig(variant="mp")
+    assert update_r(mp, 3.0, 0.5) == 4.0
+    assert update_r(mp, 3.0, 0.999) == 3.0
+    assert update_r(mp, 3.0, 0.0001) == 3.0
 
 
 def test_update_r_dynamic_variant():
-    policy = PrecisionPolicy("dp", r=3.0)
-    assert update_r(policy, 0.5) == 4.0  # uncertain: must increase
-    assert update_r(policy, 0.999) == 2.0  # decisively better: can relax
-    assert update_r(policy, 0.001) == 2.0  # decisively worse: can relax
-    assert update_r(policy, 0.9) == 3.0  # outside but not decisive: hold
-    assert update_r(policy, 0.1) == 3.0
+    dp = SolverConfig(variant="dp")
+    assert update_r(dp, 3.0, 0.5) == 4.0  # uncertain: must increase
+    assert update_r(dp, 3.0, 0.999) == 2.0  # decisively better: can relax
+    assert update_r(dp, 3.0, 0.001) == 2.0  # decisively worse: can relax
+    assert update_r(dp, 3.0, 0.9) == 3.0  # outside but not decisive: hold
+    assert update_r(dp, 3.0, 0.1) == 3.0
 
 
 def test_update_r_rejects_bad_p():
     with pytest.raises(InvalidInputError):
-        update_r(PrecisionPolicy("dp"), 1.5)
+        update_r(SolverConfig(variant="dp"), 0.0, 1.5)
     with pytest.raises(InvalidInputError):
-        update_r(PrecisionPolicy("mp"), -0.1)
+        update_r(SolverConfig(variant="mp"), 0.0, -0.1)
 
 
 def test_check_condition_examples():
-    dp = PrecisionPolicy("dp")
+    dp = SolverConfig(variant="dp")
     assert check_condition(dp, 3.0, 4.0, 0.5)
     assert not check_condition(dp, 3.0, 3.0, 0.5)
-    mp = PrecisionPolicy("mp")
+    mp = SolverConfig(variant="mp")
     # p = 0.99 sits inside the monotone interval, so r must increase
     assert not check_condition(mp, 3.0, 2.0, 0.99)
     # outside the interval the monotone variant freezes r
@@ -133,14 +133,15 @@ def test_check_condition_examples():
 def conformance_rate(variant: str, n: int = 10_000, seed: int = 0) -> float:
     """Fraction of random p values whose update satisfies its own condition."""
     rng = np.random.default_rng(seed)
-    policy = PrecisionPolicy(variant, r=0.0)
+    config = SolverConfig(variant=variant)
+    r = 0.0
     ok = 0
     for _ in range(n):
         p = float(rng.uniform(0.0, 1.0))
-        new_r = update_r(policy, p)
-        if check_condition(policy, policy.r, new_r, p):
+        new_r = update_r(config, r, p)
+        if check_condition(config, r, new_r, p):
             ok += 1
-        policy.r = new_r
+        r = new_r
     return ok / n
 
 

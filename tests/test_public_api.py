@@ -64,7 +64,7 @@ def test_star_import_binds_exactly_all():
         ("apmads.blackbox", "NoisyBlackbox"),
         ("apmads.estimation", "EvaluationCache"),
         ("apmads.solver", "search_step"),
-        ("apmads.precision", "PrecisionPolicy"),
+        ("apmads.precision", "update_r"),
         ("apmads.mesh", "generate_poll"),
     ],
 )

@@ -28,7 +28,7 @@ from apmads.blackbox import NoisyBlackbox, Observation, draws_for_sigma
 from apmads.estimation import EvaluationCache, sigma_to_reach
 from apmads.mesh import IterationStatus, generate_poll, on_mesh
 from apmads.normal import phi_inv
-from apmads.precision import PrecisionPolicy, rho
+from apmads.precision import rho
 from apmads.solver import observe_points, plausible_rows, poll_step, search_step
 
 from oracles import cache_state, log_rows_fieldwise, parse_log_rowwise
@@ -54,9 +54,9 @@ def make_blackbox(truth, feasible=lambda x: True, dimension=2):
     return NoisyBlackbox(truth, feasible, dimension)
 
 
-def candidates(poll):
+def candidates(coords):
     """The poll's candidates as tuples, in generation order."""
-    return list(map(tuple, poll.coords.tolist()))
+    return list(map(tuple, coords.tolist()))
 
 
 def test_stub_rng_is_noise_free_with_fixed_direction():
@@ -67,20 +67,19 @@ def test_stub_rng_is_noise_free_with_fixed_direction():
     assert bb.observe((3.0, 4.0), 0.5, StubRng()).value == 5.0
     first = generate_poll((0.0, 0.0), 1.0, StubRng())
     again = generate_poll((0.0, 0.0), 1.0, StubRng())
-    assert np.array_equal(again.directions, first.directions)
-    assert np.array_equal(again.coords, first.coords)
+    assert np.array_equal(again, first)
 
 
 def test_poll_step_barrier_when_no_candidate_feasible():
     center = (0.0, 0.0)
     bb = make_blackbox(lambda x: 0.0, feasible=lambda x: x == center)
     cache = EvaluationCache()
-    x_c, status, poll = poll_step(
+    x_c, status, coords = poll_step(
         center, 1.0, 0.0, RhoParams(), cache, bb, np.random.default_rng(0)
     )
     assert status is IterationStatus.BARRIER
     assert x_c is None
-    assert all(not cache.feasible_at(cache.row(x)) for x in candidates(poll))
+    assert all(not cache.feasible_at(cache.row(x)) for x in candidates(coords))
     # barrier candidates cost nothing; only the center was observed
     assert len(bb.ledger) == 1
 
@@ -88,10 +87,10 @@ def test_poll_step_barrier_when_no_candidate_feasible():
 def test_poll_step_success_and_generation_order_tiebreak():
     bb = make_blackbox(lambda x: math.hypot(*x))
     cache = EvaluationCache()
-    x_c, status, poll = poll_step((1.0, 1.0), 1.0, 0.0, RhoParams(), cache, bb, StubRng())
+    x_c, status, coords = poll_step((1.0, 1.0), 1.0, 0.0, RhoParams(), cache, bb, StubRng())
     assert status is IterationStatus.SUCCESS
     # noise-free: both (1,0) and (0,1) estimate to 1; the first generated wins
-    assert x_c == candidates(poll)[0]
+    assert x_c == candidates(coords)[0]
     assert cache.estimate(x_c)[0] < cache.estimate((1.0, 1.0))[0]
 
 
@@ -108,9 +107,9 @@ def test_poll_step_skips_already_precise_center():
     cache = EvaluationCache()
     center = (0.0, 0.0)
     cache.record(center, Observation(1.0, 0.01))  # tighter than rho(0) = 0.5
-    _, _, poll = poll_step(center, 1.0, 0.0, RhoParams(), cache, bb, StubRng())
+    _, _, coords = poll_step(center, 1.0, 0.0, RhoParams(), cache, bb, StubRng())
     # one charge per candidate, none for the center
-    assert len(bb.ledger) == len(poll.coords)
+    assert len(bb.ledger) == len(coords)
     assert cache.estimate(center) == (1.0, 0.01)
 
 
@@ -120,9 +119,9 @@ def test_poll_step_enforces_sigma_target():
     rng = np.random.default_rng(5)
     params = RhoParams()
     for r in (0.0, 3.0, 7.0):
-        _, _, poll = poll_step((1.0, 1.0), 0.5, r, params, cache, bb, rng)
+        _, _, coords = poll_step((1.0, 1.0), 0.5, r, params, cache, bb, rng)
         target = rho(params, r)
-        for x in (*candidates(poll), poll.center):
+        for x in (*candidates(coords), (1.0, 1.0)):
             _, sigk = cache.estimate(x)
             assert sigk <= target * (1.0 + 1e-12)
 
@@ -278,11 +277,6 @@ def test_config_variant_defaults():
     assert (mp.beta_l, mp.beta_u, mp.search_enabled) == (0.0003, 0.997, False)
 
 
-@pytest.mark.parametrize("variant", ["dp", "mp"])
-def test_config_policy_is_the_variant_default_policy(variant):
-    assert SolverConfig(variant=variant).policy() == PrecisionPolicy(variant)
-
-
 def test_config_rejects_sigma_min_without_search():
     with pytest.raises(ConfigError):
         SolverConfig(variant="mp", rho_params=RhoParams(sigma_min=0.1))
@@ -372,14 +366,14 @@ def sigma_checking_poll_step(checked: list):
     original = apmads.solver.poll_step
 
     def poll_step_then_check(center, delta_p, r, rho_params, cache, blackbox, rng):
-        best, status, poll = original(center, delta_p, r, rho_params, cache, blackbox, rng)
+        best, status, coords = original(center, delta_p, r, rho_params, cache, blackbox, rng)
         target = rho(rho_params, r)
-        for x in (center, *candidates(poll)):
+        for x in (center, *candidates(coords)):
             f, sigk = cache.estimate(x)
             if math.isfinite(f):
                 assert sigk <= target * (1.0 + 1e-12)
                 checked.append(x)
-        return best, status, poll
+        return best, status, coords
 
     return poll_step_then_check
 
@@ -396,8 +390,8 @@ def test_run_ledger_matches_log():
     out = run(problem, SolverConfig(variant="dp", seed=13, stop_draws=1e5))
     prefix = set()
     total = 0.0
-    for d in out.ledger.draws:
-        total += d
+    for s in out.ledger.sigmas:
+        total += draws_for_sigma(s)
         prefix.add(total)
     for rec in out.records:
         assert rec.draws in prefix
@@ -640,7 +634,6 @@ def test_observe_points_flushes_on_repeat_like_point_by_point(rule):
     ref_cache, ref_bb, ref_rng = state(_observe_points_one_by_one)
     assert cache_state(cache) == cache_state(ref_cache)
     assert bb.ledger.sigmas == ref_bb.ledger.sigmas
-    assert bb.ledger.draws == ref_bb.ledger.draws
     assert bb.ledger.total_draws == ref_bb.ledger.total_draws
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert math.isfinite(cache.estimate(a)[1])  # a was observed
