@@ -3,17 +3,17 @@
 rho maps the abstract index r to a target standard deviation, decreasing
 from sigma_max toward sigma_min. The monotone policy only ever raises r
 (when a comparison is uncertain); the dynamic policy also lowers it when
-a comparison was far more decisive than needed. A SolverConfig holds each
-variant's thresholds.
+a comparison was far more decisive than needed. A SolverConfig holds the
+schedule's settings and each variant's thresholds.
 """
 
-from apmads import RhoParams, SolverConfig
+from apmads import SolverConfig
 from apmads.precision import rho, update_r
 
-params = RhoParams()  # sigma_min=0, sigma_max=1, r0=0, theta=0.1
+config = SolverConfig()  # sigma_min=0, sigma_max=1, r0=0, theta=0.1
 print("sigma schedule rho(r) with default parameters:")
 for r in (-20, -10, 0, 10, 20, 50, 100):
-    print(f"  r={r:>4} -> sigma={rho(params, r):.3e}")
+    print(f"  r={r:>4} -> sigma={rho(config, r):.3e}")
 
 print()
 print("policies reacting to the same stream of comparison p-values:")

@@ -22,7 +22,6 @@ from .exceptions import (
     UndefinedComparisonError,
     UnknownProblemError,
 )
-from .precision import RhoParams
 from .problems import ProblemDef, available_problems, problem_registry
 from .profiles import (
     RunResult,
@@ -58,7 +57,6 @@ __all__ = [
     "IterationRecord",
     "NoIncumbentError",
     "ProblemDef",
-    "RhoParams",
     "RunOutput",
     "RunResult",
     "SolverConfig",

@@ -16,8 +16,7 @@ import sys
 from dataclasses import fields
 from multiprocessing import Pool
 
-from .exceptions import ApmadsError, ConfigError, UnknownProblemError
-from .precision import RhoParams
+from .exceptions import ApmadsError, ConfigError, InvalidSigmaError, UnknownProblemError
 from .problems import available_problems, problem_registry
 from .profiles import (
     accuracy_csv,
@@ -25,6 +24,7 @@ from .profiles import (
     data_profile_csv,
     make_run_result,
     performance_profile_csv,
+    reference_draws,
     validate_records,
 )
 from .solver import (
@@ -38,8 +38,7 @@ from .solver import (
 ALGOS = ("dpmads", "mpmads", "fixed")
 _ALGO_VARIANT = {"dpmads": "dp", "mpmads": "mp"}
 
-_RHO_KEYS = tuple(f.name for f in fields(RhoParams))
-_CONFIG_KEYS = _RHO_KEYS + tuple(f.name for f in fields(SolverConfig) if f.name != "rho_params")
+_CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig))
 
 
 class UsageError(Exception):
@@ -80,12 +79,6 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_solver_config(values: dict) -> SolverConfig:
-    rho_kwargs = {k: values[k] for k in _RHO_KEYS if k in values}
-    solver_kwargs = {k: v for k, v in values.items() if k not in _RHO_KEYS}
-    return SolverConfig(rho_params=RhoParams(**rho_kwargs), **solver_kwargs)
-
-
 def _execute_run(problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values):
     values = dict(file_values or {})
     if algo is None:
@@ -102,7 +95,7 @@ def _execute_run(problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, fi
         values["stop_draws"] = budget
     if stop_delta_p is not None:
         values["stop_delta_p"] = stop_delta_p
-    config = build_solver_config(values)
+    config = SolverConfig(**values)
     if algo == "fixed":
         if sigma_fixed is None:
             raise UsageError("--sigma-fixed is required with --algo fixed")
@@ -210,6 +203,14 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
 
 
 def cmd_profile(args) -> int:
+    # check every value before any log is read or any file is written
+    for tau in args.tau:
+        if not 0.0 < tau < 1.0:
+            raise UsageError(f"--tau must lie in (0, 1), got {tau}")
+    try:
+        reference_draws(args.sigma_ref)
+    except InvalidSigmaError as exc:
+        raise UsageError(f"bad --sigma-ref: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     results = []
     for path in args.logs:

@@ -22,22 +22,6 @@ from .exceptions import InvalidInputError, NoIncumbentError
 _INITIAL_CAPACITY = 256
 
 
-def combined_sigma(existing_sigk: float, new_sigmas) -> float:
-    """Standard deviation after fusing new observation sigmas into an estimate.
-
-    ``existing_sigk`` may be +inf (fresh point), contributing zero weight.
-    """
-    if not existing_sigk > 0:
-        raise InvalidInputError(f"sigmas must be positive, got {existing_sigk}")
-    weight = 0.0 if math.isinf(existing_sigk) else 1.0 / existing_sigk**2
-    for s in new_sigmas:
-        if not s > 0:
-            raise InvalidInputError(f"sigmas must be positive, got {s}")
-        if not math.isinf(s):
-            weight += 1.0 / (s * s)
-    return weight**-0.5 if weight > 0.0 else math.inf
-
-
 def sigma_to_reach(existing_sigk: float, target: float, sigma_max: float):
     """Sigma for one observation bringing a combined estimate down to ``target``.
 

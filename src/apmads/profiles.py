@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blackbox import draws_for_sigma
 from .exceptions import (
     DegenerateNormalizationError,
     InvalidInputError,
@@ -149,6 +150,17 @@ def performance_profile(results, tau: float, log_budget: bool = False):
     return alphas, fractions
 
 
+def reference_draws(sigma_ref: float) -> float:
+    """Draw cost of one reference estimate at standard deviation ``sigma_ref``.
+
+    ``sigma_ref`` must be positive and finite, and its cost 1/sigma_ref**2
+    finite; otherwise ``InvalidSigmaError``.
+    """
+    if not 0.0 < sigma_ref < math.inf:
+        raise InvalidSigmaError(f"sigma_ref must be positive and finite, got {sigma_ref}")
+    return draws_for_sigma(sigma_ref)
+
+
 def data_profile(results, tau: float, sigma_ref: float = 1e-3, log_budget: bool = False):
     """Solved fraction per algorithm versus groups of reference estimates.
 
@@ -156,13 +168,11 @@ def data_profile(results, tau: float, sigma_ref: float = 1e-3, log_budget: bool 
     deviation ``sigma_ref`` (each worth 1/sigma_ref**2 draws) would fit in
     the consumed budget.
     """
-    if not sigma_ref > 0:
-        raise InvalidSigmaError(f"sigma_ref must be positive, got {sigma_ref}")
+    n_ref = reference_draws(sigma_ref)
     algos = _algorithms(results)
     instances = _instances(results)
     if not instances:
         raise InvalidInputError("no runs given")
-    n_ref = 1.0 / (sigma_ref * sigma_ref)
     budgets = _solve_budgets(results, tau, log_budget)
     groups_of = {
         key: value / n_ref if math.isfinite(value) else math.inf

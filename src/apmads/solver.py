@@ -16,7 +16,7 @@ variants) share no state and may execute in parallel.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +31,35 @@ from .exceptions import (
 )
 from .mesh import IterationStatus, generate_poll, mesh_size, update_frame
 from .normal import p_value, phi_inv
-from .precision import VARIANT_BETAS, RhoParams, check_real, rho, update_r
+from .precision import VARIANT_BETAS, rho, update_r
 from .problems import ProblemDef
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass
 class SolverConfig:
     """Run parameters. Unset betas and ``search_enabled`` default per variant.
 
-    The betas come from ``precision.VARIANT_BETAS``; the search step is
-    enabled for the dynamic variant only. A disabled search requires
-    sigma_min = 0, since the poll alone can then never push an estimate
-    below sigma_min. ``dp_decrease_threshold`` matters for the dynamic
-    variant only (see ``precision.update_r``) and must lie in (0, beta_l).
-    A field of the wrong type or out of range raises ``ConfigError``.
+    ``sigma_min``, ``sigma_max``, ``r0`` and ``theta`` set the sigma
+    schedule (see ``precision.rho``). The betas come from
+    ``precision.VARIANT_BETAS``; the search step is enabled for the
+    dynamic variant only. A disabled search requires sigma_min = 0, since
+    the poll alone can then never push an estimate below sigma_min.
+    ``dp_decrease_threshold`` matters for the dynamic variant only (see
+    ``precision.update_r``) and must lie in (0, beta_l). A field of the
+    wrong type or out of range raises ``ConfigError``.
     """
 
+    sigma_min: float = 0.0
+    sigma_max: float = 1.0
+    r0: float = 0.0
+    theta: float = 0.1
     variant: str = "dp"
-    rho_params: RhoParams = field(default_factory=RhoParams)
     beta_l: float | None = None
     beta_u: float | None = None
     dp_decrease_threshold: float = 0.05
@@ -68,11 +79,19 @@ class SolverConfig:
         default_l, default_u = VARIANT_BETAS[self.variant]
         self.beta_l = default_l if self.beta_l is None else self.beta_l
         self.beta_u = default_u if self.beta_u is None else self.beta_u
-        for name in ("beta_l", "beta_u", "dp_decrease_threshold", "r_s", "tau",
-                     "delta_p0", "r_init", "stop_draws"):
-            check_real(name, getattr(self, name))
+        for name in ("sigma_min", "sigma_max", "r0", "theta", "beta_l", "beta_u",
+                     "dp_decrease_threshold", "r_s", "tau", "delta_p0", "r_init", "stop_draws"):
+            _check_real(name, getattr(self, name))
         if self.stop_delta_p is not None:
-            check_real("stop_delta_p", self.stop_delta_p)
+            _check_real("stop_delta_p", self.stop_delta_p)
+        if not self.sigma_min >= 0:
+            raise ConfigError(f"sigma_min must be >= 0, got {self.sigma_min}")
+        if not math.isfinite(self.sigma_max) or self.sigma_max <= self.sigma_min:
+            raise ConfigError(
+                f"sigma_max must be finite and above sigma_min, got {self.sigma_max}"
+            )
+        if not 0.0 < self.theta < math.inf:
+            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
         for name in ("max_iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -92,13 +111,13 @@ class SolverConfig:
                 "dp_decrease_threshold must lie in (0, beta_l), got "
                 f"{self.dp_decrease_threshold}"
             )
-        for name in ("r_s", "r_init"):
+        for name in ("r0", "r_s", "r_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.search_enabled and self.rho_params.sigma_min != 0.0:
+        if not self.search_enabled and self.sigma_min != 0.0:
             raise ConfigError(
                 "sigma_min must be 0 when the search step is disabled "
-                f"(got sigma_min={self.rho_params.sigma_min})"
+                f"(got sigma_min={self.sigma_min})"
             )
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
@@ -231,19 +250,19 @@ def poll_step(
     center: Point,
     delta_p: float,
     r: float,
-    rho_params: RhoParams,
+    config: SolverConfig,
     cache: EvaluationCache,
     blackbox: NoisyBlackbox,
     rng,
 ) -> tuple[Point | None, IterationStatus, np.ndarray]:
-    """One poll around ``center`` at precision target rho(r).
+    """One poll around ``center`` at precision target rho(config, r).
 
     The center and every feasible candidate whose estimate is looser than
     the target receive new observations. Returns the best candidate (None
     exactly when no candidate is feasible), the iteration status, and the
     ``(2n, n)`` array of candidates that ``generate_poll`` returned.
     """
-    sigma_target = rho(rho_params, r)
+    sigma_target = rho(config, r)
     coords = generate_poll(center, delta_p, rng)
     rows = observe_points(
         cache, blackbox, np.concatenate(([center], coords)),
@@ -287,19 +306,18 @@ def search_step(
     cache: EvaluationCache,
     incumbent: Point,
     r: float,
-    rho_params: RhoParams,
-    r_s: float,
-    tau: float,
+    config: SolverConfig,
     blackbox: NoisyBlackbox,
     rng,
 ) -> Point:
     """Re-estimate promising cached points, then return the cache minimiser.
 
-    A cached point qualifies when the plausibility that it beats the
-    incumbent is at least ``tau`` on the pre-search estimates; each
-    qualifying point receives one observation at rho(r - r_s). The
-    incumbent compares against itself with plausibility exactly 0.5, so
-    for tau <= 0.5 its own estimate is re-audited every call; this is what
+    ``config`` gives the schedule, ``r_s`` and ``tau``. A cached point
+    qualifies when the plausibility that it beats the incumbent is at
+    least ``tau`` on the pre-search estimates; each qualifying point
+    receives one observation at rho(config, r - r_s). The incumbent
+    compares against itself with plausibility exactly 0.5, so for
+    tau <= 0.5 its own estimate is re-audited every call; this is what
     flushes out incumbents whose low estimates were lucky noise. Once an
     estimate has overflowed (``cache.overflowed``), ``incumbent`` is
     returned unchanged: the run stops after this iteration. So is an
@@ -309,11 +327,11 @@ def search_step(
     f_inc, sig_inc = cache.estimate(incumbent)
     if not math.isfinite(f_inc):
         return incumbent
-    sigma_s = rho(rho_params, r - r_s)
+    sigma_s = rho(config, r - config.r_s)
     # p_value(x, incumbent) >= tau is equivalent to z >= phi_inv(tau);
     # undefined points give (-inf) / inf = NaN, which is never selected
     fk, sigk = cache.estimate_arrays()
-    rows = plausible_rows(fk, sigk, f_inc, sig_inc, phi_inv(tau)).tolist()
+    rows = plausible_rows(fk, sigk, f_inc, sig_inc, phi_inv(config.tau)).tolist()
     observe_points(cache, blackbox, cache.coords_at(rows), lambda i: sigma_s, rng)
     return incumbent if cache.overflowed else cache.incumbent()
 
@@ -328,7 +346,7 @@ def _past_precision_floor(config: SolverConfig, r: float):
     """
     for index in (r, r - config.r_s) if config.search_enabled else (r,):
         try:
-            draws_for_sigma(rho(config.rho_params, index))
+            draws_for_sigma(rho(config, index))
         except InvalidSigmaError:
             return index
     return None
@@ -400,14 +418,15 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     """Adaptive-precision minimisation of ``problem``.
 
     Each iteration runs the search step (when enabled), polls around its
-    result at rho(r), and moves the precision index by the poll's p-value. Stops when the frame size falls below the
-    stopping threshold (the problem default unless the config overrides
-    it), the draw budget is spent, the iteration cap is hit, or the next
-    iteration cannot be paid for; ``RunOutput.stop_reason`` says which.
+    result at rho(r), and moves the precision index by the poll's
+    p-value. Stops when the frame size falls below the stopping threshold
+    (the problem default unless the config overrides it), the draw budget
+    is spent, the iteration cap is hit, or the next iteration cannot be
+    paid for; ``RunOutput.stop_reason`` says which.
     """
-    if config.rho_params.sigma_max > problem.sigma_max:
+    if config.sigma_max > problem.sigma_max:
         raise ConfigError(
-            f"rho sigma_max {config.rho_params.sigma_max} exceeds the problem's "
+            f"rho sigma_max {config.sigma_max} exceeds the problem's "
             f"observable cap {problem.sigma_max}"
         )
     blackbox = problem.blackbox()
@@ -415,7 +434,7 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     if floor is not None:
         raise ConfigError(
             f"precision index {floor} is past the precision floor: "
-            f"rho = {rho(config.rho_params, floor)} has no finite draw cost"
+            f"rho = {rho(config, floor)} has no finite draw cost"
         )
     r_next = config.r_init
 
@@ -426,11 +445,8 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
             return None
         x_s = incumbent
         if config.search_enabled:
-            x_s = search_step(
-                cache, incumbent, r, config.rho_params, config.r_s, config.tau,
-                blackbox, rng,
-            )
-        x_c, status, _ = poll_step(x_s, delta_p, r, config.rho_params, cache, blackbox, rng)
+            x_s = search_step(cache, incumbent, r, config, blackbox, rng)
+        x_c, status, _ = poll_step(x_s, delta_p, r, config, cache, blackbox, rng)
         p = 0.0
         if status is not IterationStatus.BARRIER and not cache.overflowed:
             p = p_value(cache, x_c, x_s)

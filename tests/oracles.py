@@ -7,12 +7,17 @@ verified directionally on a dense sphere sample. ``cache_state`` reads
 an evaluation cache whole, to compare two routes to the same state.
 ``log_rows_fieldwise`` and ``parse_log_rowwise`` are the run-log writer
 and reader one field at a time, the reference for the column-wise ones.
+``combined_sigma`` fuses observation sigmas one by one, the reference for
+the cache's estimates, and ``check_condition`` checks any precision
+update against its variant's condition.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate
+
+from apmads.exceptions import InvalidInputError
 
 
 def cdf_by_quadrature(z: float) -> float:
@@ -141,3 +146,36 @@ def parse_log_rowwise(text: str) -> list:
             cache_size=int(parts[9 + n]),
         ))
     return records
+
+
+def combined_sigma(existing_sigk: float, new_sigmas) -> float:
+    """Standard deviation after fusing new observation sigmas into an estimate.
+
+    ``existing_sigk`` may be +inf (fresh point), contributing zero weight.
+    """
+    if not existing_sigk > 0:
+        raise InvalidInputError(f"sigmas must be positive, got {existing_sigk}")
+    weight = 0.0 if math.isinf(existing_sigk) else 1.0 / existing_sigk**2
+    for s in new_sigmas:
+        if not s > 0:
+            raise InvalidInputError(f"sigmas must be positive, got {s}")
+        if not math.isinf(s):
+            weight += 1.0 / (s * s)
+    return weight**-0.5 if weight > 0.0 else math.inf
+
+
+def check_condition(config, r_old: float, r_new: float, p: float) -> bool:
+    """Whether an (r_old -> r_new) update is legal for ``config``'s variant.
+
+    The dynamic condition requires a strict increase whenever p lies inside
+    [beta_l, beta_u]; the monotone condition additionally freezes r outside
+    that interval. Usable as a universal checker for any update rule.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise InvalidInputError(f"p must lie in [0, 1], got {p}")
+    inside = config.beta_l <= p <= config.beta_u
+    if inside and not r_new > r_old:
+        return False
+    if config.variant == "mp" and not inside and r_new != r_old:
+        return False
+    return True

@@ -24,11 +24,10 @@ from apmads import (
     run_fixed_precision_baseline,
 )
 from apmads.blackbox import Observation
-from apmads.estimation import EvaluationCache, combined_sigma, sigma_to_reach
+from apmads.estimation import EvaluationCache, sigma_to_reach
 from apmads.mesh import on_mesh
-from apmads.precision import check_condition
 
-from oracles import ks_critical, weighted_mle
+from oracles import check_condition, combined_sigma, ks_critical, weighted_mle
 from test_normal import pvalue_limit_pass_rate, pvalue_uniformity_ks
 from test_precision import conformance_rate
 from test_profiles import synthetic_result

@@ -6,14 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from apmads import InvalidSigmaError, cli
-from apmads.cli import (
-    UsageError,
-    bench_workers,
-    build_solver_config,
-    load_config_file,
-    main,
-)
+from apmads import InvalidSigmaError, SolverConfig, cli
+from apmads.cli import UsageError, bench_workers, load_config_file, main
 
 
 def test_run_writes_log_with_fixed_header(tmp_path, capsys):
@@ -128,6 +122,24 @@ def test_profile_rejects_unparseable_names(tmp_path, capsys):
     assert "cannot infer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--tau", "2"], ["--tau", "0.5", "2"], ["--tau", "nan"],
+    ["--sigma-ref", "0"], ["--sigma-ref", "nan"], ["--sigma-ref", "inf"],
+    # 1e-200 ** 2 underflows, so one reference estimate has no finite cost
+    ["--sigma-ref", "1e-200"],
+], ids=" ".join)
+def test_profile_bad_value_exits_1_before_writing(tmp_path, capsys, args):
+    log = tmp_path / "norm2__dpmads__s0.csv"
+    assert main(["run", "--problem", "norm2", "--algo", "dpmads", "--seed", "0",
+                 "--budget", "1e4", "--out", str(log)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["profile", *args, "--out-dir", str(out_dir), str(log)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_profile_on_a_malformed_log_exits_2(tmp_path, capsys):
     log = tmp_path / "norm2__dpmads__s0.csv"
     log.write_text(
@@ -178,9 +190,9 @@ def test_config_file_parsing(tmp_path):
         "seed": 11,
         "search_enabled": False,
     }
-    config = build_solver_config(values)
+    config = SolverConfig(**values)
     assert config.variant == "mp"
-    assert config.rho_params.sigma_max == 0.5
+    assert config.sigma_max == 0.5
     assert config.seed == 11
 
 
@@ -198,6 +210,9 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     # values of the wrong type
     "tau = abc", "r_s = abc", "max_iterations = abc", "seed = 1.5", "seed = -1",
     "max_iterations = nan", "search_enabled = yes",
+    # the sigma schedule's keys; sigma_max = 2 is above norm2's cap of 1
+    "sigma_max = inf", "theta = 0", "sigma_min = -1", "r0 = nan", "theta = abc",
+    "sigma_max = 2",
 ])
 def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "solver.cfg"

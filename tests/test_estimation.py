@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from apmads import InvalidInputError, NoIncumbentError
 from apmads.blackbox import Observation
-from apmads.estimation import EvaluationCache, combined_sigma, sigma_to_reach
+from apmads.estimation import EvaluationCache, sigma_to_reach
 
-from oracles import cache_state, weighted_mle
+from oracles import cache_state, combined_sigma, weighted_mle
 
 
 def obs(value, sigma):

@@ -5,40 +5,42 @@ import math
 import numpy as np
 import pytest
 
-from apmads import ConfigError, InvalidInputError, RhoParams, SolverConfig
-from apmads.precision import check_condition, rho, update_r
+from apmads import ConfigError, InvalidInputError, SolverConfig
+from apmads.precision import rho, update_r
+
+from oracles import check_condition
 
 
 def test_rho_midpoint_with_illustration_parameters():
-    params = RhoParams(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1)
-    assert rho(params, -3.0) == pytest.approx(5.5, abs=1e-12)
+    config = SolverConfig(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1)
+    assert rho(config, -3.0) == pytest.approx(5.5, abs=1e-12)
 
 
 def test_rho_defaults():
-    params = RhoParams()
-    assert rho(params, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert rho(params, 10.0) == pytest.approx(0.05, rel=1e-14)
+    config = SolverConfig()
+    assert rho(config, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert rho(config, 10.0) == pytest.approx(0.05, rel=1e-14)
 
 
 def test_rho_strictly_decreasing_on_grid():
-    for params in (
-        RhoParams(),
-        RhoParams(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1),
+    for config in (
+        SolverConfig(),
+        SolverConfig(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1),
     ):
         grid = np.linspace(-50.0, 50.0, 1000)
-        values = [rho(params, float(r)) for r in grid]
+        values = [rho(config, float(r)) for r in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_rho_nonincreasing_when_floating_point_saturates():
     # steep theta drives the exponential below one ulp of the plateau
-    params = RhoParams(sigma_min=0.0, sigma_max=2.0, r0=4.0, theta=0.37)
+    config = SolverConfig(sigma_min=0.0, sigma_max=2.0, r0=4.0, theta=0.37)
     grid = np.linspace(-50.0, 50.0, 1000)
-    values = [rho(params, float(r)) for r in grid]
+    values = [rho(config, float(r)) for r in grid]
     assert all(a >= b for a, b in zip(values, values[1:]))
     # strictly decreasing where the exponential is well conditioned
-    window = np.linspace(params.r0 - 2.0 / params.theta, params.r0 + 2.0 / params.theta, 200)
-    mid = [rho(params, float(r)) for r in window]
+    window = np.linspace(config.r0 - 2.0 / config.theta, config.r0 + 2.0 / config.theta, 200)
+    mid = [rho(config, float(r)) for r in window]
     assert all(a > b for a, b in zip(mid, mid[1:]))
 
 
@@ -46,36 +48,43 @@ def test_rho_midpoint_and_branch_continuity():
     rng = np.random.default_rng(2)
     for _ in range(50):
         lo = float(rng.uniform(0.0, 2.0))
-        params = RhoParams(
+        config = SolverConfig(
             sigma_min=lo,
             sigma_max=lo + float(rng.uniform(0.1, 10.0)),
             r0=float(rng.uniform(-5.0, 5.0)),
             theta=float(rng.uniform(0.01, 1.0)),
         )
-        mid = 0.5 * (params.sigma_min + params.sigma_max)
-        assert abs(rho(params, params.r0) - mid) <= 1e-12
-        assert rho(params, params.r0 - 1e-12) == pytest.approx(mid, abs=1e-9)
+        mid = 0.5 * (config.sigma_min + config.sigma_max)
+        assert abs(rho(config, config.r0) - mid) <= 1e-12
+        assert rho(config, config.r0 - 1e-12) == pytest.approx(mid, abs=1e-9)
 
 
 def test_rho_clamped_into_range():
-    params = RhoParams(sigma_min=0.25, sigma_max=4.0)
-    assert rho(params, 1e9) == 0.25
-    assert rho(params, -1e9) == 4.0
+    config = SolverConfig(sigma_min=0.25, sigma_max=4.0)
+    assert rho(config, 1e9) == 0.25
+    assert rho(config, -1e9) == 4.0
 
 
 def test_rho_params_validation():
     with pytest.raises(ConfigError):
-        RhoParams(sigma_min=-1.0)
+        SolverConfig(sigma_min=-1.0)
     with pytest.raises(ConfigError):
-        RhoParams(sigma_min=2.0, sigma_max=1.0)
+        SolverConfig(sigma_min=2.0, sigma_max=1.0)
     with pytest.raises(ConfigError):
-        RhoParams(theta=0.0)
+        SolverConfig(theta=0.0)
     # NaN and inf must not slip past the range checks
     for theta in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="theta"):
-            RhoParams(theta=theta)
+            SolverConfig(theta=theta)
     with pytest.raises(ConfigError, match="sigma_min"):
-        RhoParams(sigma_min=math.nan)
+        SolverConfig(sigma_min=math.nan)
+    with pytest.raises(ConfigError, match="sigma_max must be finite and above sigma_min"):
+        SolverConfig(sigma_max=math.inf)
+    with pytest.raises(ConfigError, match="r0 must be finite"):
+        SolverConfig(r0=math.nan)
+    for name in ("sigma_min", "sigma_max", "r0", "theta"):
+        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+            SolverConfig(**{name: True})
 
 
 def test_policy_defaults_and_validation():

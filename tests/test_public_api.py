@@ -1,17 +1,23 @@
 """The package exports the documented workflow; internals stay in their modules."""
 
 import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import apmads
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DOCUMENTED = [
     # solve
     "run",
     "run_fixed_precision_baseline",
     "SolverConfig",
-    "RhoParams",
     # problems
     "ProblemDef",
     "problem_registry",
@@ -46,7 +52,7 @@ DOCUMENTED = [
 
 
 def test_all_is_the_documented_workflow():
-    assert len(DOCUMENTED) == 30
+    assert len(DOCUMENTED) == 29
     assert len(set(apmads.__all__)) == len(apmads.__all__)
     assert sorted(apmads.__all__) == sorted(DOCUMENTED)
 
@@ -58,15 +64,46 @@ def test_star_import_binds_exactly_all():
     assert sorted(namespace) == sorted(DOCUMENTED)
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [
+def readme_building_blocks() -> list[tuple[str, str]]:
+    """(module, name) for each backticked name in README's building-blocks paragraph."""
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme[readme.index("The building blocks live"):].split("\n\n", 1)[0]
+    return [
+        (module, name)
+        for module, names in re.findall(r"`(apmads\.\w+)`\s*\(([^)]*)\)", paragraph)
+        for name in re.findall(r"`(\w+)`", names)
+    ]
+
+
+def test_readme_lists_the_building_blocks():
+    blocks = readme_building_blocks()
+    for pair in [
         ("apmads.blackbox", "NoisyBlackbox"),
         ("apmads.estimation", "EvaluationCache"),
         ("apmads.solver", "search_step"),
         ("apmads.precision", "update_r"),
         ("apmads.mesh", "generate_poll"),
-    ],
-)
+    ]:
+        assert pair in blocks
+
+
+@pytest.mark.parametrize("module, name", readme_building_blocks())
 def test_internals_resolve_from_their_modules(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_runtime_imports_no_scipy():
+    # README: the runtime needs numpy only; scipy serves the test oracles
+    code = (
+        "import sys, apmads, apmads.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

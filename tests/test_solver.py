@@ -16,7 +16,6 @@ from apmads import (
     InfeasibleStartError,
     InvalidInputError,
     InvalidSigmaError,
-    RhoParams,
     SolverConfig,
     log_to_csv,
     parse_log,
@@ -75,7 +74,7 @@ def test_poll_step_barrier_when_no_candidate_feasible():
     bb = make_blackbox(lambda x: 0.0, feasible=lambda x: x == center)
     cache = EvaluationCache()
     x_c, status, coords = poll_step(
-        center, 1.0, 0.0, RhoParams(), cache, bb, np.random.default_rng(0)
+        center, 1.0, 0.0, SolverConfig(), cache, bb, np.random.default_rng(0)
     )
     assert status is IterationStatus.BARRIER
     assert x_c is None
@@ -87,7 +86,7 @@ def test_poll_step_barrier_when_no_candidate_feasible():
 def test_poll_step_success_and_generation_order_tiebreak():
     bb = make_blackbox(lambda x: math.hypot(*x))
     cache = EvaluationCache()
-    x_c, status, coords = poll_step((1.0, 1.0), 1.0, 0.0, RhoParams(), cache, bb, StubRng())
+    x_c, status, coords = poll_step((1.0, 1.0), 1.0, 0.0, SolverConfig(), cache, bb, StubRng())
     assert status is IterationStatus.SUCCESS
     # noise-free: both (1,0) and (0,1) estimate to 1; the first generated wins
     assert x_c == candidates(coords)[0]
@@ -97,7 +96,7 @@ def test_poll_step_success_and_generation_order_tiebreak():
 def test_poll_step_failure_at_optimum():
     bb = make_blackbox(lambda x: math.hypot(*x))
     cache = EvaluationCache()
-    x_c, status, _ = poll_step((0.0, 0.0), 1.0, 0.0, RhoParams(), cache, bb, StubRng())
+    x_c, status, _ = poll_step((0.0, 0.0), 1.0, 0.0, SolverConfig(), cache, bb, StubRng())
     assert status is IterationStatus.FAILURE
     assert cache.estimate(x_c)[0] > 0.0
 
@@ -107,7 +106,7 @@ def test_poll_step_skips_already_precise_center():
     cache = EvaluationCache()
     center = (0.0, 0.0)
     cache.record(center, Observation(1.0, 0.01))  # tighter than rho(0) = 0.5
-    _, _, coords = poll_step(center, 1.0, 0.0, RhoParams(), cache, bb, StubRng())
+    _, _, coords = poll_step(center, 1.0, 0.0, SolverConfig(), cache, bb, StubRng())
     # one charge per candidate, none for the center
     assert len(bb.ledger) == len(coords)
     assert cache.estimate(center) == (1.0, 0.01)
@@ -117,10 +116,10 @@ def test_poll_step_enforces_sigma_target():
     bb = make_blackbox(lambda x: math.hypot(*x))
     cache = EvaluationCache()
     rng = np.random.default_rng(5)
-    params = RhoParams()
+    config = SolverConfig()
     for r in (0.0, 3.0, 7.0):
-        _, _, coords = poll_step((1.0, 1.0), 0.5, r, params, cache, bb, rng)
-        target = rho(params, r)
+        _, _, coords = poll_step((1.0, 1.0), 0.5, r, config, cache, bb, rng)
+        target = rho(config, r)
         for x in (*candidates(coords), (1.0, 1.0)):
             _, sigk = cache.estimate(x)
             assert sigk <= target * (1.0 + 1e-12)
@@ -133,7 +132,7 @@ def test_search_step_no_qualifying_point():
     inc = (1.0, 0.0)
     cache.record(inc, Observation(1.0, 0.1))
     cache.record((5.0, 0.0), Observation(5.0, 0.1))
-    x_s = search_step(cache, inc, 0.0, RhoParams(), -5.0, 0.6, bb, StubRng())
+    x_s = search_step(cache, inc, 0.0, SolverConfig(tau=0.6), bb, StubRng())
     assert x_s == inc
     assert bb.ledger.total_draws == 0.0
 
@@ -144,10 +143,10 @@ def test_search_step_audits_incumbent_estimate():
     cache = EvaluationCache()
     inc = (0.0, 0.0)
     cache.record(inc, Observation(-5.0, 0.5))
-    x_s = search_step(cache, inc, 40.0, RhoParams(), -5.0, 0.25, bb, StubRng())
+    x_s = search_step(cache, inc, 40.0, SolverConfig(), bb, StubRng())
     assert x_s == inc
     # one audit observation, at rho(r - r_s)
-    assert list(bb.ledger.sigmas) == [rho(RhoParams(), 45.0)]
+    assert list(bb.ledger.sigmas) == [rho(SolverConfig(), 45.0)]
     assert cache.estimate(inc)[0] == pytest.approx(2.0, abs=1e-3)
 
 
@@ -157,7 +156,7 @@ def test_search_step_on_an_empty_cache_observes_nothing():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     inc = (1.0, 2.0)
-    assert search_step(cache, inc, 0.0, RhoParams(), -5.0, 0.25, bb, rng) == inc
+    assert search_step(cache, inc, 0.0, SolverConfig(), bb, rng) == inc
     assert rng.bit_generator.state == before
     assert len(bb.ledger) == 0 and bb.ledger.total_draws == 0.0
     assert len(cache) == 0
@@ -169,7 +168,7 @@ def test_search_step_recovers_better_cached_point():
     cache = EvaluationCache()
     cache.record((0.0, 0.0), Observation(1.0, 0.5))  # incumbent, lucky estimate
     cache.record((1.0, 0.0), Observation(1.1, 0.5))  # truly better point
-    x_s = search_step(cache, (0.0, 0.0), 40.0, RhoParams(), -5.0, 0.25, bb, StubRng())
+    x_s = search_step(cache, (0.0, 0.0), 40.0, SolverConfig(), bb, StubRng())
     assert x_s == (1.0, 0.0)
 
 
@@ -279,9 +278,9 @@ def test_config_variant_defaults():
 
 def test_config_rejects_sigma_min_without_search():
     with pytest.raises(ConfigError):
-        SolverConfig(variant="mp", rho_params=RhoParams(sigma_min=0.1))
+        SolverConfig(variant="mp", sigma_min=0.1)
     # fine when the search step can keep tightening estimates
-    SolverConfig(variant="dp", rho_params=RhoParams(sigma_min=0.1))
+    SolverConfig(variant="dp", sigma_min=0.1)
 
 
 def test_config_rejects_bad_fields():
@@ -365,9 +364,9 @@ def sigma_checking_poll_step(checked: list):
     """
     original = apmads.solver.poll_step
 
-    def poll_step_then_check(center, delta_p, r, rho_params, cache, blackbox, rng):
-        best, status, coords = original(center, delta_p, r, rho_params, cache, blackbox, rng)
-        target = rho(rho_params, r)
+    def poll_step_then_check(center, delta_p, r, config, cache, blackbox, rng):
+        best, status, coords = original(center, delta_p, r, config, cache, blackbox, rng)
+        target = rho(config, r)
         for x in (center, *candidates(coords)):
             f, sigk = cache.estimate(x)
             if math.isfinite(f):
