@@ -19,6 +19,7 @@ from multiprocessing import Pool
 from .exceptions import ApmadsError, ConfigError, InvalidSigmaError, UnknownProblemError
 from .problems import available_problems, problem_registry
 from .profiles import (
+    REFERENCE_SIGMA,
     accuracy_csv,
     convergence_csv,
     data_profile_csv,
@@ -82,13 +83,12 @@ def load_config_file(path: str) -> dict:
 def _execute_run(problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values):
     values = dict(file_values or {})
     if algo is None:
-        # fall back to the config file's variant, then to the dynamic default
-        algo = {v: a for a, v in _ALGO_VARIANT.items()}.get(values.get("variant"), "dpmads")
-    if algo not in ALGOS:
-        raise UsageError(f"unknown algo {algo!r}; choose from {', '.join(ALGOS)}")
-    problem = problem_registry(problem_name)
-    if algo != "fixed":
+        # the config file's variant picks the algorithm; SolverConfig rejects
+        # a variant other than dp or mp
+        algo = "mpmads" if values.get("variant") == "mp" else "dpmads"
+    elif algo != "fixed":
         values["variant"] = _ALGO_VARIANT[algo]
+    problem = problem_registry(problem_name)
     if seed is not None:
         values["seed"] = seed
     if budget is not None:
@@ -155,8 +155,6 @@ def cmd_bench(args) -> int:
     for problem_name in args.problems:
         problem_registry(problem_name)  # fail fast on unknown names
         for algo in args.algos:
-            if algo not in ALGOS:
-                raise UsageError(f"unknown algo {algo!r}")
             if algo == "fixed" and args.sigma_fixed is None:
                 raise UsageError("--sigma-fixed is required when benching 'fixed'")
             for seed in args.seeds:
@@ -211,15 +209,17 @@ def cmd_profile(args) -> int:
         reference_draws(args.sigma_ref)
     except InvalidSigmaError as exc:
         raise UsageError(f"bad --sigma-ref: {exc}") from None
+    runs = [_parse_log_name(path) for path in args.logs]
+    seen = set()
+    for run_id in runs:
+        if run_id in seen:
+            raise UsageError("run %s__%s__s%d is given twice" % run_id)
+        seen.add(run_id)
     os.makedirs(args.out_dir, exist_ok=True)
-    results = []
-    for path in args.logs:
-        problem_name, algo, seed = _parse_log_name(path)
-        problem = problem_registry(problem_name)
-        records = read_log(path)
-        results.append(make_run_result(problem, algo, seed, records))
-    if not results:
-        raise UsageError("no logs given")
+    results = [
+        make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
+        for path, (problem_name, algo, seed) in zip(args.logs, runs)
+    ]
 
     def _out(name: str) -> str:
         return os.path.join(args.out_dir, name)
@@ -231,9 +231,9 @@ def cmd_profile(args) -> int:
     for tau in args.tau:
         suffix = "" if single else f"_tau{tau:g}"
         with open(_out(f"perf{suffix}.csv"), "w") as fh:
-            fh.write(performance_profile_csv(results, tau, args.log_budget))
+            fh.write(performance_profile_csv(results, tau))
         with open(_out(f"data{suffix}.csv"), "w") as fh:
-            fh.write(data_profile_csv(results, tau, args.sigma_ref, args.log_budget))
+            fh.write(data_profile_csv(results, tau, args.sigma_ref))
         written += [f"perf{suffix}.csv", f"data{suffix}.csv"]
     for res in results:
         name = f"conv__{res.problem}__{res.algorithm}__s{res.seed}.csv"
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="cross product of problems x algos x seeds")
     p_bench.add_argument("--problems", nargs="+", default=list(available_problems()))
-    p_bench.add_argument("--algos", nargs="+", default=["dpmads", "mpmads"])
+    p_bench.add_argument("--algos", nargs="+", default=["dpmads", "mpmads"], choices=ALGOS)
     p_bench.add_argument("--seeds", nargs="+", type=int, default=[0])
     p_bench.add_argument("--budget", type=float, default=None)
     p_bench.add_argument("--stop-delta-p", type=float, default=None)
@@ -300,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser("profile", help="profiles and convergence curves from logs")
     p_prof.add_argument("logs", nargs="+", help="run logs named <problem>__<algo>__s<seed>.csv")
     p_prof.add_argument("--tau", nargs="+", type=float, default=[1e-3])
-    p_prof.add_argument("--sigma-ref", type=float, default=1e-3)
-    p_prof.add_argument("--log-budget", action="store_true",
-                        help="use decimal logs of the solve budgets")
+    p_prof.add_argument("--sigma-ref", type=float, default=REFERENCE_SIGMA)
     p_prof.add_argument("--out-dir", default=".")
     p_prof.set_defaults(func=cmd_profile)
 

@@ -27,6 +27,9 @@ from .mesh import IterationStatus, mesh_size, on_mesh
 from .problems import ProblemDef
 from .solver import IterationRecord
 
+# Standard deviation of the reference estimate that data profiles count in.
+REFERENCE_SIGMA = 1e-3
+
 
 @dataclass
 class RunResult:
@@ -99,55 +102,52 @@ def budget_to_solve(result: RunResult, tau: float) -> float:
     return float(budgets[hits[0]]) if hits.size else math.inf
 
 
-def _instances(results) -> list[tuple[str, int]]:
-    return sorted({(res.problem, res.seed) for res in results})
+def _solve_budget_table(results, tau: float) -> dict[str, np.ndarray]:
+    """Per-algorithm solve budgets over the sorted (problem, seed) instances.
 
-
-def _algorithms(results) -> list[str]:
-    return sorted({res.algorithm for res in results})
-
-
-def _solve_budgets(results, tau: float, log_budget: bool = False):
-    """Per-(algorithm, instance) solve budgets; missing runs count as +inf."""
+    Every algorithm's array follows the same instance order; a run an
+    algorithm lacks costs +inf.
+    """
     budgets = {}
     for res in results:
         key = (res.algorithm, (res.problem, res.seed))
         if key in budgets:
             raise InvalidInputError(f"duplicate run for {key}")
-        value = budget_to_solve(res, tau)
-        if log_budget and math.isfinite(value):
-            value = math.log10(value)
-        budgets[key] = value
-    return budgets
+        budgets[key] = budget_to_solve(res, tau)
+    if not budgets:
+        raise InvalidInputError("no runs given")
+    instances = sorted({inst for _, inst in budgets})
+    return {
+        algo: np.array([budgets.get((algo, inst), math.inf) for inst in instances])
+        for algo in sorted({algo for algo, _ in budgets})
+    }
 
 
-def performance_profile(results, tau: float, log_budget: bool = False):
+def _solved_fractions(costs: dict[str, np.ndarray], grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Per algorithm, the fraction of instances whose cost is at most each grid value."""
+    return {
+        algo: np.searchsorted(np.sort(own), grid, side="right") / own.size
+        for algo, own in costs.items()
+    }
+
+
+def performance_profile(results, tau: float):
     """Solved fraction per algorithm versus budget ratio to the per-instance best.
 
     Returns (alphas, {algorithm: fractions}) where both arrays share the
     breakpoint grid (ratios at which some fraction changes, starting at 1).
     Instances solved by no algorithm stay in the denominator.
     """
-    algos = _algorithms(results)
-    instances = _instances(results)
-    if not instances:
-        raise InvalidInputError("no runs given")
-    budgets = _solve_budgets(results, tau, log_budget)
-    ratios = {}
-    for inst in instances:
-        best = min(budgets.get((a, inst), math.inf) for a in algos)
-        for a in algos:
-            n = budgets.get((a, inst), math.inf)
-            ratios[(a, inst)] = n / best if math.isfinite(n) and best > 0 else math.inf
-    finite = sorted({r for r in ratios.values() if math.isfinite(r)})
-    alphas = np.array([1.0] + [r for r in finite if r > 1.0])
-    fractions = {}
-    for a in algos:
-        own = np.array([ratios[(a, inst)] for inst in instances])
-        fractions[a] = np.array(
-            [np.count_nonzero(own <= alpha) / len(instances) for alpha in alphas]
-        )
-    return alphas, fractions
+    budgets = _solve_budget_table(results, tau)
+    best = np.min(list(budgets.values()), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = {
+            algo: np.where(np.isfinite(own) & (best > 0), own / best, math.inf)
+            for algo, own in budgets.items()
+        }
+    every = np.concatenate(list(ratios.values()))
+    alphas = np.unique(np.append(every[np.isfinite(every) & (every > 1.0)], 1.0))
+    return alphas, _solved_fractions(ratios, alphas)
 
 
 def reference_draws(sigma_ref: float) -> float:
@@ -161,7 +161,7 @@ def reference_draws(sigma_ref: float) -> float:
     return draws_for_sigma(sigma_ref)
 
 
-def data_profile(results, tau: float, sigma_ref: float = 1e-3, log_budget: bool = False):
+def data_profile(results, tau: float, sigma_ref: float = REFERENCE_SIGMA):
     """Solved fraction per algorithm versus groups of reference estimates.
 
     The abscissa counts how many observations at guaranteed standard
@@ -169,24 +169,12 @@ def data_profile(results, tau: float, sigma_ref: float = 1e-3, log_budget: bool 
     the consumed budget.
     """
     n_ref = reference_draws(sigma_ref)
-    algos = _algorithms(results)
-    instances = _instances(results)
-    if not instances:
-        raise InvalidInputError("no runs given")
-    budgets = _solve_budgets(results, tau, log_budget)
-    groups_of = {
-        key: value / n_ref if math.isfinite(value) else math.inf
-        for key, value in budgets.items()
-    }
-    finite = sorted({g for g in groups_of.values() if math.isfinite(g)})
-    groups = np.array(finite if finite else [0.0])
-    fractions = {}
-    for a in algos:
-        own = np.array([groups_of.get((a, inst), math.inf) for inst in instances])
-        fractions[a] = np.array(
-            [np.count_nonzero(own <= g) / len(instances) for g in groups]
-        )
-    return groups, fractions
+    groups_of = {algo: own / n_ref for algo, own in _solve_budget_table(results, tau).items()}
+    every = np.concatenate(list(groups_of.values()))
+    groups = np.unique(every[np.isfinite(every)])
+    if not groups.size:
+        groups = np.zeros(1)
+    return groups, _solved_fractions(groups_of, groups)
 
 
 # --- CSV renderings -----------------------------------------------------------
@@ -194,15 +182,13 @@ def data_profile(results, tau: float, sigma_ref: float = 1e-3, log_budget: bool 
 # Floats use 17 significant digits, like the run log.
 
 
-def performance_profile_csv(results, tau: float, log_budget: bool = False) -> str:
-    alphas, fractions = performance_profile(results, tau, log_budget)
+def performance_profile_csv(results, tau: float) -> str:
+    alphas, fractions = performance_profile(results, tau)
     return _profile_csv("alpha", alphas, fractions)
 
 
-def data_profile_csv(
-    results, tau: float, sigma_ref: float = 1e-3, log_budget: bool = False
-) -> str:
-    groups, fractions = data_profile(results, tau, sigma_ref, log_budget)
+def data_profile_csv(results, tau: float, sigma_ref: float = REFERENCE_SIGMA) -> str:
+    groups, fractions = data_profile(results, tau, sigma_ref)
     return _profile_csv("groups", groups, fractions)
 
 

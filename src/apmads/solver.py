@@ -156,11 +156,11 @@ class RunOutput:
     """Result of one run: the incumbent, the full log and the run state.
 
     ``stop_reason`` is "frame" (the frame fell below the stopping
-    threshold), "budget" (the draw budget is spent), "max_iterations", or
-    "precision-floor": the next iteration's target sigma has no finite
-    draw cost, the ledger total overflowed, or a fused estimate
-    overflowed (its observations' value / sigma**2 passed the largest
-    float).
+    threshold, or its mesh size underflowed to 0), "budget" (the draw
+    budget is spent), "max_iterations", or "precision-floor": the next
+    iteration's target sigma has no finite draw cost, the ledger total
+    overflowed, or a fused estimate overflowed (its observations'
+    value / sigma**2 passed the largest float).
     """
 
     incumbent: Point
@@ -353,8 +353,12 @@ def _past_precision_floor(config: SolverConfig, r: float):
 
 
 def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -> str | None:
-    """Why the loop stops before iteration ``k``, or None to go on."""
-    if delta_p < stop_delta_p:
+    """Why the loop stops before iteration ``k``, or None to go on.
+
+    A frame whose mesh size delta_p**2 underflows to 0 also ends the run
+    with "frame", since no poll can step on that mesh.
+    """
+    if delta_p < stop_delta_p or mesh_size(delta_p) == 0.0:
         return "frame"
     if draws == math.inf or cache.overflowed:  # the ledger total or an estimate overflowed
         return "precision-floor"

@@ -102,16 +102,18 @@ def test_profile_multiple_taus(tmp_path):
     assert (prof_dir / "data_tau0.1.csv").exists()
 
 
-def test_profile_log_budget_flag(tmp_path):
-    bench_dir = tmp_path / "logs"
-    main(["bench", "--problems", "norm2", "--algos", "dpmads", "--seeds", "0",
-          "--budget", "1e4", "--workers", "1", "--out-dir", str(bench_dir)])
-    logs = [str(p) for p in bench_dir.glob("norm2__*.csv")]
-    prof_dir = tmp_path / "profiles"
-    code = main(["profile", "--tau", "0.5", "--log-budget",
-                 "--out-dir", str(prof_dir), *logs])
-    assert code == 0
-    assert (prof_dir / "data.csv").exists()
+def test_profile_refuses_a_repeated_run_before_writing(tmp_path, capsys):
+    logs = []
+    for algo in ("dpmads", "mpmads"):
+        logs.append(str(tmp_path / f"norm2__{algo}__s0.csv"))
+        assert main(["run", "--problem", "norm2", "--algo", algo, "--seed", "0",
+                     "--budget", "1e4", "--out", logs[-1]]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["profile", "--out-dir", str(out_dir), logs[0], logs[0], logs[1]]) == 1
+    assert "run norm2__dpmads__s0 is given twice" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_profile_rejects_unparseable_names(tmp_path, capsys):
@@ -213,6 +215,8 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     # the sigma schedule's keys; sigma_max = 2 is above norm2's cap of 1
     "sigma_max = inf", "theta = 0", "sigma_min = -1", "r0 = nan", "theta = abc",
     "sigma_max = 2",
+    # with no --algo the variant picks the algorithm; it is not replaced by dp
+    "variant = xx",
 ])
 def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "solver.cfg"
@@ -290,6 +294,17 @@ def test_bench_zero_workers_exits_1_before_any_run(tmp_path, capsys):
     )
     assert code == 1
     assert "--workers" in capsys.readouterr().err
+    assert not bench_dir.exists()
+
+
+def test_bench_unknown_algo_exits_1_before_any_run(tmp_path, capsys):
+    bench_dir = tmp_path / "logs"
+    code = main(
+        ["bench", "--problems", "norm2", "--algos", "dpmads", "xx", "--seeds", "0",
+         "--out-dir", str(bench_dir)]
+    )
+    assert code == 1
+    assert "invalid choice: 'xx'" in capsys.readouterr().err
     assert not bench_dir.exists()
 
 

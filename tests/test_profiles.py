@@ -6,6 +6,7 @@ import pytest
 
 from apmads import (
     DegenerateNormalizationError,
+    InvalidInputError,
     RunResult,
     SolverConfig,
     accuracy,
@@ -174,6 +175,32 @@ def test_data_profile_zero_budget_unsolved():
     res = synthetic_result("a", 0, [(100.0, -0.5)])
     groups, fractions = data_profile([res], tau=0.5, sigma_ref=1e-3)
     assert all(f == 0.0 for f in fractions["a"])
+
+
+def test_profiles_count_a_missing_run_as_unsolved():
+    # "b" has no run on instance 1, so it solves half of the instances
+    results = [
+        synthetic_result("a", 0, [(2e6, -10.0)]),
+        synthetic_result("a", 1, [(4e6, -10.0)]),
+        synthetic_result("b", 0, [(1e6, -10.0)]),
+    ]
+    alphas, fractions = performance_profile(results, tau=0.5)
+    assert list(alphas) == [1.0, 2.0]
+    assert list(fractions["a"]) == [0.5, 1.0]
+    assert list(fractions["b"]) == [0.5, 0.5]
+    groups, fractions = data_profile(results, tau=0.5)
+    assert list(groups) == [1.0, 2.0, 4.0]
+    assert list(fractions["a"]) == [0.0, 0.5, 1.0]
+    assert list(fractions["b"]) == [0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("profile", [performance_profile, data_profile])
+def test_profiles_reject_no_runs_and_duplicate_runs(profile):
+    with pytest.raises(InvalidInputError, match="no runs given"):
+        profile([], tau=0.5)
+    twice = [synthetic_result("a", 0, [(100.0, -10.0)])] * 2
+    with pytest.raises(InvalidInputError, match="duplicate run"):
+        profile(twice, tau=0.5)
 
 
 def test_profile_csvs_deterministic():

@@ -449,6 +449,26 @@ def test_baseline_stops_at_precision_floor_when_the_ledger_overflows():
     assert all(math.isfinite(rec.draws) for rec in out.records[:-1])
 
 
+def test_baseline_stops_when_the_mesh_size_underflows():
+    # halving the frame towards stop_delta_p = 1e-300 passes 1.6e-162,
+    # below which delta_p**2, the mesh size, underflows to 0
+    out = run_fixed_precision_baseline(
+        problem_registry("norm2"), 1e-3, SolverConfig(stop_delta_p=1e-300, seed=0)
+    )
+    assert out.stop_reason == "frame"
+    assert all(rec.delta_m > 0.0 for rec in out.records)
+    assert out.records[-1].delta_p < 1e-161
+
+
+@pytest.mark.parametrize("variant", ["dp", "mp"])
+def test_run_stops_when_the_first_mesh_size_underflows(variant):
+    config = SolverConfig(variant=variant, delta_p0=1e-200, stop_delta_p=1e-300)
+    out = run(problem_registry("norm2"), config)
+    assert out.stop_reason == "frame"
+    assert out.records == []
+    assert out.ledger.total_draws == 0.0
+
+
 def test_log_round_trip_is_lossless():
     problem = problem_registry("moustache")
     out = run(problem, SolverConfig(variant="dp", seed=6, stop_draws=1e5))
