@@ -18,14 +18,21 @@ from multiprocessing import Pool
 
 from .exceptions import ApmadsError, ConfigError, InvalidSigmaError, UnknownProblemError
 from .problems import available_problems, problem_registry
+# accuracy_csv, convergence_csv and the *_profile_csv renderers stay importable
+# from this module: perfbench/tracing.py wraps them here
 from .profiles import (
     REFERENCE_SIGMA,
+    RunCurve,
     accuracy_csv,
+    accuracy_curve,
     convergence_csv,
     data_profile_csv,
+    join_accuracy_rows,
     make_run_result,
     performance_profile_csv,
+    profile_csvs,
     reference_draws,
+    run_csv_texts,
     validate_records,
 )
 from .solver import (
@@ -139,7 +146,7 @@ def _bench_task(task) -> tuple:
 
 
 def bench_workers(requested: int | None, n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` bench runs: never more than the runs.
+    """Worker processes for ``n_tasks`` bench runs or profiled logs: never more than the tasks.
 
     ``None`` means one per core; values <= 0 are a usage error.
     """
@@ -200,8 +207,21 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
     return parts[0], parts[1], seed
 
 
+def _profile_task(task) -> tuple:
+    """One log's share of ``profile``: its accuracy curve, acc.csv rows and conv__*.csv text.
+
+    It returns no records, so little crosses back from a worker process.
+    """
+    path, problem_name, algo, seed = task
+    try:
+        result = make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
+        return (*accuracy_curve(result), *run_csv_texts(result))
+    except ApmadsError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def cmd_profile(args) -> int:
-    # check every value before any log is read or any file is written
+    # check every value and name before any log is read or any file is written
     for tau in args.tau:
         if not 0.0 < tau < 1.0:
             raise UsageError(f"--tau must lie in (0, 1), got {tau}")
@@ -209,38 +229,52 @@ def cmd_profile(args) -> int:
         reference_draws(args.sigma_ref)
     except InvalidSigmaError as exc:
         raise UsageError(f"bad --sigma-ref: {exc}") from None
+    workers = bench_workers(args.workers, len(args.logs))
     runs = [_parse_log_name(path) for path in args.logs]
     seen = set()
     for run_id in runs:
         if run_id in seen:
             raise UsageError("run %s__%s__s%d is given twice" % run_id)
         seen.add(run_id)
-    os.makedirs(args.out_dir, exist_ok=True)
-    results = [
-        make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
-        for path, (problem_name, algo, seed) in zip(args.logs, runs)
-    ]
+    for problem_name, _, _ in runs:
+        problem_registry(problem_name)
+    tasks = [(path, *run_id) for path, run_id in zip(args.logs, runs)]
+    if workers > 1:
+        # imap keeps the argument order, so an error names the first bad log;
+        # chunks of logs as Pool.map sizes them, since one round trip per log
+        # costs about as much as the second worker saves
+        chunksize = -(-len(tasks) // (4 * workers))
+        with Pool(processes=workers) as pool:
+            results = pool.imap(_profile_task, tasks, chunksize)
+            try:
+                outputs = list(results)
+            except Exception:
+                # let the workers finish the queued logs first: Pool.terminate
+                # can hang for good when it kills a worker sending a result
+                pool.close()
+                pool.join()
+                raise
+    else:
+        outputs = [_profile_task(task) for task in tasks]
 
-    def _out(name: str) -> str:
-        return os.path.join(args.out_dir, name)
-
-    with open(_out("acc.csv"), "w") as fh:
-        fh.write(accuracy_csv(results))
-    written = ["acc.csv"]
+    curves, acc_blocks, conv_texts = [], [], {}
+    for (problem_name, algo, seed), (budgets, facc, acc_rows, conv_text) in zip(runs, outputs):
+        curves.append(RunCurve(algo, problem_name, seed, (budgets, facc)))
+        acc_blocks.append(((algo, problem_name, seed), acc_rows))
+        conv_texts[f"conv__{problem_name}__{algo}__s{seed}.csv"] = conv_text
+    texts = {"acc.csv": join_accuracy_rows(acc_blocks)}
     single = len(args.tau) == 1
     for tau in args.tau:
         suffix = "" if single else f"_tau{tau:g}"
-        with open(_out(f"perf{suffix}.csv"), "w") as fh:
-            fh.write(performance_profile_csv(results, tau))
-        with open(_out(f"data{suffix}.csv"), "w") as fh:
-            fh.write(data_profile_csv(results, tau, args.sigma_ref))
-        written += [f"perf{suffix}.csv", f"data{suffix}.csv"]
-    for res in results:
-        name = f"conv__{res.problem}__{res.algorithm}__s{res.seed}.csv"
-        with open(_out(name), "w") as fh:
-            fh.write(convergence_csv(res))
-        written.append(name)
-    print(f"wrote {', '.join(written)} in {args.out_dir}")
+        texts[f"perf{suffix}.csv"], texts[f"data{suffix}.csv"] = profile_csvs(
+            curves, tau, args.sigma_ref
+        )
+    texts.update(conv_texts)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, text in texts.items():
+        with open(os.path.join(args.out_dir, name), "w") as fh:
+            fh.write(text)
+    print(f"wrote {', '.join(texts)} in {args.out_dir}")
     return 0
 
 
@@ -301,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("logs", nargs="+", help="run logs named <problem>__<algo>__s<seed>.csv")
     p_prof.add_argument("--tau", nargs="+", type=float, default=[1e-3])
     p_prof.add_argument("--sigma-ref", type=float, default=REFERENCE_SIGMA)
+    p_prof.add_argument("--workers", type=int, default=None,
+                        help="worker processes, at most one per log (default: all cores)")
     p_prof.add_argument("--out-dir", default=".")
     p_prof.set_defaults(func=cmd_profile)
 

@@ -51,11 +51,37 @@ class RunResult:
     )
 
 
+@dataclass(frozen=True)
+class RunCurve:
+    """A run's (algorithm, problem, seed) and accuracy curve, without its records.
+
+    ``accuracy``, ``budget_to_solve`` and the performance and data
+    profiles need no more, so they take a ``RunCurve`` wherever they take
+    a ``RunResult``.
+    """
+
+    algorithm: str
+    problem: str
+    seed: int
+    curve: tuple[np.ndarray, np.ndarray]
+
+
 def make_run_result(
     problem: ProblemDef, algorithm: str, seed: int, records: list[IterationRecord]
 ) -> RunResult:
-    """Annotate a run log with the problem's truth oracle."""
-    trace = [problem.truth(rec.incumbent) for rec in records]
+    """Annotate a run log with the problem's truth oracle.
+
+    An incumbent equal to the previous row's shares its truth value,
+    unless it has a zero coordinate: -0.0 == 0.0, but the oracle may tell
+    them apart.
+    """
+    trace = []
+    last = truth = None
+    for rec in records:
+        x = rec.incumbent
+        if x != last or 0.0 in x:
+            last, truth = x, problem.truth(x)
+        trace.append(truth)
     return RunResult(
         algorithm=algorithm,
         problem=problem.name,
@@ -67,8 +93,10 @@ def make_run_result(
     )
 
 
-def accuracy_curve(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
+def accuracy_curve(result: RunResult | RunCurve) -> tuple[np.ndarray, np.ndarray]:
     """(budgets, best-so-far accuracy) aligned with the run log, as read-only arrays."""
+    if isinstance(result, RunCurve):
+        return result.curve
     if result._curve is not None:
         return result._curve
     denom = result.start_truth - result.best_truth
@@ -84,7 +112,7 @@ def accuracy_curve(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
     return result._curve
 
 
-def accuracy(result: RunResult, budget: float) -> float:
+def accuracy(result: RunResult | RunCurve, budget: float) -> float:
     """Accuracy of the best incumbent logged within ``budget`` draws."""
     if budget < 0:
         raise InvalidInputError(f"budget must be >= 0, got {budget}")
@@ -93,7 +121,7 @@ def accuracy(result: RunResult, budget: float) -> float:
     return float(facc[i]) if i >= 0 else 0.0
 
 
-def budget_to_solve(result: RunResult, tau: float) -> float:
+def budget_to_solve(result: RunResult | RunCurve, tau: float) -> float:
     """Smallest logged budget reaching accuracy 1 - tau; +inf if never."""
     if not 0.0 < tau < 1.0:
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
@@ -138,7 +166,10 @@ def performance_profile(results, tau: float):
     breakpoint grid (ratios at which some fraction changes, starting at 1).
     Instances solved by no algorithm stay in the denominator.
     """
-    budgets = _solve_budget_table(results, tau)
+    return _performance_profile(_solve_budget_table(results, tau))
+
+
+def _performance_profile(budgets: dict[str, np.ndarray]):
     best = np.min(list(budgets.values()), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = {
@@ -168,8 +199,12 @@ def data_profile(results, tau: float, sigma_ref: float = REFERENCE_SIGMA):
     deviation ``sigma_ref`` (each worth 1/sigma_ref**2 draws) would fit in
     the consumed budget.
     """
+    return _data_profile(_solve_budget_table(results, tau), sigma_ref)
+
+
+def _data_profile(budgets: dict[str, np.ndarray], sigma_ref: float):
     n_ref = reference_draws(sigma_ref)
-    groups_of = {algo: own / n_ref for algo, own in _solve_budget_table(results, tau).items()}
+    groups_of = {algo: own / n_ref for algo, own in budgets.items()}
     every = np.concatenate(list(groups_of.values()))
     groups = np.unique(every[np.isfinite(every)])
     if not groups.size:
@@ -183,13 +218,20 @@ def data_profile(results, tau: float, sigma_ref: float = REFERENCE_SIGMA):
 
 
 def performance_profile_csv(results, tau: float) -> str:
-    alphas, fractions = performance_profile(results, tau)
-    return _profile_csv("alpha", alphas, fractions)
+    return _profile_csv("alpha", *performance_profile(results, tau))
 
 
 def data_profile_csv(results, tau: float, sigma_ref: float = REFERENCE_SIGMA) -> str:
-    groups, fractions = data_profile(results, tau, sigma_ref)
-    return _profile_csv("groups", groups, fractions)
+    return _profile_csv("groups", *data_profile(results, tau, sigma_ref))
+
+
+def profile_csvs(results, tau: float, sigma_ref: float = REFERENCE_SIGMA) -> tuple[str, str]:
+    """``performance_profile_csv`` and ``data_profile_csv`` from one table of solve budgets."""
+    budgets = _solve_budget_table(results, tau)
+    return (
+        _profile_csv("alpha", *_performance_profile(budgets)),
+        _profile_csv("groups", *_data_profile(budgets, sigma_ref)),
+    )
 
 
 def _profile_csv(abscissa: str, xs: np.ndarray, fractions: dict) -> str:
@@ -202,24 +244,45 @@ def _profile_csv(abscissa: str, xs: np.ndarray, fractions: dict) -> str:
 
 
 def accuracy_csv(results) -> str:
-    lines = ["budget,algo,problem,seed,f_acc"]
-    for res in sorted(results, key=lambda r: (r.algorithm, r.problem, r.seed)):
-        budgets, facc = accuracy_curve(res)
-        run = f"{res.algorithm},{res.problem},{res.seed}"
-        lines.extend([f"{b:.17g},{run},{f:.17g}" for b, f in zip(budgets.tolist(), facc.tolist())])
-    lines.append("")
-    return "\n".join(lines)
+    return join_accuracy_rows(
+        ((res.algorithm, res.problem, res.seed), _accuracy_rows(res, _draws_column(res)))
+        for res in results
+    )
+
+
+def join_accuracy_rows(blocks) -> str:
+    """``accuracy_csv`` from each run's rows, given as ((algorithm, problem, seed), rows)."""
+    ordered = sorted(blocks, key=lambda block: block[0])
+    return "budget,algo,problem,seed,f_acc\n" + "".join([rows for _, rows in ordered])
 
 
 def convergence_csv(result: RunResult) -> str:
     """Truth-versus-draws curve of one run (plus the estimates for context)."""
-    lines = ["draws,f_true_inc,f_inc,sig_inc"]
-    lines.extend([
-        "%.17g,%.17g,%.17g,%.17g" % (rec.draws, truth, rec.f_inc, rec.sig_inc)
-        for rec, truth in zip(result.records, result.truth_trace)
-    ])
-    lines.append("")
-    return "\n".join(lines)
+    return _convergence_csv(result, _draws_column(result))
+
+
+def run_csv_texts(result: RunResult) -> tuple[str, str]:
+    """The run's rows of ``accuracy_csv`` and its ``convergence_csv``."""
+    draws = _draws_column(result)
+    return _accuracy_rows(result, draws), _convergence_csv(result, draws)
+
+
+def _draws_column(result: RunResult) -> list[str]:
+    return ["%.17g" % rec.draws for rec in result.records]
+
+
+def _accuracy_rows(result: RunResult, draws: list[str]) -> str:
+    run = f"{result.algorithm},{result.problem},{result.seed}"
+    facc = accuracy_curve(result)[1].tolist()
+    return "".join([f"{d},{run},{f:.17g}\n" for d, f in zip(draws, facc)])
+
+
+def _convergence_csv(result: RunResult, draws: list[str]) -> str:
+    rows = [
+        "%s,%.17g,%.17g,%.17g\n" % (d, truth, rec.f_inc, rec.sig_inc)
+        for d, rec, truth in zip(draws, result.records, result.truth_trace)
+    ]
+    return "draws,f_true_inc,f_inc,sig_inc\n" + "".join(rows)
 
 
 # --- log validation -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import multiprocessing
 import os
 import re
 from pathlib import Path
@@ -152,6 +153,69 @@ def test_profile_on_a_malformed_log_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "malformed log row at line 2: bad status 'Z'" in err
+
+
+def _bench_norm2_logs(bench_dir, seeds=("0", "1")) -> list[str]:
+    assert main(["bench", "--problems", "norm2", "--algos", "dpmads", "mpmads",
+                 "--seeds", *seeds, "--budget", "1e4", "--workers", "1",
+                 "--out-dir", str(bench_dir)]) == 0
+    return sorted(str(p) for p in bench_dir.glob("norm2__*__s*.csv"))
+
+
+def test_profile_parallel_workers(tmp_path):
+    logs = _bench_norm2_logs(tmp_path / "logs", seeds=("0", "1", "2"))
+
+    def profile(workers):
+        out_dir = tmp_path / f"workers{workers}"
+        assert main(["profile", *logs, "--tau", "0.5", "0.1", "--workers", workers,
+                     "--out-dir", str(out_dir)]) == 0
+        assert multiprocessing.active_children() == []
+        return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    parallel = profile("2")
+    assert len(parallel) == 5 + len(logs)
+    # every output is independent of the worker count
+    assert profile("1") == parallel
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_profile_names_the_first_malformed_log(tmp_path, capsys, workers):
+    # 12 logs: two workers take them in chunks of two, so the bad logs
+    # fall in different chunks and more logs are queued behind them
+    good = _bench_norm2_logs(tmp_path / "logs", seeds=("0", "1", "2", "3", "4"))
+    header = "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size\n"
+    first = tmp_path / "norm2__fixed__s1.csv"
+    first.write_text(header + "1,44,0.5,-1,2.5,0.25,1,1,0,0.75,Z,5\n")
+    second = tmp_path / "norm2__fixed__s0.csv"
+    second.write_text(header + "1,44,0.5\n")
+    out_dir = tmp_path / "out"
+    code = main(["profile", *good[:5], str(first), *good[5:9], str(second), good[9],
+                 "--workers", workers, "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {first}: malformed log row at line 2: bad status 'Z'" in err
+    assert str(second) not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_profile_zero_workers_exits_1_before_any_log_is_read(tmp_path, capsys, workers):
+    out_dir = tmp_path / "out"
+    # the log does not exist: reading it would exit 2
+    code = main(["profile", str(tmp_path / "norm2__dpmads__s0.csv"),
+                 "--workers", workers, "--out-dir", str(out_dir)])
+    assert code == 1
+    assert f"--workers must be a positive integer, got {workers}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_profile_unknown_problem_exits_1_before_creating_the_out_dir(tmp_path, capsys):
+    log = tmp_path / "foo__dpmads__s0.csv"
+    log.write_text("k,draws\n")
+    out_dir = tmp_path / "out"
+    assert main(["profile", str(log), "--out-dir", str(out_dir)]) == 1
+    assert "unknown problem 'foo'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_validate_ok_and_corrupted(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Profile computations on hand-built logs with known answers."""
 
+import dataclasses
 import math
 
 import pytest
@@ -19,12 +20,17 @@ from apmads import (
     run,
     validate_records,
 )
+from apmads import profiles
 from apmads.mesh import IterationStatus
 from apmads.profiles import (
+    RunCurve,
     accuracy_csv,
     convergence_csv,
     data_profile_csv,
+    join_accuracy_rows,
     performance_profile_csv,
+    profile_csvs,
+    run_csv_texts,
 )
 from apmads.solver import IterationRecord
 
@@ -223,6 +229,58 @@ def test_convergence_csv_shape():
     assert lines[0] == "draws,f_true_inc,f_inc,sig_inc"
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "-1"
+
+
+def test_run_curves_give_the_csvs_of_their_results(monkeypatch):
+    results = [
+        synthetic_result("b", 1, [(10.0, -1.0), (150.0, -10.0)]),
+        synthetic_result("a", 0, [(100.0, -9.0), (200.0, -10.0)]),
+        synthetic_result("a", 1, [(50.0, -2.0)]),
+        synthetic_result("b", 0, []),
+    ]
+    curves = [RunCurve(r.algorithm, r.problem, r.seed, accuracy_curve(r)) for r in results]
+    assert [budget_to_solve(c, 0.5) for c in curves] == [
+        budget_to_solve(r, 0.5) for r in results
+    ]
+    texts = [run_csv_texts(r) for r in results]
+    assert [conv for _, conv in texts] == [convergence_csv(r) for r in results]
+    blocks = [((r.algorithm, r.problem, r.seed), rows) for r, (rows, _) in zip(results, texts)]
+    assert join_accuracy_rows(blocks) == accuracy_csv(results)
+
+    calls = []
+    monkeypatch.setattr(
+        profiles, "budget_to_solve", lambda run, tau: calls.append(run) or budget_to_solve(run, tau)
+    )
+    for tau in (0.5, 0.01):
+        calls.clear()
+        assert profile_csvs(curves, tau, 1e-1) == (
+            performance_profile_csv(results, tau),
+            data_profile_csv(results, tau, 1e-1),
+        )
+        # the performance and data profiles share one table of solve budgets,
+        # so profile_csvs asks once per run; the two public renderers twice
+        assert len(calls) == 3 * len(results)
+
+
+def test_make_run_result_reuses_truth_only_for_equal_nonzero_incumbents():
+    asked = []
+
+    def truth(x):
+        asked.append(x)
+        return math.copysign(1.0, x[0]) + x[1]  # tells -0.0 from 0.0
+
+    problem = dataclasses.replace(problem_registry("norm2"), truth=truth)
+    incumbents = [
+        (1.0, 2.0), (1.0, 2.0),  # the repeat reuses its truth
+        (0.0, 2.0), (-0.0, 2.0), (-0.0, 2.0),  # equal to 0.0, so always asked
+        (float("nan"), 2.0), (float("nan"), 2.0),  # never equal, so always asked
+        (1.0, 2.0),
+    ]
+    records = [record(k, 10.0 * k, x) for k, x in enumerate(incumbents, 1)]
+    res = make_run_result(problem, "dpmads", 0, records)
+    # one row fewer than the log, besides the start point of start_truth
+    assert [x for x in asked if x is not problem.start] == incumbents[:1] + incumbents[2:]
+    assert res.truth_trace == [truth(x) for x in incumbents] == [3, 3, 3, 1, 1, 3, 3, 3]
 
 
 def test_make_run_result_norm2_accuracy():
