@@ -18,21 +18,18 @@ from multiprocessing import Pool
 
 from .exceptions import ApmadsError, ConfigError, InvalidSigmaError, UnknownProblemError
 from .problems import available_problems, problem_registry
-# accuracy_csv, convergence_csv and the *_profile_csv renderers stay importable
-# from this module: perfbench/tracing.py wraps them here
+# accuracy_csv and convergence_csv are not called here; they stay importable
+# from this module because perfbench/tracing.py wraps them here
 from .profiles import (
     REFERENCE_SIGMA,
-    RunCurve,
     accuracy_csv,
-    accuracy_curve,
     convergence_csv,
     data_profile_csv,
     join_accuracy_rows,
     make_run_result,
     performance_profile_csv,
-    profile_csvs,
     reference_draws,
-    run_csv_texts,
+    run_outputs,
     validate_records,
 )
 from .solver import (
@@ -69,7 +66,7 @@ def _parse_value(raw: str):
 
 def load_config_file(path: str) -> dict:
     """Flat ``key = value`` text; '#' starts a comment."""
-    values = {}
+    values, set_on = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -83,6 +80,11 @@ def load_config_file(path: str) -> dict:
                     f"{path}:{lineno}: unknown key {key!r}; known keys: "
                     + ", ".join(_CONFIG_KEYS)
                 )
+            if key in set_on:
+                raise UsageError(
+                    f"{path}:{lineno}: key {key!r} is set twice (lines {set_on[key]} and {lineno})"
+                )
+            set_on[key] = lineno
             values[key] = _parse_value(raw)
     return values
 
@@ -156,29 +158,52 @@ def bench_workers(requested: int | None, n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
+def _map_in_workers(task, tasks: list, workers: int) -> list:
+    """``[task(t) for t in tasks]``, in ``workers`` processes when that is more than one.
+
+    The results keep the order of ``tasks``, so an error is the first failing task's.
+    """
+    if workers == 1:
+        return [task(t) for t in tasks]
+    # chunks as Pool.map sizes them, since one round trip per task can cost
+    # about as much as the second worker saves
+    chunksize = -(-len(tasks) // (4 * workers))
+    with Pool(processes=workers) as pool:
+        try:
+            return list(pool.imap(task, tasks, chunksize))
+        except Exception:
+            # let the workers finish the queued tasks first: Pool.terminate
+            # can hang for good when it kills a worker sending a result
+            pool.close()
+            pool.join()
+            raise
+
+
+def _refuse_repeats(runs) -> None:
+    """``UsageError`` for a (problem, algo, seed) given twice: its two runs would share a name."""
+    seen = set()
+    for run_id in runs:
+        if run_id in seen:
+            raise UsageError("run %s__%s__s%d is given twice" % run_id)
+        seen.add(run_id)
+
+
 def cmd_bench(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    tasks = []
     for problem_name in args.problems:
         problem_registry(problem_name)  # fail fast on unknown names
-        for algo in args.algos:
-            if algo == "fixed" and args.sigma_fixed is None:
-                raise UsageError("--sigma-fixed is required when benching 'fixed'")
-            for seed in args.seeds:
-                out_path = os.path.join(
-                    args.out_dir, f"{problem_name}__{algo}__s{seed}.csv"
-                )
-                tasks.append(
-                    (problem_name, algo, seed, args.budget, args.stop_delta_p,
-                     args.sigma_fixed, file_values, out_path)
-                )
+    if "fixed" in args.algos and args.sigma_fixed is None:
+        raise UsageError("--sigma-fixed is required when benching 'fixed'")
+    runs = [(p, a, s) for p in args.problems for a in args.algos for s in args.seeds]
+    _refuse_repeats(runs)
+    tasks = [
+        (*run_id, args.budget, args.stop_delta_p, args.sigma_fixed, file_values,
+         os.path.join(args.out_dir, "%s__%s__s%d.csv" % run_id))
+        for run_id in runs
+    ]
     workers = bench_workers(args.workers, len(tasks))
     os.makedirs(args.out_dir, exist_ok=True)
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            rows = pool.map(_bench_task, tasks)
-    else:
-        rows = [_bench_task(task) for task in tasks]
+    rows = _map_in_workers(_bench_task, tasks, workers)
     manifest = os.path.join(args.out_dir, "manifest.csv")
     with open(manifest, "w") as fh:
         fh.write("problem,algo,seed,path,status\n")
@@ -208,14 +233,14 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
 
 
 def _profile_task(task) -> tuple:
-    """One log's share of ``profile``: its accuracy curve, acc.csv rows and conv__*.csv text.
+    """One log's share of ``profile``: its ``RunCurve``, acc.csv rows and conv__*.csv text.
 
     It returns no records, so little crosses back from a worker process.
     """
     path, problem_name, algo, seed = task
     try:
         result = make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
-        return (*accuracy_curve(result), *run_csv_texts(result))
+        return run_outputs(result)
     except ApmadsError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -231,45 +256,22 @@ def cmd_profile(args) -> int:
         raise UsageError(f"bad --sigma-ref: {exc}") from None
     workers = bench_workers(args.workers, len(args.logs))
     runs = [_parse_log_name(path) for path in args.logs]
-    seen = set()
-    for run_id in runs:
-        if run_id in seen:
-            raise UsageError("run %s__%s__s%d is given twice" % run_id)
-        seen.add(run_id)
+    _refuse_repeats(runs)
     for problem_name, _, _ in runs:
         problem_registry(problem_name)
     tasks = [(path, *run_id) for path, run_id in zip(args.logs, runs)]
-    if workers > 1:
-        # imap keeps the argument order, so an error names the first bad log;
-        # chunks of logs as Pool.map sizes them, since one round trip per log
-        # costs about as much as the second worker saves
-        chunksize = -(-len(tasks) // (4 * workers))
-        with Pool(processes=workers) as pool:
-            results = pool.imap(_profile_task, tasks, chunksize)
-            try:
-                outputs = list(results)
-            except Exception:
-                # let the workers finish the queued logs first: Pool.terminate
-                # can hang for good when it kills a worker sending a result
-                pool.close()
-                pool.join()
-                raise
-    else:
-        outputs = [_profile_task(task) for task in tasks]
+    outputs = _map_in_workers(_profile_task, tasks, workers)
 
-    curves, acc_blocks, conv_texts = [], [], {}
-    for (problem_name, algo, seed), (budgets, facc, acc_rows, conv_text) in zip(runs, outputs):
-        curves.append(RunCurve(algo, problem_name, seed, (budgets, facc)))
-        acc_blocks.append(((algo, problem_name, seed), acc_rows))
-        conv_texts[f"conv__{problem_name}__{algo}__s{seed}.csv"] = conv_text
-    texts = {"acc.csv": join_accuracy_rows(acc_blocks)}
+    curves = [curve for curve, _, _ in outputs]
+    texts = {"acc.csv": join_accuracy_rows((curve, rows) for curve, rows, _ in outputs)}
     single = len(args.tau) == 1
     for tau in args.tau:
         suffix = "" if single else f"_tau{tau:g}"
-        texts[f"perf{suffix}.csv"], texts[f"data{suffix}.csv"] = profile_csvs(
-            curves, tau, args.sigma_ref
-        )
-    texts.update(conv_texts)
+        texts[f"perf{suffix}.csv"] = performance_profile_csv(curves, tau)
+        texts[f"data{suffix}.csv"] = data_profile_csv(curves, tau, args.sigma_ref)
+    texts.update(
+        (f"conv__{c.problem}__{c.algorithm}__s{c.seed}.csv", conv) for c, _, conv in outputs
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     for name, text in texts.items():
         with open(os.path.join(args.out_dir, name), "w") as fh:

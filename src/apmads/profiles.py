@@ -13,7 +13,7 @@ functions of the logs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,7 @@ REFERENCE_SIGMA = 1e-3
 
 @dataclass
 class RunResult:
-    """A finished run annotated with the true values of its incumbents.
-
-    ``accuracy_curve`` computes the run's curve once and keeps it, so the
-    records and the truth values are not to change after that.
-    """
+    """A finished run annotated with the true values of its incumbents."""
 
     algorithm: str
     problem: str
@@ -46,9 +42,6 @@ class RunResult:
     truth_trace: list[float]
     start_truth: float
     best_truth: float
-    _curve: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,6 @@ def accuracy_curve(result: RunResult | RunCurve) -> tuple[np.ndarray, np.ndarray
     """(budgets, best-so-far accuracy) aligned with the run log, as read-only arrays."""
     if isinstance(result, RunCurve):
         return result.curve
-    if result._curve is not None:
-        return result._curve
     denom = result.start_truth - result.best_truth
     if denom == 0.0:
         raise DegenerateNormalizationError(
@@ -108,8 +99,7 @@ def accuracy_curve(result: RunResult | RunCurve) -> tuple[np.ndarray, np.ndarray
     best = np.minimum.accumulate(np.asarray(result.truth_trace, dtype=float))
     facc = (result.start_truth - best) / denom
     budgets.flags.writeable = facc.flags.writeable = False
-    result._curve = budgets, facc
-    return result._curve
+    return budgets, facc
 
 
 def accuracy(result: RunResult | RunCurve, budget: float) -> float:
@@ -166,10 +156,7 @@ def performance_profile(results, tau: float):
     breakpoint grid (ratios at which some fraction changes, starting at 1).
     Instances solved by no algorithm stay in the denominator.
     """
-    return _performance_profile(_solve_budget_table(results, tau))
-
-
-def _performance_profile(budgets: dict[str, np.ndarray]):
+    budgets = _solve_budget_table(results, tau)
     best = np.min(list(budgets.values()), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = {
@@ -199,12 +186,8 @@ def data_profile(results, tau: float, sigma_ref: float = REFERENCE_SIGMA):
     deviation ``sigma_ref`` (each worth 1/sigma_ref**2 draws) would fit in
     the consumed budget.
     """
-    return _data_profile(_solve_budget_table(results, tau), sigma_ref)
-
-
-def _data_profile(budgets: dict[str, np.ndarray], sigma_ref: float):
     n_ref = reference_draws(sigma_ref)
-    groups_of = {algo: own / n_ref for algo, own in budgets.items()}
+    groups_of = {algo: own / n_ref for algo, own in _solve_budget_table(results, tau).items()}
     every = np.concatenate(list(groups_of.values()))
     groups = np.unique(every[np.isfinite(every)])
     if not groups.size:
@@ -225,15 +208,6 @@ def data_profile_csv(results, tau: float, sigma_ref: float = REFERENCE_SIGMA) ->
     return _profile_csv("groups", *data_profile(results, tau, sigma_ref))
 
 
-def profile_csvs(results, tau: float, sigma_ref: float = REFERENCE_SIGMA) -> tuple[str, str]:
-    """``performance_profile_csv`` and ``data_profile_csv`` from one table of solve budgets."""
-    budgets = _solve_budget_table(results, tau)
-    return (
-        _profile_csv("alpha", *_performance_profile(budgets)),
-        _profile_csv("groups", *_data_profile(budgets, sigma_ref)),
-    )
-
-
 def _profile_csv(abscissa: str, xs: np.ndarray, fractions: dict) -> str:
     lines = [f"{abscissa},algo,fraction"]
     columns = [(algo, fractions[algo].tolist()) for algo in sorted(fractions)]
@@ -245,14 +219,13 @@ def _profile_csv(abscissa: str, xs: np.ndarray, fractions: dict) -> str:
 
 def accuracy_csv(results) -> str:
     return join_accuracy_rows(
-        ((res.algorithm, res.problem, res.seed), _accuracy_rows(res, _draws_column(res)))
-        for res in results
+        (res, _accuracy_rows(res, _draws_column(res), accuracy_curve(res)[1])) for res in results
     )
 
 
 def join_accuracy_rows(blocks) -> str:
-    """``accuracy_csv`` from each run's rows, given as ((algorithm, problem, seed), rows)."""
-    ordered = sorted(blocks, key=lambda block: block[0])
+    """``accuracy_csv`` from each run's rows, given as (``RunResult`` or ``RunCurve``, rows)."""
+    ordered = sorted(blocks, key=lambda b: (b[0].algorithm, b[0].problem, b[0].seed))
     return "budget,algo,problem,seed,f_acc\n" + "".join([rows for _, rows in ordered])
 
 
@@ -261,20 +234,24 @@ def convergence_csv(result: RunResult) -> str:
     return _convergence_csv(result, _draws_column(result))
 
 
-def run_csv_texts(result: RunResult) -> tuple[str, str]:
-    """The run's rows of ``accuracy_csv`` and its ``convergence_csv``."""
+def run_outputs(result: RunResult) -> tuple[RunCurve, str, str]:
+    """The run's ``RunCurve``, its rows of ``accuracy_csv`` and its ``convergence_csv``.
+
+    The accuracy curve is computed once for all three.
+    """
+    curve = accuracy_curve(result)
     draws = _draws_column(result)
-    return _accuracy_rows(result, draws), _convergence_csv(result, draws)
+    run_curve = RunCurve(result.algorithm, result.problem, result.seed, curve)
+    return run_curve, _accuracy_rows(result, draws, curve[1]), _convergence_csv(result, draws)
 
 
 def _draws_column(result: RunResult) -> list[str]:
     return ["%.17g" % rec.draws for rec in result.records]
 
 
-def _accuracy_rows(result: RunResult, draws: list[str]) -> str:
+def _accuracy_rows(result: RunResult, draws: list[str], facc: np.ndarray) -> str:
     run = f"{result.algorithm},{result.problem},{result.seed}"
-    facc = accuracy_curve(result)[1].tolist()
-    return "".join([f"{d},{run},{f:.17g}\n" for d, f in zip(draws, facc)])
+    return "".join([f"{d},{run},{f:.17g}\n" for d, f in zip(draws, facc.tolist())])
 
 
 def _convergence_csv(result: RunResult, draws: list[str]) -> str:

@@ -198,6 +198,25 @@ def test_profile_names_the_first_malformed_log(tmp_path, capsys, workers):
     assert not out_dir.exists()
 
 
+def test_profile_renders_each_tau_through_the_public_renderers(tmp_path, monkeypatch):
+    # perfbench/tracing.py times the renderers where cmd_profile looks them up
+    logs = _bench_norm2_logs(tmp_path / "logs")
+    calls = []
+
+    def counted(name):
+        renderer = getattr(cli, name)
+        return lambda curves, *args: calls.append((name, args)) or renderer(curves, *args)
+
+    for name in ("performance_profile_csv", "data_profile_csv"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["profile", *logs, "--tau", "0.5", "0.1", "--sigma-ref", "0.01",
+                 "--workers", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [
+        ("data_profile_csv", (0.1, 0.01)), ("data_profile_csv", (0.5, 0.01)),
+        ("performance_profile_csv", (0.1,)), ("performance_profile_csv", (0.5,)),
+    ]
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_profile_zero_workers_exits_1_before_any_log_is_read(tmp_path, capsys, workers):
     out_dir = tmp_path / "out"
@@ -292,6 +311,16 @@ def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_config_file_key_set_twice_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("seed = 1\n# a comment\nstop_draws = 1e4\nseed = 2\n")
+    out = tmp_path / "x.csv"
+    code = main(["run", "--problem", "norm2", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert f"error: {cfg}:4: key 'seed' is set twice (lines 1 and 4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_lists_the_config_keys_in_order():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     paragraph = readme[readme.index("`--config FILE`"):].split("\n\n", 1)[0]
@@ -334,6 +363,28 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
     assert sorted(parallel) == ["manifest.csv"] + [f"norm2__dpmads__s{i}.csv" for i in range(4)]
     # each log and the manifest are independent of the worker count
     assert bench("1") == parallel
+
+
+def test_bench_refuses_a_repeated_run_before_any_run(tmp_path, capsys):
+    bench_dir = tmp_path / "logs"
+    code = main(["bench", "--problems", "norm2", "--algos", "dpmads", "mpmads",
+                 "--seeds", "0", "1", "0", "--budget", "1e4", "--out-dir", str(bench_dir)])
+    assert code == 1
+    assert "error: run norm2__dpmads__s0 is given twice" in capsys.readouterr().err
+    assert not bench_dir.exists()
+
+
+def test_bench_error_in_a_worker_exits_2_without_a_manifest(tmp_path, capsys):
+    bench_dir = tmp_path / "logs"
+    blocked = bench_dir / "norm2__dpmads__s1.csv"
+    blocked.mkdir(parents=True)  # the run cannot write its log there
+    code = main(["bench", "--problems", "norm2", "--algos", "dpmads",
+                 "--seeds", "0", "1", "2", "3", "--budget", "1e4", "--workers", "2",
+                 "--out-dir", str(bench_dir)])
+    assert code == 2
+    assert re.search(rf"^error: .*{re.escape(str(blocked))}", capsys.readouterr().err, re.M)
+    assert not (bench_dir / "manifest.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_bench_workers_capped_at_task_count():

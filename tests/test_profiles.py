@@ -23,14 +23,12 @@ from apmads import (
 from apmads import profiles
 from apmads.mesh import IterationStatus
 from apmads.profiles import (
-    RunCurve,
     accuracy_csv,
     convergence_csv,
     data_profile_csv,
     join_accuracy_rows,
     performance_profile_csv,
-    profile_csvs,
-    run_csv_texts,
+    run_outputs,
 )
 from apmads.solver import IterationRecord
 
@@ -92,17 +90,20 @@ def test_accuracy_best_so_far_monotone_despite_regression():
     assert all(b >= a for a, b in zip(facc, facc[1:]))
 
 
-def test_accuracy_curve_is_computed_once_per_result():
+def test_accuracy_curve_is_computed_once_per_result(monkeypatch):
     res = synthetic_result("a", 0, [(10.0, -1.0), (100.0, -5.0)])
     fresh = synthetic_result("a", 0, [(10.0, -1.0), (100.0, -5.0)])
-    curve = accuracy_curve(res)
-    accuracy_csv([res])
-    budget_to_solve(res, 0.5)
-    assert accuracy_curve(res) is curve
-    budgets, facc = curve
+    calls = []
+    monkeypatch.setattr(
+        profiles, "accuracy_curve", lambda run: calls.append(run) or accuracy_curve(run)
+    )
+    curve, _, _ = run_outputs(res)
+    # one curve serves the RunCurve, the accuracy rows and the profiles
+    assert calls == [res]
+    budgets, facc = curve.curve
     assert not budgets.flags.writeable and not facc.flags.writeable
-    assert res == fresh  # the kept curve takes no part in equality
-    assert "_curve" not in repr(res)
+    assert all(a.tolist() == b.tolist() for a, b in zip(curve.curve, accuracy_curve(res)))
+    assert res == fresh
 
 
 def test_accuracy_degenerate_normalisation():
@@ -231,35 +232,26 @@ def test_convergence_csv_shape():
     assert lines[1].split(",")[1] == "-1"
 
 
-def test_run_curves_give_the_csvs_of_their_results(monkeypatch):
+def test_run_curves_give_the_csvs_of_their_results():
     results = [
         synthetic_result("b", 1, [(10.0, -1.0), (150.0, -10.0)]),
         synthetic_result("a", 0, [(100.0, -9.0), (200.0, -10.0)]),
         synthetic_result("a", 1, [(50.0, -2.0)]),
         synthetic_result("b", 0, []),
     ]
-    curves = [RunCurve(r.algorithm, r.problem, r.seed, accuracy_curve(r)) for r in results]
+    outputs = [run_outputs(r) for r in results]
+    curves = [curve for curve, _, _ in outputs]
+    assert [(c.algorithm, c.problem, c.seed) for c in curves] == [
+        (r.algorithm, r.problem, r.seed) for r in results
+    ]
     assert [budget_to_solve(c, 0.5) for c in curves] == [
         budget_to_solve(r, 0.5) for r in results
     ]
-    texts = [run_csv_texts(r) for r in results]
-    assert [conv for _, conv in texts] == [convergence_csv(r) for r in results]
-    blocks = [((r.algorithm, r.problem, r.seed), rows) for r, (rows, _) in zip(results, texts)]
-    assert join_accuracy_rows(blocks) == accuracy_csv(results)
-
-    calls = []
-    monkeypatch.setattr(
-        profiles, "budget_to_solve", lambda run, tau: calls.append(run) or budget_to_solve(run, tau)
-    )
+    assert [conv for _, _, conv in outputs] == [convergence_csv(r) for r in results]
+    assert join_accuracy_rows((c, rows) for c, rows, _ in outputs) == accuracy_csv(results)
     for tau in (0.5, 0.01):
-        calls.clear()
-        assert profile_csvs(curves, tau, 1e-1) == (
-            performance_profile_csv(results, tau),
-            data_profile_csv(results, tau, 1e-1),
-        )
-        # the performance and data profiles share one table of solve budgets,
-        # so profile_csvs asks once per run; the two public renderers twice
-        assert len(calls) == 3 * len(results)
+        assert performance_profile_csv(curves, tau) == performance_profile_csv(results, tau)
+        assert data_profile_csv(curves, tau, 1e-1) == data_profile_csv(results, tau, 1e-1)
 
 
 def test_make_run_result_reuses_truth_only_for_equal_nonzero_incumbents():

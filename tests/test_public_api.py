@@ -1,6 +1,7 @@
 """The package exports the documented workflow; internals stay in their modules."""
 
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -10,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import apmads
+from apmads import cli, profiles, solver
+from apmads.blackbox import NoisyBlackbox
+from apmads.estimation import EvaluationCache
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,3 +111,34 @@ def test_runtime_imports_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+
+def test_the_benchmark_trace_wraps_names_that_exist_and_restores_them():
+    # perfbench/tracing.py patches functions by name: entering patched()
+    # fails on a name that is gone, and leaving it must put every one back
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = [cli, profiles, solver, NoisyBlackbox, EvaluationCache]
+    before = [dict(vars(owner)) for owner in owners]
+    with tracing.patched(tracing.Tracer()):
+        during = [dict(vars(owner)) for owner in owners]
+    wrapped = {
+        (owner.__name__, name)
+        for owner, old, new in zip(owners, before, during)
+        for name in old
+        if new[name] is not old[name]
+    }
+    # the profile-logs workload's layers: cmd_profile calls each of them
+    profile_layers = [
+        ("apmads.cli", "cmd_profile"), ("apmads.cli", "read_log"),
+        ("apmads.cli", "make_run_result"), ("apmads.cli", "problem_registry"),
+        ("apmads.cli", "performance_profile_csv"), ("apmads.cli", "data_profile_csv"),
+        ("apmads.profiles", "performance_profile"), ("apmads.profiles", "data_profile"),
+        ("apmads.profiles", "budget_to_solve"),
+    ]
+    assert wrapped >= set(profile_layers)
+    assert [dict(vars(owner)) for owner in owners] == before
