@@ -8,6 +8,7 @@ The p-value then quantifies how plausibly one cached point beats another.
 import numpy as np
 
 from apmads import problem_registry
+from apmads.blackbox import SIGMA_MAX
 from apmads.estimation import EvaluationCache, sigma_to_reach
 from apmads.normal import p_value
 
@@ -31,7 +32,7 @@ print()
 print("sigma_to_reach: one observation bringing an estimate to a target")
 _, sig_now = cache.estimate(x)
 target = sig_now / 2.0
-needed = sigma_to_reach(sig_now, target, sigma_max=1.0)
+needed = sigma_to_reach(sig_now, target, SIGMA_MAX)
 print(f"  current sigma {sig_now:.4f}, target {target:.4f} -> observe once at {needed:.4f}")
 cache.record(x, bb.observe(x, needed, rng))
 print(f"  reached: {cache.estimate(x)[1]:.6f} (target {target:.6f})")

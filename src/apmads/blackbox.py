@@ -19,6 +19,10 @@ from .exceptions import InvalidInputError, InvalidSigmaError
 
 Point = tuple[float, ...]
 
+# the largest sigma an observation may ask for: one draw, costing 1 equivalent draw
+SIGMA_MAX = 1.0
+
+
 def as_point(coords) -> Point:
     """Normalise a coordinate sequence to a finite float tuple."""
     pt = tuple(float(c) for c in coords)
@@ -87,17 +91,11 @@ class NoisyBlackbox:
     used from one thread; independent runs build independent instances.
     """
 
-    def __init__(
-        self,
-        truth: Callable[[Point], float],
-        feasible: Callable[[Point], bool],
-        dimension: int,
-        sigma_max: float = 1.0,
-    ):
+    def __init__(self, truth: Callable[[Point], float], feasible: Callable[[Point], bool],
+                 dimension: int):
         self._truth = truth
         self._feasible = feasible
         self.dimension = int(dimension)
-        self.sigma_max = float(sigma_max)
         self.ledger = DrawLedger()
 
     def feasible(self, x: Point) -> bool:
@@ -145,10 +143,9 @@ class NoisyBlackbox:
             raise InvalidInputError(
                 f"point has non-finite coordinate: {tuple(coords[bad].tolist())}"
             )
-        sigma_max = self.sigma_max
         for sigma in sigmas:
-            if not 0.0 < sigma <= sigma_max:
-                raise InvalidSigmaError(f"sigma must lie in (0, {sigma_max}], got {sigma}")
+            if not 0.0 < sigma <= SIGMA_MAX:
+                raise InvalidSigmaError(f"sigma must lie in (0, {SIGMA_MAX}], got {sigma}")
         xs = list(map(tuple, coords.tolist()))
         is_feasible = self._feasible
         feasible = [bool(is_feasible(x)) for x in xs]

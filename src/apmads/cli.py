@@ -34,6 +34,7 @@ from .profiles import (
 )
 from .solver import (
     SolverConfig,
+    check_run_settings,
     read_log,
     run,
     run_fixed_precision_baseline,
@@ -89,35 +90,43 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _execute_run(problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values):
-    values = dict(file_values or {})
+def build_run(args, file_values: dict, algo: str | None, seed: int | None) -> tuple:
+    """One run's ``(algo, config, sigma_fixed)``, checked before any solve starts.
+
+    File values first, then ``seed``, ``--budget`` and ``--stop-delta-p``. With ``algo``
+    None the file's variant picks dpmads or mpmads (SolverConfig rejects any other).
+    A missing or bad ``--sigma-fixed`` of a fixed run is a usage error; dp and mp get None.
+    """
+    values = dict(file_values)
     if algo is None:
-        # the config file's variant picks the algorithm; SolverConfig rejects
-        # a variant other than dp or mp
         algo = "mpmads" if values.get("variant") == "mp" else "dpmads"
     elif algo != "fixed":
         values["variant"] = _ALGO_VARIANT[algo]
-    problem = problem_registry(problem_name)
-    if seed is not None:
-        values["seed"] = seed
-    if budget is not None:
-        values["stop_draws"] = budget
-    if stop_delta_p is not None:
-        values["stop_delta_p"] = stop_delta_p
+    flags = {"seed": seed, "stop_draws": args.budget, "stop_delta_p": args.stop_delta_p}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
     config = SolverConfig(**values)
-    if algo == "fixed":
-        if sigma_fixed is None:
-            raise UsageError("--sigma-fixed is required with --algo fixed")
-        return problem, run_fixed_precision_baseline(problem, sigma_fixed, config), algo, config
-    return problem, run(problem, config), algo, config
+    sigma_fixed = args.sigma_fixed if algo == "fixed" else None
+    if algo == "fixed" and sigma_fixed is None:
+        raise UsageError("--sigma-fixed is required for the fixed algorithm")
+    try:
+        check_run_settings(config, sigma_fixed)
+    except InvalidSigmaError as exc:
+        raise UsageError(f"bad --sigma-fixed: {exc}") from None
+    return algo, config, sigma_fixed
+
+
+def solve_run(problem, config: SolverConfig, sigma_fixed: float | None):
+    """The ``RunOutput`` of one run as ``build_run`` set it up."""
+    if sigma_fixed is None:
+        return run(problem, config)
+    return run_fixed_precision_baseline(problem, sigma_fixed, config)
 
 
 def cmd_run(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    problem, out, algo, config = _execute_run(
-        args.problem, args.algo, args.seed, args.budget, args.stop_delta_p,
-        args.sigma_fixed, file_values,
-    )
+    problem = problem_registry(args.problem)
+    algo, config, sigma_fixed = build_run(args, file_values, args.algo, args.seed)
+    out = solve_run(problem, config, sigma_fixed)
     write_log(out.records, args.out, dimension=problem.dimension)
     print(
         f"{args.problem} {algo} seed={config.seed}: "
@@ -132,19 +141,17 @@ def cmd_run(args) -> int:
 def _bench_task(task) -> tuple:
     """One bench run: its manifest row, with status "ok" or "failed:<ErrorType>".
 
-    A run that raises an ``ApmadsError`` writes no log and leaves its path
-    empty; the other runs go on.
+    A run that raises an ``ApmadsError`` while solving writes no log and
+    leaves its path empty; the other runs go on.
     """
-    (problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values,
-     out_path) = task
+    problem, algo, config, sigma_fixed, out_path = task
+    row = (problem.name, algo, config.seed)
     try:
-        problem, out, _, _ = _execute_run(
-            problem_name, algo, seed, budget, stop_delta_p, sigma_fixed, file_values
-        )
+        out = solve_run(problem, config, sigma_fixed)
     except ApmadsError as exc:
-        return problem_name, algo, seed, "", f"failed:{type(exc).__name__}"
+        return *row, "", f"failed:{type(exc).__name__}"
     write_log(out.records, out_path, dimension=problem.dimension)
-    return problem_name, algo, seed, out_path, "ok"
+    return *row, out_path, "ok"
 
 
 def bench_workers(requested: int | None, n_tasks: int) -> int:
@@ -190,16 +197,13 @@ def _refuse_repeats(runs) -> None:
 
 def cmd_bench(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
-    for problem_name in args.problems:
-        problem_registry(problem_name)  # fail fast on unknown names
-    if "fixed" in args.algos and args.sigma_fixed is None:
-        raise UsageError("--sigma-fixed is required when benching 'fixed'")
+    problems = {name: problem_registry(name) for name in args.problems}
     runs = [(p, a, s) for p in args.problems for a in args.algos for s in args.seeds]
     _refuse_repeats(runs)
     tasks = [
-        (*run_id, args.budget, args.stop_delta_p, args.sigma_fixed, file_values,
-         os.path.join(args.out_dir, "%s__%s__s%d.csv" % run_id))
-        for run_id in runs
+        (problems[name], *build_run(args, file_values, algo, seed),
+         os.path.join(args.out_dir, "%s__%s__s%d.csv" % (name, algo, seed)))
+        for name, algo, seed in runs
     ]
     workers = bench_workers(args.workers, len(tasks))
     os.makedirs(args.out_dir, exist_ok=True)
@@ -247,9 +251,16 @@ def _profile_task(task) -> tuple:
 
 def cmd_profile(args) -> int:
     # check every value and name before any log is read or any file is written
+    tau_of = {}  # file suffix -> tau: two taus must not write the same files
     for tau in args.tau:
         if not 0.0 < tau < 1.0:
             raise UsageError(f"--tau must lie in (0, 1), got {tau}")
+        suffix = "" if len(args.tau) == 1 else f"_tau{tau:g}"
+        if suffix in tau_of:
+            raise UsageError(
+                f"--tau {tau_of[suffix]!r} and {tau!r} would both write perf{suffix}.csv"
+            )
+        tau_of[suffix] = tau
     try:
         reference_draws(args.sigma_ref)
     except InvalidSigmaError as exc:
@@ -264,9 +275,7 @@ def cmd_profile(args) -> int:
 
     curves = [curve for curve, _, _ in outputs]
     texts = {"acc.csv": join_accuracy_rows((curve, rows) for curve, rows, _ in outputs)}
-    single = len(args.tau) == 1
-    for tau in args.tau:
-        suffix = "" if single else f"_tau{tau:g}"
+    for suffix, tau in tau_of.items():
         texts[f"perf{suffix}.csv"] = performance_profile_csv(curves, tau)
         texts[f"data{suffix}.csv"] = data_profile_csv(curves, tau, args.sigma_ref)
     texts.update(
@@ -307,46 +316,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one solve, writing a run-log CSV")
+    solve_flags = argparse.ArgumentParser(add_help=False)  # run and bench
+    solve_flags.add_argument("--budget", type=float, help="stop after this many equivalent draws")
+    solve_flags.add_argument("--stop-delta-p", type=float)
+    solve_flags.add_argument("--sigma-fixed", type=float, help="per-evaluation sigma of 'fixed'")
+    solve_flags.add_argument("--config", help="flat key=value config file")
+    pool_flags = argparse.ArgumentParser(add_help=False)  # bench and profile
+    pool_flags.add_argument("--workers", type=int,
+                            help="worker processes, at most one per task (default: one per core)")
+
+    p_run = sub.add_parser("run", parents=[solve_flags], help="one solve, writing a run-log CSV")
     p_run.add_argument("--problem", required=True)
-    p_run.add_argument("--algo", default=None, choices=ALGOS)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--budget", type=float, default=None,
-                       help="stop once this many equivalent draws are consumed")
-    p_run.add_argument("--stop-delta-p", type=float, default=None)
-    p_run.add_argument("--sigma-fixed", type=float, default=None,
-                       help="per-evaluation sigma for --algo fixed")
-    p_run.add_argument("--config", default=None, help="flat key=value config file")
+    p_run.add_argument("--algo", choices=ALGOS)
+    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", required=True, help="run-log CSV path")
     p_run.set_defaults(func=cmd_run)
 
-    p_bench = sub.add_parser("bench", help="cross product of problems x algos x seeds")
+    p_bench = sub.add_parser("bench", parents=[solve_flags, pool_flags],
+                             help="cross product of problems x algos x seeds")
     p_bench.add_argument("--problems", nargs="+", default=list(available_problems()))
     p_bench.add_argument("--algos", nargs="+", default=["dpmads", "mpmads"], choices=ALGOS)
     p_bench.add_argument("--seeds", nargs="+", type=int, default=[0])
-    p_bench.add_argument("--budget", type=float, default=None)
-    p_bench.add_argument("--stop-delta-p", type=float, default=None)
-    p_bench.add_argument("--sigma-fixed", type=float, default=None)
-    p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="worker processes, at most one per run (default: all cores)")
     p_bench.add_argument("--out-dir", required=True)
     p_bench.set_defaults(func=cmd_bench)
 
-    p_prof = sub.add_parser("profile", help="profiles and convergence curves from logs")
+    p_prof = sub.add_parser("profile", parents=[pool_flags],
+                            help="profiles and convergence curves from logs")
     p_prof.add_argument("logs", nargs="+", help="run logs named <problem>__<algo>__s<seed>.csv")
     p_prof.add_argument("--tau", nargs="+", type=float, default=[1e-3])
     p_prof.add_argument("--sigma-ref", type=float, default=REFERENCE_SIGMA)
-    p_prof.add_argument("--workers", type=int, default=None,
-                        help="worker processes, at most one per log (default: all cores)")
     p_prof.add_argument("--out-dir", default=".")
     p_prof.set_defaults(func=cmd_profile)
 
     p_val = sub.add_parser("validate", help="structural invariant checks on run logs")
     p_val.add_argument("logs", nargs="+")
-    p_val.add_argument("--problem", default=None,
-                       help="enables the exact mesh-membership check")
-    p_val.add_argument("--variant", default=None, choices=["mp", "dp"])
+    p_val.add_argument("--problem", help="enables the exact mesh-membership check")
+    p_val.add_argument("--variant", choices=["mp", "dp"])
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -64,11 +64,10 @@ class ProblemDef:
     feasible: Callable[[Point], bool]
     best_truth: float
     stop_delta_p: float
-    sigma_max: float = 1.0
 
     def blackbox(self) -> NoisyBlackbox:
         """Fresh solver-facing blackbox with its own empty draw ledger."""
-        return NoisyBlackbox(self.truth, self.feasible, self.dimension, self.sigma_max)
+        return NoisyBlackbox(self.truth, self.feasible, self.dimension)
 
     @property
     def start_truth(self) -> float:

@@ -66,13 +66,19 @@ def make_run_result(
 
     An incumbent equal to the previous row's shares its truth value,
     unless it has a zero coordinate: -0.0 == 0.0, but the oracle may tell
-    them apart.
+    them apart. An incumbent without ``problem.dimension`` coordinates
+    raises ``InvalidInputError``.
     """
     trace = []
     last = truth = None
     for rec in records:
         x = rec.incumbent
         if x != last or 0.0 in x:
+            if len(x) != problem.dimension:
+                raise InvalidInputError(
+                    f"incumbent at k={rec.k} has {len(x)} coordinates; "
+                    f"{problem.name} has dimension {problem.dimension}"
+                )
             last, truth = x, problem.truth(x)
         trace.append(truth)
     return RunResult(
@@ -272,9 +278,10 @@ def validate_records(
 ) -> list[tuple[str, bool, str]]:
     """Structural invariant checks on a parsed run log.
 
-    Returns (check name, passed, detail) triples. Mesh membership of the
-    logged incumbents (exact rational residuals against the finest mesh so
-    far) is checked when the problem, and hence the start point, is known.
+    Returns (check name, passed, detail) triples. When the problem is
+    known, so are the incumbents' dimension and the start point; mesh
+    membership of the logged incumbents (exact rational residuals against
+    the finest mesh so far) is then checked, if the dimension check passes.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -309,16 +316,23 @@ def validate_records(
         ok = all(b >= a for a, b in zip(rs, rs[1:]))
         checks.append(("r-nondecreasing", ok, "monotone variant"))
 
-    if problem is not None and records:
-        delta_min = math.inf
-        ok = True
-        detail = ""
-        for rec in records:
-            delta_min = min(delta_min, rec.delta_m)
-            if not on_mesh(rec.incumbent, problem.start, delta_min):
-                ok = False
-                detail = f"incumbent off mesh at k={rec.k}"
-                break
-        checks.append(("incumbents-on-mesh", ok, detail))
+    if problem is None or not records:
+        return checks
+    n = problem.dimension
+    bad = next((rec.k for rec in records if len(rec.incumbent) != n), None)
+    detail = "" if bad is None else f"incumbent at k={bad} does not have {n} coordinates"
+    checks.append(("dimension", bad is None, detail))
+    if bad is not None:
+        return checks  # on_mesh would zip the incumbent against a start of another length
 
+    delta_min = math.inf
+    ok = True
+    detail = ""
+    for rec in records:
+        delta_min = min(delta_min, rec.delta_m)
+        if not on_mesh(rec.incumbent, problem.start, delta_min):
+            ok = False
+            detail = f"incumbent off mesh at k={rec.k}"
+            break
+    checks.append(("incumbents-on-mesh", ok, detail))
     return checks

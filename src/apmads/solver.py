@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackbox import DrawLedger, NoisyBlackbox, Point, as_point, draws_for_sigma
+from .blackbox import SIGMA_MAX, DrawLedger, NoisyBlackbox, Point, as_point, draws_for_sigma
 from .estimation import EvaluationCache, sigma_to_reach
 from .exceptions import (
     ConfigError,
@@ -56,7 +56,7 @@ class SolverConfig:
     """
 
     sigma_min: float = 0.0
-    sigma_max: float = 1.0
+    sigma_max: float = SIGMA_MAX
     r0: float = 0.0
     theta: float = 0.1
     variant: str = "dp"
@@ -207,15 +207,15 @@ def observe_points(cache, blackbox, coords, sigma_for, rng) -> list[int | None]:
     return [find(key) for key in keys]
 
 
-def _tightening_sigma(cache, sigma_target: float, sigma_max: float):
+def _tightening_sigma(cache, sigma_target: float):
     """``sigma_for`` of the poll: one observation bringing sig_hat to the target.
 
     Infeasible points and points already at the target get none. A sigma
-    clamped at ``sigma_max`` overshoots the target (see ``sigma_to_reach``),
+    clamped at ``SIGMA_MAX`` overshoots the target (see ``sigma_to_reach``),
     so one observation per poll always brings a feasible point down to the
     target, up to rounding.
     """
-    fresh = sigma_to_reach(math.inf, sigma_target, sigma_max)
+    fresh = sigma_to_reach(math.inf, sigma_target, SIGMA_MAX)
     feasible_at, estimate_at = cache.feasible_at, cache.estimate_at
 
     def sigma_for(i: int | None):
@@ -223,7 +223,7 @@ def _tightening_sigma(cache, sigma_target: float, sigma_max: float):
             return fresh
         if not feasible_at(i):
             return None
-        return sigma_to_reach(estimate_at(i)[1], sigma_target, sigma_max)
+        return sigma_to_reach(estimate_at(i)[1], sigma_target, SIGMA_MAX)
 
     return sigma_for
 
@@ -264,10 +264,8 @@ def poll_step(
     """
     sigma_target = rho(config, r)
     coords = generate_poll(center, delta_p, rng)
-    rows = observe_points(
-        cache, blackbox, np.concatenate(([center], coords)),
-        _tightening_sigma(cache, sigma_target, blackbox.sigma_max), rng,
-    )
+    rows = observe_points(cache, blackbox, np.concatenate(([center], coords)),
+                          _tightening_sigma(cache, sigma_target), rng)
     best, status = _poll_outcome(cache, rows)
     return best, status, coords
 
@@ -352,6 +350,24 @@ def _past_precision_floor(config: SolverConfig, r: float):
     return None
 
 
+def check_run_settings(config: SolverConfig, sigma_fixed: float | None = None) -> None:
+    """Every check a run makes before its first draw that depends on its settings alone.
+
+    ``run`` (``sigma_fixed`` None) needs sigma_max <= ``SIGMA_MAX`` and ``r_init`` not past
+    the precision floor, else ``ConfigError``; the baseline needs ``sigma_fixed`` in
+    (0, SIGMA_MAX] with a finite draw cost, else ``InvalidSigmaError``.
+    """
+    if sigma_fixed is not None:
+        if not 0.0 < sigma_fixed <= SIGMA_MAX:
+            raise InvalidSigmaError(f"sigma_fixed must lie in (0, {SIGMA_MAX}], got {sigma_fixed}")
+        draws_for_sigma(sigma_fixed)
+    elif config.sigma_max > SIGMA_MAX:
+        raise ConfigError(f"sigma_max {config.sigma_max} exceeds the observable cap {SIGMA_MAX}")
+    elif (floor := _past_precision_floor(config, config.r_init)) is not None:
+        raise ConfigError(f"r_init {config.r_init} is past the precision floor: rho({floor})"
+                          f" = {rho(config, floor)} has no finite draw cost")
+
+
 def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -> str | None:
     """Why the loop stops before iteration ``k``, or None to go on.
 
@@ -428,18 +444,8 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     is spent, the iteration cap is hit, or the next iteration cannot be
     paid for; ``RunOutput.stop_reason`` says which.
     """
-    if config.sigma_max > problem.sigma_max:
-        raise ConfigError(
-            f"rho sigma_max {config.sigma_max} exceeds the problem's "
-            f"observable cap {problem.sigma_max}"
-        )
+    check_run_settings(config)
     blackbox = problem.blackbox()
-    floor = _past_precision_floor(config, config.r_init)
-    if floor is not None:
-        raise ConfigError(
-            f"precision index {floor} is past the precision floor: "
-            f"rho = {rho(config, floor)} has no finite draw cost"
-        )
     r_next = config.r_init
 
     def step(cache, incumbent, delta_p, rng):
@@ -470,10 +476,7 @@ def run_fixed_precision_baseline(
     p = 1.0 on success and 0.0 otherwise, so the frame doubles on success
     and halves on any other outcome; the precision column is constantly 0.
     """
-    if not 0.0 < sigma_fixed <= problem.sigma_max:
-        raise InvalidSigmaError(
-            f"sigma_fixed must lie in (0, {problem.sigma_max}], got {sigma_fixed}"
-        )
+    check_run_settings(config, sigma_fixed)
     blackbox = problem.blackbox()
 
     def once(i: int | None):

@@ -136,7 +136,7 @@ def counting_blackbox(name="moustache"):
         calls["feasible"] += 1
         return problem.feasible(x)
 
-    bb = NoisyBlackbox(truth, feasible, problem.dimension, problem.sigma_max)
+    bb = NoisyBlackbox(truth, feasible, problem.dimension)
     return bb, calls
 
 

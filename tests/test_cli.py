@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from apmads import InvalidSigmaError, SolverConfig, cli
+from apmads import InvalidSigmaError, SolverConfig, cli, read_log, write_log
 from apmads.cli import UsageError, bench_workers, load_config_file, main
 
 
@@ -115,6 +115,17 @@ def test_profile_refuses_a_repeated_run_before_writing(tmp_path, capsys):
     assert main(["profile", "--out-dir", str(out_dir), logs[0], logs[0], logs[1]]) == 1
     assert "run norm2__dpmads__s0 is given twice" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("taus", [["1e-3", "0.0010000001"], ["0.5", "0.1", "0.5"]])
+def test_profile_refuses_two_taus_with_one_file_name(tmp_path, capsys, taus):
+    out_dir = tmp_path / "out"
+    # the log does not exist: reading it would exit 2
+    code = main(["profile", str(tmp_path / "norm2__dpmads__s0.csv"), "--tau", *taus,
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert "would both write perf_tau" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_profile_rejects_unparseable_names(tmp_path, capsys):
@@ -257,6 +268,28 @@ def test_validate_ok_and_corrupted(tmp_path, capsys):
     assert "FAIL mesh-frame-coupling" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["norm2__mpmads__s1.csv", "moustache__dpmads__s1.csv"])
+def test_a_log_of_the_wrong_dimension_fails_profile_and_validate(tmp_path, capsys, name):
+    # a norm2 log whose incumbents carry a third coordinate of 0
+    log = tmp_path / name
+    assert main(["run", "--problem", "norm2", "--algo", "mpmads", "--seed", "1",
+                 "--budget", "1e4", "--out", str(log)]) == 0
+    records = read_log(log)
+    for rec in records:
+        rec.incumbent = (*rec.incumbent, 0.0)
+    write_log(records, log)
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(["profile", str(log), "--out-dir", str(out_dir)]) == 2
+    assert f"error: {log}: incumbent at k=1 has 3 coordinates" in capsys.readouterr().err
+    assert not out_dir.exists()
+    problem = name.split("__")[0]
+    assert main(["validate", str(log), "--problem", problem]) == 2
+    out = capsys.readouterr().out
+    assert f"{log}: FAIL dimension (incumbent at k=1 does not have 2 coordinates)" in out
+    assert "incumbents-on-mesh" not in out
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text(
@@ -295,11 +328,13 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     # values of the wrong type
     "tau = abc", "r_s = abc", "max_iterations = abc", "seed = 1.5", "seed = -1",
     "max_iterations = nan", "search_enabled = yes",
-    # the sigma schedule's keys; sigma_max = 2 is above norm2's cap of 1
+    # the sigma schedule's keys; sigma_max = 2 is above the observable cap SIGMA_MAX = 1
     "sigma_max = inf", "theta = 0", "sigma_min = -1", "r0 = nan", "theta = abc",
     "sigma_max = 2",
     # with no --algo the variant picks the algorithm; it is not replaced by dp
     "variant = xx",
+    # rho(2000) and rho(2005), the first search's sigma, have no finite draw cost
+    "r_init = 2000",
 ])
 def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "solver.cfg"
@@ -310,6 +345,22 @@ def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     assert line.split()[0] in capsys.readouterr().err
     assert not out.exists()
 
+    # bench checks each run's settings as run does, before it creates --out-dir;
+    # with the same flags, a file value that a flag overrides is overridden in both
+    def error_lines():
+        return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+
+    flags = ["--budget", "1e4", "--config", str(cfg)]
+    run_code = main(["run", "--problem", "norm2", "--algo", "dpmads", "--seed", "0",
+                     *flags, "--out", str(tmp_path / "y.csv")])
+    run_errors = error_lines()
+    bench_dir = tmp_path / "logs"
+    bench_code = main(["bench", "--problems", "norm2", "--algos", "dpmads", "--seeds", "0",
+                       *flags, "--workers", "1", "--out-dir", str(bench_dir)])
+    assert (bench_code, error_lines()) == (run_code, run_errors)
+    if bench_code == 1:
+        assert not bench_dir.exists()
+
 
 def test_config_file_key_set_twice_exits_1(tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
@@ -319,14 +370,6 @@ def test_config_file_key_set_twice_exits_1(tmp_path, capsys):
     assert code == 1
     assert f"error: {cfg}:4: key 'seed' is set twice (lines 1 and 4)" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_readme_lists_the_config_keys_in_order():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    paragraph = readme[readme.index("`--config FILE`"):].split("\n\n", 1)[0]
-    spans = re.findall(r"`([^`]*)`", paragraph[paragraph.index("Keys:"):])
-    keys = [key.strip() for span in spans for key in span.split(",")]
-    assert tuple(keys) == cli._CONFIG_KEYS
 
 
 def test_cli_flags_override_config_file(tmp_path):
@@ -401,6 +444,25 @@ def test_bench_workers_rejects_non_positive(requested):
         bench_workers(requested, 4)
 
 
+@pytest.mark.parametrize("sigma_fixed", [None, "0", "-1", "2", "nan", "1e-200"])
+def test_bad_sigma_fixed_exits_1_before_any_solve(tmp_path, capsys, sigma_fixed):
+    # 1e-200 ** 2 underflows, so one observation at it has no finite draw cost
+    flag = [] if sigma_fixed is None else ["--sigma-fixed", sigma_fixed]
+    out = tmp_path / "f.csv"
+    assert main(["run", "--problem", "norm2", "--algo", "fixed", *flag,
+                 "--budget", "1e4", "--out", str(out)]) == 1
+    run_error = capsys.readouterr().err
+    assert "error:" in run_error and "--sigma-fixed" in run_error
+    assert not out.exists()
+    # the dp runs come first, and none of them starts
+    bench_dir = tmp_path / "logs"
+    assert main(["bench", "--problems", "norm2", "--algos", "dpmads", "fixed", *flag,
+                 "--seeds", "0", "--budget", "1e4", "--workers", "1",
+                 "--out-dir", str(bench_dir)]) == 1
+    assert capsys.readouterr().err == run_error
+    assert not bench_dir.exists()
+
+
 def test_bench_zero_workers_exits_1_before_any_run(tmp_path, capsys):
     bench_dir = tmp_path / "logs"
     code = main(
@@ -425,14 +487,14 @@ def test_bench_unknown_algo_exits_1_before_any_run(tmp_path, capsys):
 
 def test_bench_keeps_going_past_a_failed_run(tmp_path, monkeypatch, capsys):
     # seed 1 raises; workers=1 runs every task in this process
-    real_execute_run = cli._execute_run
+    real_solve_run = cli.solve_run
 
-    def execute_run(problem_name, algo, seed, *args):
-        if seed == 1:
+    def solve_run(problem, config, *args):
+        if config.seed == 1:
             raise InvalidSigmaError("sigma past the floor")
-        return real_execute_run(problem_name, algo, seed, *args)
+        return real_solve_run(problem, config, *args)
 
-    monkeypatch.setattr(cli, "_execute_run", execute_run)
+    monkeypatch.setattr(cli, "solve_run", solve_run)
     bench_dir = tmp_path / "logs"
     code = main(
         ["bench", "--problems", "norm2", "--algos", "dpmads", "--seeds", "0", "1", "2",

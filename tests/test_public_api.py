@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,15 @@ def test_readme_lists_the_building_blocks():
         ("apmads.mesh", "generate_poll"),
     ]:
         assert pair in blocks
+
+
+def test_readme_lists_the_config_keys_in_order():
+    # the documented --config keys are SolverConfig's fields, their one source
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme[readme.index("`--config FILE`"):].split("\n\n", 1)[0]
+    spans = re.findall(r"`([^`]*)`", paragraph[paragraph.index("Keys:"):])
+    keys = [key.strip() for span in spans for key in span.split(",")]
+    assert keys == [field.name for field in fields(apmads.SolverConfig)]
 
 
 @pytest.mark.parametrize("module, name", readme_building_blocks())

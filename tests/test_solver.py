@@ -436,8 +436,8 @@ def test_baseline_rejects_bad_sigma():
         run_fixed_precision_baseline(problem, 0.0, SolverConfig())
     with pytest.raises(InvalidSigmaError):
         run_fixed_precision_baseline(problem, 2.0, SolverConfig())
-    # legal, but one observation's draw cost 1 / sigma**2 overflows: the
-    # first observation refuses it before any draw is charged
+    # in range, but one observation's draw cost 1 / sigma**2 overflows:
+    # check_run_settings refuses it before the first draw
     with pytest.raises(InvalidSigmaError, match="not finite"):
         run_fixed_precision_baseline(problem, 1e-200, SolverConfig())
 
