@@ -8,7 +8,7 @@ runs spend almost nothing until the geometry demands precision.
 
 import numpy as np
 
-from apmads import SolverConfig, problem_registry, run, run_fixed_precision_baseline
+from apmads import SolverConfig, problem_registry, run
 
 problem = problem_registry("norm2")
 print(f"start: {problem.start}, truth {problem.start_truth:.4f}; optimum 0 at the origin")
@@ -24,7 +24,7 @@ for variant in ("dp", "mp"):
         f"final r {out.records[-1].r:.0f}"
     )
 
-out = run_fixed_precision_baseline(problem, 1e-10, SolverConfig(seed=0))
+out = run(problem, SolverConfig(variant="fixed", sigma_fixed=1e-10, seed=0))
 truth = problem.truth(out.incumbent)
 print(
     f"fixed  : {len(out.records):4d} iterations, "

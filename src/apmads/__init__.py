@@ -41,7 +41,6 @@ from .solver import (
     parse_log,
     read_log,
     run,
-    run_fixed_precision_baseline,
     write_log,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "problem_registry",
     "read_log",
     "run",
-    "run_fixed_precision_baseline",
     "validate_records",
     "write_log",
 ]

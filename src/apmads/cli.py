@@ -32,17 +32,10 @@ from .profiles import (
     run_outputs,
     validate_records,
 )
-from .solver import (
-    SolverConfig,
-    check_run_settings,
-    read_log,
-    run,
-    run_fixed_precision_baseline,
-    write_log,
-)
+from .solver import SolverConfig, check_run_settings, read_log, run, write_log
 
-ALGOS = ("dpmads", "mpmads", "fixed")
-_ALGO_VARIANT = {"dpmads": "dp", "mpmads": "mp"}
+_ALGO_VARIANT = {"dpmads": "dp", "mpmads": "mp", "fixed": "fixed"}
+ALGOS = tuple(_ALGO_VARIANT)
 
 _CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig))
 
@@ -91,42 +84,35 @@ def load_config_file(path: str) -> dict:
 
 
 def build_run(args, file_values: dict, algo: str | None, seed: int | None) -> tuple:
-    """One run's ``(algo, config, sigma_fixed)``, checked before any solve starts.
+    """One run's ``(algo, config)``, checked before any solve starts.
 
-    File values first, then ``seed``, ``--budget`` and ``--stop-delta-p``. With ``algo``
-    None the file's variant picks dpmads or mpmads (SolverConfig rejects any other).
-    A missing or bad ``--sigma-fixed`` of a fixed run is a usage error; dp and mp get None.
+    File values first, then ``algo``'s variant, ``seed``, ``--budget``, ``--stop-delta-p``
+    and, for a fixed run, ``--sigma-fixed``. With ``algo`` None the file's variant picks
+    the algorithm. A fixed run without a sigma, or with a bad one, is a usage error.
     """
     values = dict(file_values)
-    if algo is None:
-        algo = "mpmads" if values.get("variant") == "mp" else "dpmads"
-    elif algo != "fixed":
+    if algo is not None:
         values["variant"] = _ALGO_VARIANT[algo]
     flags = {"seed": seed, "stop_draws": args.budget, "stop_delta_p": args.stop_delta_p}
+    if values.get("variant") == "fixed":
+        flags["sigma_fixed"] = args.sigma_fixed
+        if args.sigma_fixed is None and "sigma_fixed" not in values:
+            raise UsageError("--sigma-fixed is required for the fixed algorithm")
     values.update((key, flag) for key, flag in flags.items() if flag is not None)
     config = SolverConfig(**values)
-    sigma_fixed = args.sigma_fixed if algo == "fixed" else None
-    if algo == "fixed" and sigma_fixed is None:
-        raise UsageError("--sigma-fixed is required for the fixed algorithm")
     try:
-        check_run_settings(config, sigma_fixed)
+        check_run_settings(config)
     except InvalidSigmaError as exc:
         raise UsageError(f"bad --sigma-fixed: {exc}") from None
-    return algo, config, sigma_fixed
-
-
-def solve_run(problem, config: SolverConfig, sigma_fixed: float | None):
-    """The ``RunOutput`` of one run as ``build_run`` set it up."""
-    if sigma_fixed is None:
-        return run(problem, config)
-    return run_fixed_precision_baseline(problem, sigma_fixed, config)
+    algo = next(a for a, variant in _ALGO_VARIANT.items() if variant == config.variant)
+    return algo, config
 
 
 def cmd_run(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
     problem = problem_registry(args.problem)
-    algo, config, sigma_fixed = build_run(args, file_values, args.algo, args.seed)
-    out = solve_run(problem, config, sigma_fixed)
+    algo, config = build_run(args, file_values, args.algo, args.seed)
+    out = run(problem, config)
     write_log(out.records, args.out, dimension=problem.dimension)
     print(
         f"{args.problem} {algo} seed={config.seed}: "
@@ -144,10 +130,10 @@ def _bench_task(task) -> tuple:
     A run that raises an ``ApmadsError`` while solving writes no log and
     leaves its path empty; the other runs go on.
     """
-    problem, algo, config, sigma_fixed, out_path = task
+    problem, algo, config, out_path = task
     row = (problem.name, algo, config.seed)
     try:
-        out = solve_run(problem, config, sigma_fixed)
+        out = run(problem, config)
     except ApmadsError as exc:
         return *row, "", f"failed:{type(exc).__name__}"
     write_log(out.records, out_path, dimension=problem.dimension)

@@ -33,8 +33,11 @@ def mesh_size(delta_p: float) -> float:
 def generate_poll(center: Point, delta_p: float, rng) -> np.ndarray:
     """Candidates from a rounded random orthogonal basis, mirrored.
 
-    Returns the (2n, n) array whose row j is center + delta_m * z_j, with
-    delta_m = ``mesh_size(delta_p)`` and z_j the integer mesh steps.
+    Returns the (m, n) array whose row j is center + delta_m * z_j, with
+    delta_m = ``mesh_size(delta_p)`` and z_j the integer mesh steps: all
+    2n candidates, less any with a coordinate past the largest float.
+    Such a point lies outside every domain, so it is dropped rather than
+    observed; a poll left with no candidates is a barrier.
 
     The rows of the Householder reflection of a random unit direction are
     scaled to the frame radius in mesh units and rounded half away from
@@ -65,7 +68,11 @@ def generate_poll(center: Point, delta_p: float, rng) -> np.ndarray:
         basis = radius * np.eye(n)
 
     steps = np.concatenate((basis, -basis))
-    return np.asarray(center, dtype=float) + delta_m * steps
+    with np.errstate(over="ignore"):
+        coords = np.asarray(center, dtype=float) + delta_m * steps
+    if not np.isfinite(coords).all():
+        coords = coords[np.isfinite(coords).all(axis=1)]
+    return coords
 
 
 def update_frame(

@@ -14,8 +14,9 @@ comparison:
 from .exceptions import InvalidInputError
 
 # (beta_l, beta_u) of each variant: the monotone variant needs near
-# certainty (0.03%, 99.7%) to freeze r, the dynamic one acts at (15%, 85%)
-VARIANT_BETAS = {"mp": (0.0003, 0.997), "dp": (0.15, 0.85)}
+# certainty (0.03%, 99.7%) to freeze r, the dynamic one acts at (15%, 85%);
+# the fixed baseline scores p in {0, 1}, so any legal pair gives its frame
+VARIANT_BETAS = {"mp": (0.0003, 0.997), "dp": (0.15, 0.85), "fixed": (0.15, 0.85)}
 
 
 def rho(config, r: float) -> float:

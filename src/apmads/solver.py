@@ -1,14 +1,14 @@
 """The optimization loop of adaptive-precision direct search.
 
-One loop (``_solve``) runs every algorithm: it owns the start check, the
-stopping rules, the run log and the frame update, and calls a step rule
-once per iteration. ``run``'s rule: an optional search step re-estimates
-cached points that plausibly beat the incumbent, the poll step evaluates
-a positive basis of mesh candidates around the (possibly re-centred)
-incumbent to the target standard deviation rho(r), and the outcome's
-p-value drives the frame and precision updates. The fixed-precision
-baseline's rule observes each point once and scores the poll with
-p in {0, 1}, treating one observation per point as exact.
+One loop, ``run``, runs every variant: it owns the start check, the
+stopping rules, the run log and the frame update, and calls the step rule
+of ``config.variant`` once per iteration. In ``dp`` and ``mp`` an optional
+search step re-estimates cached points that plausibly beat the incumbent,
+the poll step evaluates a positive basis of mesh candidates around the
+(possibly re-centred) incumbent to the target standard deviation rho(r),
+and the outcome's p-value drives the frame and precision updates. The
+fixed-precision baseline ``fixed`` observes each point once at
+``sigma_fixed`` and scores the poll with p in {0, 1}.
 
 A run is strictly sequential. Independent runs (across seeds, problems or
 variants) share no state and may execute in parallel.
@@ -16,7 +16,7 @@ variants) share no state and may execute in parallel.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,12 +45,15 @@ def _check_real(name: str, value) -> None:
 class SolverConfig:
     """Run parameters. Unset betas and ``search_enabled`` default per variant.
 
-    ``sigma_min``, ``sigma_max``, ``r0`` and ``theta`` set the sigma
-    schedule (see ``precision.rho``). The betas come from
-    ``precision.VARIANT_BETAS``; the search step is enabled for the
-    dynamic variant only. A disabled search requires sigma_min = 0, since
-    the poll alone can then never push an estimate below sigma_min.
-    ``dp_decrease_threshold`` matters for the dynamic variant only (see
+    ``variant`` is ``dp``, ``mp`` or ``fixed``; ``sigma_fixed``, the sigma
+    of every observation of ``fixed``, is required there and rejected
+    elsewhere. ``sigma_min``, ``sigma_max``, ``r0`` and ``theta`` set the
+    sigma schedule of ``dp`` and ``mp`` (see ``precision.rho``). The betas
+    come from ``precision.VARIANT_BETAS``; the search step is enabled for
+    ``dp`` only, and ``fixed`` rejects it. A disabled search requires
+    sigma_min = 0, since the poll alone can then never push an estimate
+    below sigma_min; ``fixed`` too, rather than ignore a sigma_min.
+    ``dp_decrease_threshold`` matters for ``dp`` only (see
     ``precision.update_r``) and must lie in (0, beta_l). A field of the
     wrong type or out of range raises ``ConfigError``.
     """
@@ -60,6 +63,7 @@ class SolverConfig:
     r0: float = 0.0
     theta: float = 0.1
     variant: str = "dp"
+    sigma_fixed: float | None = None
     beta_l: float | None = None
     beta_u: float | None = None
     dp_decrease_threshold: float = 0.05
@@ -75,15 +79,20 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANT_BETAS:
-            raise ConfigError(f"variant must be 'mp' or 'dp', got {self.variant!r}")
+            variants = ", ".join(map(repr, VARIANT_BETAS))
+            raise ConfigError(f"variant must be one of {variants}, got {self.variant!r}")
+        if (self.sigma_fixed is None) == (self.variant == "fixed"):
+            raise ConfigError(f"sigma_fixed must be set for variant 'fixed' only, got "
+                              f"{self.sigma_fixed!r} for {self.variant!r}")
         default_l, default_u = VARIANT_BETAS[self.variant]
         self.beta_l = default_l if self.beta_l is None else self.beta_l
         self.beta_u = default_u if self.beta_u is None else self.beta_u
         for name in ("sigma_min", "sigma_max", "r0", "theta", "beta_l", "beta_u",
                      "dp_decrease_threshold", "r_s", "tau", "delta_p0", "r_init", "stop_draws"):
             _check_real(name, getattr(self, name))
-        if self.stop_delta_p is not None:
-            _check_real("stop_delta_p", self.stop_delta_p)
+        for name in ("sigma_fixed", "stop_delta_p"):
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
         if not self.sigma_min >= 0:
             raise ConfigError(f"sigma_min must be >= 0, got {self.sigma_min}")
         if not math.isfinite(self.sigma_max) or self.sigma_max <= self.sigma_min:
@@ -102,6 +111,8 @@ class SolverConfig:
             raise ConfigError(
                 f"search_enabled must be true or false, got {self.search_enabled!r}"
             )
+        if self.search_enabled and self.variant == "fixed":
+            raise ConfigError("search_enabled must be false for the fixed variant")
         if not 0.0 < self.beta_l <= 0.5:
             raise ConfigError(f"beta_l must lie in (0, 0.5], got {self.beta_l}")
         if not 0.5 <= self.beta_u < 1.0:
@@ -160,7 +171,9 @@ class RunOutput:
     budget is spent), "max_iterations", or "precision-floor": the next
     iteration's target sigma has no finite draw cost, the ledger total
     overflowed, or a fused estimate overflowed (its observations'
-    value / sigma**2 passed the largest float).
+    value / sigma**2 passed the largest float). The row of an iteration
+    that overflowed an estimate logs p = 0.5 (no evidence) unless it is
+    a barrier.
     """
 
     incumbent: Point
@@ -260,7 +273,7 @@ def poll_step(
     The center and every feasible candidate whose estimate is looser than
     the target receive new observations. Returns the best candidate (None
     exactly when no candidate is feasible), the iteration status, and the
-    ``(2n, n)`` array of candidates that ``generate_poll`` returned.
+    ``(m, n)`` array (m <= 2n) of candidates that ``generate_poll`` returned.
     """
     sigma_target = rho(config, r)
     coords = generate_poll(center, delta_p, rng)
@@ -350,17 +363,18 @@ def _past_precision_floor(config: SolverConfig, r: float):
     return None
 
 
-def check_run_settings(config: SolverConfig, sigma_fixed: float | None = None) -> None:
+def check_run_settings(config: SolverConfig) -> None:
     """Every check a run makes before its first draw that depends on its settings alone.
 
-    ``run`` (``sigma_fixed`` None) needs sigma_max <= ``SIGMA_MAX`` and ``r_init`` not past
-    the precision floor, else ``ConfigError``; the baseline needs ``sigma_fixed`` in
-    (0, SIGMA_MAX] with a finite draw cost, else ``InvalidSigmaError``.
+    ``dp`` and ``mp`` need sigma_max <= ``SIGMA_MAX`` and ``r_init`` not past the precision
+    floor, else ``ConfigError``; ``fixed`` needs ``sigma_fixed`` in (0, SIGMA_MAX] with a
+    finite draw cost, else ``InvalidSigmaError``.
     """
-    if sigma_fixed is not None:
-        if not 0.0 < sigma_fixed <= SIGMA_MAX:
-            raise InvalidSigmaError(f"sigma_fixed must lie in (0, {SIGMA_MAX}], got {sigma_fixed}")
-        draws_for_sigma(sigma_fixed)
+    if config.variant == "fixed":
+        if not 0.0 < config.sigma_fixed <= SIGMA_MAX:
+            raise InvalidSigmaError(f"sigma_fixed must lie in (0, {SIGMA_MAX}], "
+                                    f"got {config.sigma_fixed}")
+        draws_for_sigma(config.sigma_fixed)
     elif config.sigma_max > SIGMA_MAX:
         raise ConfigError(f"sigma_max {config.sigma_max} exceeds the observable cap {SIGMA_MAX}")
     elif (floor := _past_precision_floor(config, config.r_init)) is not None:
@@ -385,19 +399,68 @@ def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -
     return None
 
 
-def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, step) -> RunOutput:
-    """The iteration loop shared by every algorithm; ``step`` is its rule.
+def _adaptive_step(config: SolverConfig, blackbox: NoisyBlackbox):
+    """The step of ``dp`` and ``mp``; it keeps the precision index, from ``config.r_init``."""
+    r_next = config.r_init
+
+    def step(cache, incumbent, delta_p, rng):
+        nonlocal r_next
+        r = r_next
+        if _past_precision_floor(config, r) is not None:
+            return None
+        x_s = incumbent
+        if config.search_enabled:
+            x_s = search_step(cache, incumbent, r, config, blackbox, rng)
+        x_c, status, _ = poll_step(x_s, delta_p, r, config, cache, blackbox, rng)
+        if status is IterationStatus.BARRIER:
+            p = 0.0
+        elif cache.overflowed:
+            p = 0.5  # an overflowed estimate is no evidence either way; the run stops here
+        else:
+            p = p_value(cache, x_c, x_s)
+            r_next = update_r(config, r, p)
+        return status, r, p
+
+    return step
+
+
+def _fixed_step(config: SolverConfig, blackbox: NoisyBlackbox):
+    """The step of ``fixed``: success means strict decrease of single observations.
+
+    p is 1.0 on success and 0.0 otherwise, so the frame doubles on success
+    and halves on any other outcome; the precision column is constantly 0.
+    """
+
+    def once(i: int | None):
+        return config.sigma_fixed if i is None else None
+
+    def step(cache, incumbent, delta_p, rng):
+        # the center's noise is drawn before the poll direction, not after as in poll_step
+        rows = observe_points(cache, blackbox, np.array([incumbent]), once, rng)
+        rows += observe_points(cache, blackbox, generate_poll(incumbent, delta_p, rng), once, rng)
+        _, status = _poll_outcome(cache, rows)
+        return status, 0.0, float(status is IterationStatus.SUCCESS)
+
+    return step
+
+
+def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
+    """Minimise ``problem`` with the step rule of ``config.variant``.
 
     ``step(cache, incumbent, delta_p, rng)`` runs one iteration's
     observations and returns ``(status, r, p)``, with ``r`` the precision
-    index the iteration used. It returns None instead,
-    observing nothing, when the iteration's target sigma has no finite
-    draw cost. The loop owns the start check, the stopping rules, the log
-    and the frame update.
+    index it used, or None, observing nothing, when the iteration's target
+    sigma has no finite draw cost. Stops when the frame size falls below
+    the stopping threshold (the problem default unless the config
+    overrides it), the draw budget is spent, the iteration cap is hit, or
+    the next iteration cannot be paid for; ``RunOutput.stop_reason`` says which.
     """
+    check_run_settings(config)
     start = as_point(problem.start)
+    blackbox = problem.blackbox()
     if not blackbox.feasible(start):
         raise InfeasibleStartError(f"start point {start} is infeasible")
+    step = (_fixed_step if config.variant == "fixed" else _adaptive_step)(config, blackbox)
 
     rng = np.random.default_rng(config.seed)
     cache = EvaluationCache()
@@ -434,62 +497,15 @@ def _solve(problem: ProblemDef, config: SolverConfig, blackbox: NoisyBlackbox, s
     return RunOutput(incumbent, records, cache, ledger, stop_reason)
 
 
-def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
-    """Adaptive-precision minimisation of ``problem``.
-
-    Each iteration runs the search step (when enabled), polls around its
-    result at rho(r), and moves the precision index by the poll's
-    p-value. Stops when the frame size falls below the stopping threshold
-    (the problem default unless the config overrides it), the draw budget
-    is spent, the iteration cap is hit, or the next iteration cannot be
-    paid for; ``RunOutput.stop_reason`` says which.
-    """
-    check_run_settings(config)
-    blackbox = problem.blackbox()
-    r_next = config.r_init
-
-    def step(cache, incumbent, delta_p, rng):
-        nonlocal r_next
-        r = r_next
-        if _past_precision_floor(config, r) is not None:
-            return None
-        x_s = incumbent
-        if config.search_enabled:
-            x_s = search_step(cache, incumbent, r, config, blackbox, rng)
-        x_c, status, _ = poll_step(x_s, delta_p, r, config, cache, blackbox, rng)
-        p = 0.0
-        if status is not IterationStatus.BARRIER and not cache.overflowed:
-            p = p_value(cache, x_c, x_s)
-            r_next = update_r(config, r, p)
-        return status, r, p
-
-    return _solve(problem, config, blackbox, step)
-
-
 def run_fixed_precision_baseline(
     problem: ProblemDef, sigma_fixed: float, config: SolverConfig
 ) -> RunOutput:
-    """Plain direct search treating one observation per point as exact.
+    """``run`` with ``config`` made a fixed run at ``sigma_fixed``, its search off.
 
-    Every point is evaluated once at ``sigma_fixed``; success means strict
-    decrease of the single-observation values. The loop is ``run``'s, with
-    p = 1.0 on success and 0.0 otherwise, so the frame doubles on success
-    and halves on any other outcome; the precision column is constantly 0.
+    Its only caller is the benchmark (``perfbench/``); call ``run`` instead.
     """
-    check_run_settings(config, sigma_fixed)
-    blackbox = problem.blackbox()
-
-    def once(i: int | None):
-        return sigma_fixed if i is None else None
-
-    def step(cache, incumbent, delta_p, rng):
-        # the center's noise is drawn before the poll direction
-        rows = observe_points(cache, blackbox, np.array([incumbent]), once, rng)
-        rows += observe_points(cache, blackbox, generate_poll(incumbent, delta_p, rng), once, rng)
-        _, status = _poll_outcome(cache, rows)
-        return status, 0.0, float(status is IterationStatus.SUCCESS)
-
-    return _solve(problem, config, blackbox, step)
+    return run(problem, replace(config, variant="fixed", sigma_fixed=sigma_fixed,
+                                search_enabled=False))
 
 
 # --- run-log serialisation ---------------------------------------------------

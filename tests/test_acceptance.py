@@ -21,7 +21,6 @@ from apmads import (
     performance_profile,
     problem_registry,
     run,
-    run_fixed_precision_baseline,
 )
 from apmads.blackbox import Observation
 from apmads.estimation import EvaluationCache, sigma_to_reach
@@ -110,7 +109,7 @@ def test_criterion_3_norm2_dp_convergence(norm2_dp_runs):
 def test_criterion_4_fixed_precision_stall():
     with report("[4] norm2: fixed sigma 1e-10 baseline stalls in [1e-12, 1e-8]"):
         problem = problem_registry("norm2")
-        out = run_fixed_precision_baseline(problem, 1e-10, SolverConfig(seed=0))
+        out = run(problem, SolverConfig(variant="fixed", sigma_fixed=1e-10, seed=0))
         assert 1e-12 <= problem.truth(out.incumbent) <= 1e-8
 
 

@@ -51,6 +51,33 @@ def test_run_fixed_baseline(tmp_path, capsys):
     assert "stop=budget" in capsys.readouterr().out
 
 
+def test_a_config_file_can_describe_a_fixed_run(tmp_path, capsys):
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text("variant = fixed\nsigma_fixed = 1e-2\n")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(["run", "--problem", "norm2", "--config", str(cfg), "--budget", "1e6",
+                 "--out", str(from_file)]) == 0
+    assert main(["run", "--problem", "norm2", "--algo", "fixed", "--sigma-fixed", "1e-2",
+                 "--budget", "1e6", "--out", str(from_flags)]) == 0
+    assert " fixed seed=0: " in capsys.readouterr().out
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("lines, algo, key", [
+    ("sigma_fixed = 1e-3", "dpmads", "sigma_fixed"),
+    ("sigma_fixed = 1e-3", "mpmads", "sigma_fixed"),
+    ("sigma_fixed = 1e-3\nsearch_enabled = true", "fixed", "search_enabled"),
+])
+def test_a_config_key_the_algorithm_refuses_exits_1(tmp_path, capsys, lines, algo, key):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--problem", "norm2", "--algo", algo, "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_1():
     assert main(["run", "--problem", "norm2"]) == 1  # --out missing
     assert main(["nonsense"]) == 1
@@ -342,7 +369,10 @@ def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     out = tmp_path / "x.csv"
     code = main(["run", "--problem", "norm2", "--config", str(cfg), "--out", str(out)])
     assert code == 1
-    assert line.split()[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert line.split()[0] in err
+    if line == "variant = xx":
+        assert "'mp', 'dp', 'fixed'" in err
     assert not out.exists()
 
     # bench checks each run's settings as run does, before it creates --out-dir;
@@ -487,14 +517,14 @@ def test_bench_unknown_algo_exits_1_before_any_run(tmp_path, capsys):
 
 def test_bench_keeps_going_past_a_failed_run(tmp_path, monkeypatch, capsys):
     # seed 1 raises; workers=1 runs every task in this process
-    real_solve_run = cli.solve_run
+    real_run = cli.run
 
-    def solve_run(problem, config, *args):
+    def run(problem, config):
         if config.seed == 1:
             raise InvalidSigmaError("sigma past the floor")
-        return real_solve_run(problem, config, *args)
+        return real_run(problem, config)
 
-    monkeypatch.setattr(cli, "solve_run", solve_run)
+    monkeypatch.setattr(cli, "run", run)
     bench_dir = tmp_path / "logs"
     code = main(
         ["bench", "--problems", "norm2", "--algos", "dpmads", "--seeds", "0", "1", "2",

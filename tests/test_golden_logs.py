@@ -19,9 +19,9 @@ from apmads import (
     log_to_csv,
     problem_registry,
     run,
-    run_fixed_precision_baseline,
     write_log,
 )
+from apmads import solver
 from apmads.cli import main
 from apmads.problems import norm2_feasible, norm2_truth
 
@@ -47,9 +47,7 @@ def golden_run(key: str) -> RunOutput:
     problem_name, algo, seed, overrides, _ = CASES[key]
     problem = norm2_n20() if problem_name == "norm2-n20" else problem_registry(problem_name)
     if algo == "fixed":
-        overrides = dict(overrides)
-        sigma = overrides.pop("sigma_fixed", SIGMA_FIXED)
-        return run_fixed_precision_baseline(problem, sigma, SolverConfig(seed=seed, **overrides))
+        overrides = {"sigma_fixed": SIGMA_FIXED, **overrides}
     return run(problem, SolverConfig(variant=algo, seed=seed, **overrides))
 
 
@@ -129,6 +127,18 @@ def test_golden_log_is_byte_identical(key):
     out = golden_run(key)
     assert hashlib.sha256(log_to_csv(out.records).encode()).hexdigest() == DIGESTS[key]
     assert out.stop_reason == CASES[key][-1]
+
+
+@pytest.mark.parametrize("problem", ["norm2", "moustache"])
+def test_the_benchmark_baseline_call_writes_the_fixed_logs(problem):
+    # perfbench builds its fixed solves as run_fixed_precision_baseline(p, sigma,
+    # SolverConfig(seed=s)), a default dp config: they must be the fixed variant's runs
+    for seed in range(3):
+        out = solver.run_fixed_precision_baseline(
+            problem_registry(problem), SIGMA_FIXED, SolverConfig(seed=seed)
+        )
+        fixed = golden_run(f"{problem}-fixed-s{seed}")
+        assert log_to_csv(out.records) == log_to_csv(fixed.records)
 
 
 # --- golden profile outputs ---------------------------------------------------

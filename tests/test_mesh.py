@@ -26,6 +26,18 @@ def test_poll_1d_is_plus_minus_one():
     assert positively_spans(coords - 3.0)
 
 
+def test_poll_drops_candidates_past_the_largest_float():
+    big = np.finfo(float).max
+    coords = generate_poll((big, 0.0), 2.0**1000, np.random.default_rng(3))
+    # the same rng draws at the origin: the same steps, none of them overflowing
+    steps = generate_poll((0.0, 0.0), 2.0**1000, np.random.default_rng(3))
+    with np.errstate(over="ignore"):
+        shifted = steps + [big, 0.0]
+    kept = [row for row in shifted.tolist() if np.isfinite(row).all()]
+    assert 0 < len(coords) < len(steps) == 4
+    assert coords.tolist() == kept
+
+
 def test_poll_2d_unit_frame():
     rng = np.random.default_rng(1)
     coords = generate_poll((0.0, 0.0), 1.0, rng)

@@ -21,7 +21,6 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTED = [
     # solve
     "run",
-    "run_fixed_precision_baseline",
     "SolverConfig",
     # problems
     "ProblemDef",
@@ -57,7 +56,7 @@ DOCUMENTED = [
 
 
 def test_all_is_the_documented_workflow():
-    assert len(DOCUMENTED) == 29
+    assert len(DOCUMENTED) == 28
     assert len(set(apmads.__all__)) == len(apmads.__all__)
     assert sorted(apmads.__all__) == sorted(DOCUMENTED)
 

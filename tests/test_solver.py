@@ -16,18 +16,20 @@ from apmads import (
     InfeasibleStartError,
     InvalidInputError,
     InvalidSigmaError,
+    ProblemDef,
     SolverConfig,
     log_to_csv,
     parse_log,
     problem_registry,
     run,
-    run_fixed_precision_baseline,
+    validate_records,
 )
 from apmads.blackbox import NoisyBlackbox, Observation, draws_for_sigma
 from apmads.estimation import EvaluationCache, sigma_to_reach
 from apmads.mesh import IterationStatus, generate_poll, on_mesh
 from apmads.normal import phi_inv
 from apmads.precision import rho
+from apmads.problems import norm2_feasible
 from apmads.solver import observe_points, plausible_rows, poll_step, search_step
 
 from oracles import cache_state, log_rows_fieldwise, parse_log_rowwise
@@ -175,10 +177,8 @@ def test_search_step_recovers_better_cached_point():
 @pytest.mark.parametrize("algo", ["dp", "mp", "fixed"])
 def test_run_zero_budget_returns_start(algo):
     problem = problem_registry("norm2")
-    if algo == "fixed":
-        out = run_fixed_precision_baseline(problem, 1e-3, SolverConfig(stop_draws=0.0))
-    else:
-        out = run(problem, SolverConfig(variant=algo, stop_draws=0.0))
+    sigma_fixed = 1e-3 if algo == "fixed" else None
+    out = run(problem, SolverConfig(variant=algo, sigma_fixed=sigma_fixed, stop_draws=0.0))
     assert out.incumbent == problem.start
     assert out.records == []
     assert out.ledger.total_draws == 0.0
@@ -203,6 +203,38 @@ def _flat_norm2_at_origin():
     )
 
 
+def lin_problem() -> ProblemDef:
+    """-x[0] over the whole plane: the frame keeps doubling towards the largest float."""
+    return ProblemDef(name="lin", dimension=2, start=(0.0, 0.0), truth=lambda x: -x[0],
+                      feasible=norm2_feasible, best_truth=-1e300, stop_delta_p=1e-10)
+
+
+STOP_REASONS = {"frame", "budget", "max_iterations", "precision-floor"}
+
+
+def assert_clean_end(problem, config, out):
+    """A documented stop, a log that round-trips and validates, and the ledger's total."""
+    assert out.stop_reason in STOP_REASONS
+    assert out.ledger.total_draws == (out.records[-1].draws if out.records else 0.0)
+    assert parse_log(log_to_csv(out.records, problem.dimension)) == out.records
+    checks = validate_records(out.records, problem, config.variant)
+    assert [name for name, ok, _ in checks if not ok] == []
+
+
+@pytest.mark.parametrize("variant, sigma_fixed", [
+    ("dp", None), ("mp", None), ("fixed", 1.0), ("fixed", 1e-3),
+])
+def test_a_run_that_polls_past_the_largest_float_ends_cleanly(variant, sigma_fixed):
+    # near k = 1024 a poll candidate's first coordinate overflows to inf: it
+    # is dropped, the run goes on, and an overflowing estimate then stops it
+    problem = lin_problem()
+    config = SolverConfig(variant=variant, sigma_fixed=sigma_fixed, max_iterations=5000)
+    out = run(problem, config)
+    assert_clean_end(problem, config, out)
+    assert out.stop_reason in ("frame", "precision-floor")
+    assert len(out.records) > 1000
+
+
 def test_run_stops_at_precision_floor_when_the_ledger_overflows():
     # the draw costs near rho(1534) are finite, but their sum overflows
     config = SolverConfig(variant="mp", r_init=1520.0, stop_delta_p=1e-300, seed=0)
@@ -211,7 +243,7 @@ def test_run_stops_at_precision_floor_when_the_ledger_overflows():
     assert len(out.records) == 15
     assert out.records[-1].draws == math.inf
     assert all(math.isfinite(rec.draws) for rec in out.records[:-1])
-    assert parse_log(log_to_csv(out.records)) == out.records
+    assert_clean_end(_flat_norm2_at_origin(), config, out)
 
 
 @pytest.mark.parametrize("variant", ["dp", "mp"])
@@ -226,8 +258,7 @@ def test_run_stops_at_precision_floor_when_the_estimates_overflow(variant):
     last = out.records[-1]
     assert last.f_inc == math.inf and last.status is IterationStatus.BARRIER
     assert last.incumbent == out.incumbent == problem_registry("norm2").start
-    assert parse_log(log_to_csv(out.records)) == out.records
-    assert out.ledger.total_draws == last.draws
+    assert_clean_end(problem_registry("norm2"), config, out)
 
 
 @pytest.mark.parametrize("offset", [100.0, -100.0])
@@ -237,12 +268,14 @@ def test_run_stops_at_precision_floor_when_an_estimate_overflows_mid_run(offset)
     problem = dataclasses.replace(
         problem_registry("norm2"), truth=lambda x: offset + math.hypot(*x)
     )
-    out = run(problem, SolverConfig(variant="dp", r_init=1526.0, seed=0))
+    config = SolverConfig(variant="dp", r_init=1526.0, seed=0)
+    out = run(problem, config)
     assert out.stop_reason == "precision-floor"
     assert out.cache.overflowed
     assert len(out.records) == 2
-    assert parse_log(log_to_csv(out.records)) == out.records
-    assert out.ledger.total_draws == out.records[-1].draws
+    # no p-value is computed after the overflow: the row logs 0.5, which its status allows
+    assert out.records[-1].p == 0.5
+    assert_clean_end(problem, config, out)
 
 
 @pytest.mark.parametrize("variant", ["dp", "mp"])
@@ -274,6 +307,25 @@ def test_config_variant_defaults():
     assert (dp.beta_l, dp.beta_u, dp.search_enabled) == (0.15, 0.85, True)
     mp = SolverConfig(variant="mp")
     assert (mp.beta_l, mp.beta_u, mp.search_enabled) == (0.0003, 0.997, False)
+
+
+def test_config_fixed_variant():
+    fixed = SolverConfig(variant="fixed", sigma_fixed=1e-3)
+    assert (fixed.beta_l, fixed.beta_u, fixed.search_enabled) == (0.15, 0.85, False)
+    with pytest.raises(ConfigError, match="sigma_fixed"):
+        SolverConfig(variant="fixed")
+    for variant in ("dp", "mp"):
+        with pytest.raises(ConfigError, match="sigma_fixed"):
+            SolverConfig(variant=variant, sigma_fixed=1e-3)
+    with pytest.raises(ConfigError, match="sigma_fixed"):
+        SolverConfig(variant="fixed", sigma_fixed="1e-3")
+    with pytest.raises(ConfigError, match="search_enabled"):
+        SolverConfig(variant="fixed", sigma_fixed=1e-3, search_enabled=True)
+    # fixed has no sigma schedule, but refuses a sigma_min rather than ignore it
+    with pytest.raises(ConfigError, match="sigma_min"):
+        SolverConfig(variant="fixed", sigma_fixed=1e-3, sigma_min=1e-4)
+    with pytest.raises(ConfigError, match="'mp', 'dp', 'fixed'"):
+        SolverConfig(variant="nope")
 
 
 def test_config_rejects_sigma_min_without_search():
@@ -400,7 +452,7 @@ def test_run_ledger_matches_log():
 
 def test_baseline_near_deterministic_limit():
     problem = problem_registry("norm2")
-    out = run_fixed_precision_baseline(problem, 1e-15, SolverConfig(seed=0))
+    out = run(problem, SolverConfig(variant="fixed", sigma_fixed=1e-15, seed=0))
     assert problem.truth(out.incumbent) <= 1e-8
     for rec in out.records:
         assert rec.r == 0.0
@@ -410,9 +462,7 @@ def test_baseline_near_deterministic_limit():
 
 def test_baseline_observes_each_point_once():
     problem = problem_registry("norm2")
-    out = run_fixed_precision_baseline(
-        problem, 1e-3, SolverConfig(seed=1, stop_draws=1e9)
-    )
+    out = run(problem, SolverConfig(variant="fixed", sigma_fixed=1e-3, seed=1, stop_draws=1e9))
     # one charge per point, each at the fixed sigma
     assert len(out.ledger) == len(out.cache)
     assert np.allclose(out.cache.estimate_arrays()[1], 1e-3, rtol=1e-12, atol=0.0)
@@ -421,9 +471,7 @@ def test_baseline_observes_each_point_once():
 
 def test_baseline_moustache_improves_feasibly():
     problem = problem_registry("moustache")
-    out = run_fixed_precision_baseline(
-        problem, 1e-3, SolverConfig(seed=0, stop_draws=1e12)
-    )
+    out = run(problem, SolverConfig(variant="fixed", sigma_fixed=1e-3, seed=0, stop_draws=1e12))
     assert problem.truth(out.incumbent) < problem.start_truth
     assert problem.feasible(out.incumbent)
     truths = [problem.truth(rec.incumbent) for rec in out.records]
@@ -433,28 +481,29 @@ def test_baseline_moustache_improves_feasibly():
 def test_baseline_rejects_bad_sigma():
     problem = problem_registry("norm2")
     with pytest.raises(InvalidSigmaError):
-        run_fixed_precision_baseline(problem, 0.0, SolverConfig())
+        run(problem, SolverConfig(variant="fixed", sigma_fixed=0.0))
     with pytest.raises(InvalidSigmaError):
-        run_fixed_precision_baseline(problem, 2.0, SolverConfig())
+        run(problem, SolverConfig(variant="fixed", sigma_fixed=2.0))
     # in range, but one observation's draw cost 1 / sigma**2 overflows:
     # check_run_settings refuses it before the first draw
     with pytest.raises(InvalidSigmaError, match="not finite"):
-        run_fixed_precision_baseline(problem, 1e-200, SolverConfig())
+        run(problem, SolverConfig(variant="fixed", sigma_fixed=1e-200))
 
 
 def test_baseline_stops_at_precision_floor_when_the_ledger_overflows():
-    out = run_fixed_precision_baseline(problem_registry("norm2"), 1e-153, SolverConfig(seed=0))
+    config = SolverConfig(variant="fixed", sigma_fixed=1e-153, seed=0)
+    out = run(problem_registry("norm2"), config)
     assert out.stop_reason == "precision-floor"
     assert out.records[-1].draws == math.inf
     assert all(math.isfinite(rec.draws) for rec in out.records[:-1])
+    assert_clean_end(problem_registry("norm2"), config, out)
 
 
 def test_baseline_stops_when_the_mesh_size_underflows():
     # halving the frame towards stop_delta_p = 1e-300 passes 1.6e-162,
     # below which delta_p**2, the mesh size, underflows to 0
-    out = run_fixed_precision_baseline(
-        problem_registry("norm2"), 1e-3, SolverConfig(stop_delta_p=1e-300, seed=0)
-    )
+    config = SolverConfig(variant="fixed", sigma_fixed=1e-3, stop_delta_p=1e-300, seed=0)
+    out = run(problem_registry("norm2"), config)
     assert out.stop_reason == "frame"
     assert all(rec.delta_m > 0.0 for rec in out.records)
     assert out.records[-1].delta_p < 1e-161
@@ -729,3 +778,54 @@ def test_run_rejects_start_past_precision_floor():
         run(at_optimum, SolverConfig(variant="dp", r_init=1534.0))
     out = run(at_optimum, SolverConfig(variant="mp", r_init=1534.0, max_iterations=1))
     assert len(out.records) == 1 and math.isfinite(out.ledger.total_draws)
+
+
+# in (0, 1], the observable range, with a few values past its ends
+SIGMAS = st.one_of(
+    st.sampled_from([1.0, 1e-3, 1e-10, 1e-153, 1e-200, 5e-324, 0.0, 2.0]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@st.composite
+def run_configs(draw):
+    """Settings of every variant, legal or not; a sigma_fixed is mismatched now and then."""
+    variant = draw(st.sampled_from(["dp", "mp", "fixed"]))
+    mismatched = draw(st.integers(0, 9)) == 5  # not 0, which Hypothesis favours
+    sigma_fixed = draw(SIGMAS) if (variant == "fixed") != mismatched else None
+    return dict(
+        variant=variant,
+        sigma_fixed=sigma_fixed,
+        tau=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+        # the default schedule's precision floor lies near r = 1534
+        r_init=draw(st.one_of(st.sampled_from([0.0, 1520.0, 1534.0, 1560.0]),
+                              st.floats(min_value=-100.0, max_value=1600.0))),
+        sigma_max=draw(st.one_of(st.sampled_from([1.0, 1e-153, 0.0, 2.0]),
+                                 st.floats(min_value=1e-6, max_value=1.0))),
+        delta_p0=draw(st.sampled_from([1.0, 1e-3, 1e100, 1e300])),
+        stop_draws=draw(st.floats(min_value=0.0, max_value=1e6)),
+        max_iterations=draw(st.integers(0, 50)),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["norm2", "moustache", "lin"]), values=run_configs())
+def test_every_run_ends_cleanly_or_is_refused_before_its_first_draw(name, values):
+    base = lin_problem() if name == "lin" else problem_registry(name)
+    calls = []
+
+    def truth(x):
+        calls.append(x)
+        return base.truth(x)
+
+    problem = dataclasses.replace(base, truth=truth)
+    try:
+        config = SolverConfig(**values)
+        out = run(problem, config)
+    except (ConfigError, InvalidSigmaError):
+        assert calls == []
+        return
+    assert_clean_end(problem, config, out)
+    n = problem.dimension
+    assert log_to_csv(run(problem, config).records, n) == log_to_csv(out.records, n)
