@@ -23,9 +23,9 @@ from .problems import available_problems, problem_registry
 from .profiles import (
     REFERENCE_SIGMA,
     accuracy_csv,
+    accuracy_csv_parts,
     convergence_csv,
     data_profile_csv,
-    join_accuracy_rows,
     make_run_result,
     performance_profile_csv,
     reference_draws,
@@ -260,18 +260,19 @@ def cmd_profile(args) -> int:
     outputs = _map_in_workers(_profile_task, tasks, workers)
 
     curves = [curve for curve, _, _ in outputs]
-    texts = {"acc.csv": join_accuracy_rows((curve, rows) for curve, rows, _ in outputs)}
+    # each file's text in parts, written one after another: acc.csv is never joined
+    parts = {"acc.csv": accuracy_csv_parts((curve, rows) for curve, rows, _ in outputs)}
     for suffix, tau in tau_of.items():
-        texts[f"perf{suffix}.csv"] = performance_profile_csv(curves, tau)
-        texts[f"data{suffix}.csv"] = data_profile_csv(curves, tau, args.sigma_ref)
-    texts.update(
-        (f"conv__{c.problem}__{c.algorithm}__s{c.seed}.csv", conv) for c, _, conv in outputs
+        parts[f"perf{suffix}.csv"] = [performance_profile_csv(curves, tau)]
+        parts[f"data{suffix}.csv"] = [data_profile_csv(curves, tau, args.sigma_ref)]
+    parts.update(
+        (f"conv__{c.problem}__{c.algorithm}__s{c.seed}.csv", [conv]) for c, _, conv in outputs
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, text in texts.items():
-        with open(os.path.join(args.out_dir, name), "w") as fh:
-            fh.write(text)
-    print(f"wrote {', '.join(texts)} in {args.out_dir}")
+    for name, texts in parts.items():
+        with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
+            fh.writelines(texts)
+    print(f"wrote {', '.join(parts)} in {args.out_dir}")
     return 0
 
 

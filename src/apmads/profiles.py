@@ -231,8 +231,17 @@ def accuracy_csv(results) -> str:
 
 def join_accuracy_rows(blocks) -> str:
     """``accuracy_csv`` from each run's rows, given as (``RunResult`` or ``RunCurve``, rows)."""
+    return "".join(accuracy_csv_parts(blocks))
+
+
+def accuracy_csv_parts(blocks) -> list[str]:
+    """The header of ``accuracy_csv``, then each run's rows, by (algorithm, problem, seed).
+
+    ``blocks`` is as for ``join_accuracy_rows``. ``apmads profile`` writes
+    these parts one after another, so it never holds the text whole.
+    """
     ordered = sorted(blocks, key=lambda b: (b[0].algorithm, b[0].problem, b[0].seed))
-    return "budget,algo,problem,seed,f_acc\n" + "".join([rows for _, rows in ordered])
+    return ["budget,algo,problem,seed,f_acc\n", *(rows for _, rows in ordered)]
 
 
 def convergence_csv(result: RunResult) -> str:

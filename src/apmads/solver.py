@@ -14,6 +14,7 @@ A run is strictly sequential. Independent runs (across seeds, problems or
 variants) share no state and may execute in parallel.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -55,7 +56,11 @@ class SolverConfig:
     below sigma_min; ``fixed`` too, rather than ignore a sigma_min.
     ``dp_decrease_threshold`` matters for ``dp`` only (see
     ``precision.update_r``) and must lie in (0, beta_l). A field of the
-    wrong type or out of range raises ``ConfigError``.
+    wrong type or out of range raises ``ConfigError``. ``fixed`` checks,
+    but otherwise ignores, the fields that only ``dp`` and ``mp`` read:
+    ``sigma_max``, ``r0``, ``theta``, ``r_s``, ``tau``, ``r_init``, the
+    betas and ``dp_decrease_threshold``. So one config file serves every
+    algorithm of ``apmads bench``.
     """
 
     sigma_min: float = 0.0
@@ -524,35 +529,53 @@ def log_header(dimension: int) -> str:
     return f"k,draws,{coords},f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size"
 
 
-def log_to_csv(records: list[IterationRecord], dimension: int | None = None) -> str:
-    """The run log as CSV text: the header, then one row per record.
+def _log_lines(records: list[IterationRecord], dimension: int | None):
+    """The run log's header line, then one line per record, each ending in a newline.
 
     Every incumbent must have ``dimension`` coordinates (by default, as
-    many as the first record's).
+    many as the first record's), else ``InvalidInputError``. That is
+    checked before this returns, so a caller can check a log before it
+    opens a file.
     """
     if dimension is None:
         if not records:
             raise InvalidInputError("cannot infer dimension from an empty log")
         dimension = len(records[0].incumbent)
-    # one %-template per log: fills a row faster than a format call per field
-    row = "%s,%.17g," + "%.17g," * dimension + "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s"
-    try:
-        rows = [
-            row % (rec.k, rec.draws, *rec.incumbent, rec.f_inc, rec.sig_inc, rec.delta_p,
-                   rec.delta_m, rec.r, rec.p, rec.status.value, rec.cache_size)
-            for rec in records
-        ]
-    except TypeError as exc:
+    bad = next((rec for rec in records if len(rec.incumbent) != dimension), None)
+    if bad is not None:
         raise InvalidInputError(
-            f"a record does not fit a log row with {dimension} coordinates: {exc}"
-        ) from None
-    rows.append("")
-    return log_header(dimension) + "\n" + "\n".join(rows)
+            f"a record does not fit a log row with {dimension} coordinates: "
+            f"the incumbent at k={bad.k} has {len(bad.incumbent)}"
+        )
+    # one %-template per log: fills a row faster than a format call per field
+    row = "%s,%.17g," + "%.17g," * dimension + "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
+    rows = (
+        row % (rec.k, rec.draws, *rec.incumbent, rec.f_inc, rec.sig_inc, rec.delta_p,
+               rec.delta_m, rec.r, rec.p, rec.status.value, rec.cache_size)
+        for rec in records
+    )
+    return itertools.chain((log_header(dimension) + "\n",), rows)
+
+
+def log_to_csv(records: list[IterationRecord], dimension: int | None = None) -> str:
+    """The run log as CSV text: the header, then one row per record.
+
+    Every incumbent must have ``dimension`` coordinates (by default, as
+    many as the first record's), else ``InvalidInputError``.
+    """
+    return "".join(_log_lines(records, dimension))
 
 
 def write_log(records: list[IterationRecord], path, dimension: int | None = None) -> None:
+    """Write ``log_to_csv(records, dimension)`` to ``path``, a line at a time.
+
+    The text is never held whole. A record that does not fit raises
+    ``InvalidInputError`` before ``path`` is opened, so an existing file
+    is left as it was.
+    """
+    lines = _log_lines(records, dimension)
     with open(path, "w", newline="") as fh:
-        fh.write(log_to_csv(records, dimension))
+        fh.writelines(lines)
 
 
 def parse_log(text: str) -> list[IterationRecord]:

@@ -63,6 +63,19 @@ def test_a_config_file_can_describe_a_fixed_run(tmp_path, capsys):
     assert from_file.read_bytes() == from_flags.read_bytes()
 
 
+def test_a_fixed_config_ignores_the_settings_of_dp_and_mp(tmp_path):
+    # bench applies one --config to every algorithm, so fixed accepts them
+    base = "variant = fixed\nsigma_fixed = 1e-3\n"
+    logs = []
+    for extra in ("", "sigma_max = 2\ntau = 0.9\nr_s = 7\n"):
+        cfg, out = tmp_path / f"{len(logs)}.cfg", tmp_path / f"{len(logs)}.csv"
+        cfg.write_text(base + extra)
+        assert main(["run", "--problem", "norm2", "--config", str(cfg), "--budget", "1e6",
+                     "--out", str(out)]) == 0
+        logs.append(out.read_bytes())
+    assert logs[0] == logs[1]
+
+
 @pytest.mark.parametrize("lines, algo, key", [
     ("sigma_fixed = 1e-3", "dpmads", "sigma_fixed"),
     ("sigma_fixed = 1e-3", "mpmads", "sigma_fixed"),
@@ -253,6 +266,24 @@ def test_profile_renders_each_tau_through_the_public_renderers(tmp_path, monkeyp
         ("data_profile_csv", (0.1, 0.01)), ("data_profile_csv", (0.5, 0.01)),
         ("performance_profile_csv", (0.1,)), ("performance_profile_csv", (0.5,)),
     ]
+
+
+def test_profile_opens_every_output_without_newline_translation(tmp_path, monkeypatch):
+    # as run logs are opened: the outputs' bytes then do not depend on the
+    # platform's line ending
+    logs = _bench_norm2_logs(tmp_path / "logs")
+    opened = []
+
+    def spy(path, mode="r", **kwargs):
+        opened.append((os.path.basename(path), mode, kwargs.get("newline")))
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    out_dir = tmp_path / "out"
+    assert main(["profile", *logs, "--tau", "0.5", "0.1", "--workers", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    assert sorted(name for name, mode, _ in opened if mode == "w") == sorted(os.listdir(out_dir))
+    assert {newline for _, _, newline in opened} == {""}
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

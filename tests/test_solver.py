@@ -1,8 +1,10 @@
 """Solver loops: poll/search steps, run invariants, baseline, log format."""
 
 import dataclasses
+import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from apmads import (
     problem_registry,
     run,
     validate_records,
+    write_log,
 )
 from apmads.blackbox import NoisyBlackbox, Observation, draws_for_sigma
 from apmads.estimation import EvaluationCache, sigma_to_reach
@@ -580,6 +583,73 @@ def test_log_to_csv_rejects_an_incumbent_of_the_wrong_width():
     rec = parse_log(f"{HEADER}\n{ROW}\n")[0]
     with pytest.raises(InvalidInputError, match="log row with 3 coordinates"):
         log_to_csv([rec], dimension=3)
+
+
+def test_write_log_refuses_a_record_that_does_not_fit_before_opening_the_path(tmp_path):
+    rec = parse_log(f"{HEADER}\n{ROW}\n")[0]
+    path = tmp_path / "log.csv"
+    path.write_text("an earlier log\n")
+    with pytest.raises(InvalidInputError, match="log row with 3 coordinates"):
+        write_log([rec, rec], path, dimension=3)
+    assert path.read_text() == "an earlier log\n"
+
+
+def log_record(n: int, k: int = 1) -> "apmads.solver.IterationRecord":
+    return apmads.solver.IterationRecord(
+        k=k, draws=44.0 * k, incumbent=tuple(0.1 * (i + k) for i in range(n)), f_inc=2.5 / k,
+        sig_inc=0.25, delta_p=1.0, delta_m=1.0, r=0.0, p=0.75,
+        status=IterationStatus.SUCCESS, cache_size=5,
+    )
+
+
+def records_of_length(n: int, size: int) -> list:
+    """Records whose n-coordinate log is exactly ``size`` bytes: as many rows
+    as fit, then the last row's ``cache_size`` gains the missing digits."""
+    records = [log_record(n)]
+    while len(log_to_csv(records + [log_record(n, len(records) + 1)])) <= size:
+        records.append(log_record(n, len(records) + 1))
+    records[-1].cache_size = 5 * 10 ** (size - len(log_to_csv(records)))
+    return records
+
+
+# a log of one block fills the writer's buffer exactly
+BLOCK = io.DEFAULT_BUFFER_SIZE
+
+
+@pytest.mark.parametrize("n", [2, 20])
+@pytest.mark.parametrize("size, given", [("0 rows", True)] + [
+    (size, given) for size in ("1 row", BLOCK, BLOCK + 1) for given in (True, False)
+])
+def test_write_log_writes_the_bytes_of_log_to_csv(tmp_path, n, size, given):
+    if size == "0 rows":
+        records = []
+    elif size == "1 row":
+        records = [log_record(n)]
+    else:
+        records = records_of_length(n, size)
+        assert len(log_to_csv(records)) == size
+    dimension = n if given else None
+    path = tmp_path / "log.csv"
+    write_log(records, path, dimension)
+    assert path.read_bytes() == log_to_csv(records, dimension).encode()
+
+
+def test_write_log_never_holds_the_text_whole(tmp_path):
+    # a log built whole, as a row list, its join and the header's
+    # concatenation, peaks at about 3x its length
+    records = [log_record(20, k) for k in range(1, 5001)]
+    length = len(log_to_csv(records))
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_log(records, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == length
+    assert peak < length / 4
 
 
 def test_iteration_record_has_no_ad_hoc_attributes():
