@@ -11,8 +11,11 @@ recovers the run metadata from that naming convention.
 """
 
 import argparse
+import errno
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import fields
 from multiprocessing import Pool
 
@@ -195,7 +198,7 @@ def cmd_bench(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     rows = _map_in_workers(_bench_task, tasks, workers)
     manifest = os.path.join(args.out_dir, "manifest.csv")
-    with open(manifest, "w") as fh:
+    with open(manifest, "w", newline="") as fh:
         fh.write("problem,algo,seed,path,status\n")
         for row in sorted(rows):
             fh.write(",".join(map(str, row)) + "\n")
@@ -222,17 +225,38 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
     return parts[0], parts[1], seed
 
 
-def _profile_task(task) -> tuple:
-    """One log's share of ``profile``: its ``RunCurve``, acc.csv rows and conv__*.csv text.
+def _conv_name(problem_name: str, algo: str, seed: int) -> str:
+    return "conv__%s__%s__s%d.csv" % (problem_name, algo, seed)
 
-    It returns no records, so little crosses back from a worker process.
+
+def _profile_task(task) -> tuple:
+    """One log's share of ``profile``: its ``RunCurve`` and its acc.csv rows.
+
+    The task writes the run's conv__*.csv into the staging directory itself,
+    so only the curve and the rows cross back from a worker process.
     """
-    path, problem_name, algo, seed = task
+    staging, path, problem_name, algo, seed = task
     try:
         result = make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
-        return run_outputs(result)
+        curve, rows, conv = run_outputs(result)
     except ApmadsError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    with open(os.path.join(staging, _conv_name(problem_name, algo, seed)), "w", newline="") as fh:
+        fh.write(conv)
+    return curve, rows
+
+
+def _move_into_place(src: str, dst: str) -> None:
+    """Rename ``src`` to ``dst``, or copy it when they lie on different filesystems.
+
+    Either way a directory at ``dst`` raises ``IsADirectoryError``.
+    """
+    try:
+        os.replace(src, dst)
+    except OSError as exc:
+        if exc.errno != errno.EXDEV:
+            raise
+        shutil.copyfile(src, dst)
 
 
 def cmd_profile(args) -> int:
@@ -256,23 +280,27 @@ def cmd_profile(args) -> int:
     _refuse_repeats(runs)
     for problem_name, _, _ in runs:
         problem_registry(problem_name)
-    tasks = [(path, *run_id) for path, run_id in zip(args.logs, runs)]
-    outputs = _map_in_workers(_profile_task, tasks, workers)
+    conv_names = [_conv_name(*run_id) for run_id in runs]
 
-    curves = [curve for curve, _, _ in outputs]
-    # each file's text in parts, written one after another: acc.csv is never joined
-    parts = {"acc.csv": accuracy_csv_parts((curve, rows) for curve, rows, _ in outputs)}
-    for suffix, tau in tau_of.items():
-        parts[f"perf{suffix}.csv"] = [performance_profile_csv(curves, tau)]
-        parts[f"data{suffix}.csv"] = [data_profile_csv(curves, tau, args.sigma_ref)]
-    parts.update(
-        (f"conv__{c.problem}__{c.algorithm}__s{c.seed}.csv", [conv]) for c, _, conv in outputs
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, texts in parts.items():
-        with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
-            fh.writelines(texts)
-    print(f"wrote {', '.join(parts)} in {args.out_dir}")
+    # the workers stage each conv__*.csv in the system's temporary directory,
+    # so a failing log leaves nothing near --out-dir; it is removed on every exit
+    with tempfile.TemporaryDirectory(prefix="apmads-profile-") as staging:
+        tasks = [(staging, path, *run_id) for path, run_id in zip(args.logs, runs)]
+        outputs = _map_in_workers(_profile_task, tasks, workers)
+
+        curves = [curve for curve, _ in outputs]
+        # each file's text in parts, written one after another: acc.csv is never joined
+        parts = {"acc.csv": accuracy_csv_parts(outputs)}
+        for suffix, tau in tau_of.items():
+            parts[f"perf{suffix}.csv"] = [performance_profile_csv(curves, tau)]
+            parts[f"data{suffix}.csv"] = [data_profile_csv(curves, tau, args.sigma_ref)]
+        os.makedirs(args.out_dir, exist_ok=True)
+        for name, texts in parts.items():
+            with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
+                fh.writelines(texts)
+        for name in conv_names:
+            _move_into_place(os.path.join(staging, name), os.path.join(args.out_dir, name))
+    print(f"wrote {', '.join([*parts, *conv_names])} in {args.out_dir}")
     return 0
 
 

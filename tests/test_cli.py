@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import errno
 import multiprocessing
 import os
 import re
+import shutil
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from apmads import InvalidSigmaError, SolverConfig, cli, read_log, write_log
+from apmads import InvalidSigmaError, SolverConfig, cli, read_log, solver, write_log
 from apmads.cli import UsageError, bench_workers, load_config_file, main
 
 
@@ -284,6 +288,128 @@ def test_profile_opens_every_output_without_newline_translation(tmp_path, monkey
                  "--out-dir", str(out_dir)]) == 0
     assert sorted(name for name, mode, _ in opened if mode == "w") == sorted(os.listdir(out_dir))
     assert {newline for _, _, newline in opened} == {""}
+
+
+def test_bench_opens_every_output_without_newline_translation(tmp_path, monkeypatch):
+    # the manifest, like the run logs, has the same bytes on every platform
+    opened = []
+
+    def spy(path, mode="r", **kwargs):
+        opened.append((os.path.basename(path), mode, kwargs.get("newline")))
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    monkeypatch.setattr(solver, "open", spy, raising=False)
+    out_dir = tmp_path / "logs"
+    assert main(["bench", "--problems", "norm2", "--algos", "dpmads", "mpmads",
+                 "--seeds", "0", "--budget", "1e4", "--workers", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    assert sorted(name for name, mode, _ in opened if mode == "w") == sorted(os.listdir(out_dir))
+    assert {newline for _, _, newline in opened} == {""}
+
+
+def test_profile_parent_holds_no_convergence_text(tmp_path):
+    # 2 x 30 moustache logs of about 365 rows: 1.65 MB of conv__*.csv text,
+    # 1.25 MB of acc.csv rows and 0.35 MB of curves (two float64 per row).
+    # Measured on Linux, Python 3.11: the parent's traced peak exceeds the
+    # rows plus the curves by about 0.34 MB when the workers write the conv
+    # files and by about 2.2 MB when the parent holds their text, so the
+    # allowance leaves about 0.66 MB of margin either way.
+    allowance = 1_000_000
+    bench_dir = tmp_path / "bench"
+    assert main(["bench", "--problems", "moustache", "--algos", "dpmads", "mpmads",
+                 "--seeds", "0", "--workers", "1", "--out-dir", str(bench_dir)]) == 0
+    logs = []
+    for algo in ("dpmads", "mpmads"):
+        for seed in range(30):
+            log = tmp_path / "logs" / f"moustache__{algo}__s{seed}.csv"
+            log.parent.mkdir(exist_ok=True)
+            shutil.copyfile(bench_dir / f"moustache__{algo}__s0.csv", log)
+            logs.append(str(log))
+
+    def profile(out_dir):
+        assert main(["profile", *logs, "--workers", "2", "--out-dir", str(out_dir)]) == 0
+
+    profile(tmp_path / "warm")  # lazy imports and first-call set-up are not traced
+    tracemalloc.start()
+    try:
+        profile(tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_dir = tmp_path / "out"
+    acc = (out_dir / "acc.csv").stat().st_size
+    rows = len((out_dir / "acc.csv").read_text().splitlines()) - 1
+    conv = sum(path.stat().st_size for path in out_dir.glob("conv__*.csv"))
+    assert conv > allowance
+    assert peak < acc + 16 * rows + allowance
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_profile_failure_leaves_no_staging_or_out_dir(tmp_path, monkeypatch, capsys, workers):
+    staging_root = tmp_path / "tmp"
+    staging_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
+    good = _bench_norm2_logs(tmp_path / "logs", seeds=("0", "1", "2", "3", "4"))
+    header = "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size\n"
+    first = tmp_path / "norm2__fixed__s1.csv"
+    first.write_text(header + "1,44,0.5,-1,2.5,0.25,1,1,0,0.75,Z,5\n")
+    second = tmp_path / "norm2__fixed__s0.csv"
+    second.write_text(header + "1,44,0.5\n")
+    out_parent = tmp_path / "new"
+    out_dir = out_parent / "out"
+    code = main(["profile", *good[:5], str(first), *good[5:9], str(second), good[9],
+                 "--workers", workers, "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {first}: malformed log row at line 2: bad status 'Z'" in err
+    assert str(second) not in err
+    assert os.listdir(staging_root) == []
+    assert not out_parent.exists()
+    assert multiprocessing.active_children() == []
+
+    # a rerun into an --out-dir with stale, longer conv files replaces them
+    moved_from = []
+    move = cli._move_into_place
+    monkeypatch.setattr(cli, "_move_into_place",
+                        lambda src, dst: moved_from.append(os.path.dirname(src)) or move(src, dst))
+    fresh_dir, stale_dir = tmp_path / "fresh", tmp_path / "stale"
+    stale_dir.mkdir()
+    for log in good:
+        (stale_dir / f"conv__{os.path.basename(log)}").write_text("stale\n" * 10_000)
+    for target in (fresh_dir, stale_dir):
+        assert main(["profile", *good, "--workers", workers, "--out-dir", str(target)]) == 0
+    assert {path.name: path.read_bytes() for path in stale_dir.iterdir()} == {
+        path.name: path.read_bytes() for path in fresh_dir.iterdir()
+    }
+    assert len(moved_from) == 2 * len(good)
+    assert {os.path.dirname(d) for d in moved_from} == {str(staging_root)}
+    assert os.listdir(staging_root) == []
+
+
+@pytest.mark.parametrize("cross_device", [False, True])
+def test_profile_refuses_a_directory_at_a_conv_name(tmp_path, monkeypatch, capsys, cross_device):
+    staging_root = tmp_path / "tmp"
+    staging_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
+    logs = _bench_norm2_logs(tmp_path / "logs")
+    if cross_device:
+        # as os.replace fails when the temporary directory is on another filesystem
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+    fresh_dir, out_dir = tmp_path / "fresh", tmp_path / "out"
+    assert main(["profile", *logs, "--workers", "1", "--out-dir", str(fresh_dir)]) == 0
+    blocked = out_dir / f"conv__{os.path.basename(logs[1])}"
+    blocked.mkdir(parents=True)
+    assert main(["profile", *logs, "--workers", "1", "--out-dir", str(out_dir)]) == 2
+    assert re.search(rf"^error: .*{re.escape(str(blocked))}", capsys.readouterr().err, re.M)
+    assert blocked.is_dir() and os.listdir(blocked) == []
+    assert os.listdir(staging_root) == []
+    # the conv files staged before the blocked one are in place
+    first = f"conv__{os.path.basename(logs[0])}"
+    assert (out_dir / first).read_bytes() == (fresh_dir / first).read_bytes()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
