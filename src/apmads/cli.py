@@ -70,7 +70,7 @@ def load_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise UsageError(
@@ -175,12 +175,17 @@ def _map_in_workers(task, tasks: list, workers: int) -> list:
             raise
 
 
+def _run_name(problem_name: str, algo: str, seed: int) -> str:
+    """``<problem>__<algo>__s<seed>``, the stem of a bench log; ``_parse_log_name`` reads it."""
+    return "%s__%s__s%d" % (problem_name, algo, seed)
+
+
 def _refuse_repeats(runs) -> None:
     """``UsageError`` for a (problem, algo, seed) given twice: its two runs would share a name."""
     seen = set()
     for run_id in runs:
         if run_id in seen:
-            raise UsageError("run %s__%s__s%d is given twice" % run_id)
+            raise UsageError(f"run {_run_name(*run_id)} is given twice")
         seen.add(run_id)
 
 
@@ -191,7 +196,7 @@ def cmd_bench(args) -> int:
     _refuse_repeats(runs)
     tasks = [
         (problems[name], *build_run(args, file_values, algo, seed),
-         os.path.join(args.out_dir, "%s__%s__s%d.csv" % (name, algo, seed)))
+         os.path.join(args.out_dir, _run_name(name, algo, seed) + ".csv"))
         for name, algo, seed in runs
     ]
     workers = bench_workers(args.workers, len(tasks))
@@ -218,30 +223,25 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
             f"cannot infer (problem, algo, seed) from {path!r}; expected "
             "<problem>__<algo>__s<seed>.csv"
         )
-    try:
-        seed = int(parts[2][1:])
-    except ValueError:
-        raise UsageError(f"bad seed in log name {path!r}") from None
-    return parts[0], parts[1], seed
-
-
-def _conv_name(problem_name: str, algo: str, seed: int) -> str:
-    return "conv__%s__%s__s%d.csv" % (problem_name, algo, seed)
+    seed = parts[2][1:]  # as _run_name writes it: ASCII digits, no sign or leading zero
+    if not (seed.isascii() and seed.isdigit() and str(int(seed)) == seed):
+        raise UsageError(f"bad seed in log name {path!r}")
+    return parts[0], parts[1], int(seed)
 
 
 def _profile_task(task) -> tuple:
     """One log's share of ``profile``: its ``RunCurve`` and its acc.csv rows.
 
-    The task writes the run's conv__*.csv into the staging directory itself,
-    so only the curve and the rows cross back from a worker process.
+    The task writes the run's conv__*.csv to ``conv_path`` itself, so only
+    the curve and the rows cross back from a worker process.
     """
-    staging, path, problem_name, algo, seed = task
+    conv_path, path, problem_name, algo, seed = task
     try:
         result = make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
         curve, rows, conv = run_outputs(result)
     except ApmadsError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    with open(os.path.join(staging, _conv_name(problem_name, algo, seed)), "w", newline="") as fh:
+    with open(conv_path, "w", newline="") as fh:
         fh.write(conv)
     return curve, rows
 
@@ -280,12 +280,13 @@ def cmd_profile(args) -> int:
     _refuse_repeats(runs)
     for problem_name, _, _ in runs:
         problem_registry(problem_name)
-    conv_names = [_conv_name(*run_id) for run_id in runs]
+    conv_names = [f"conv__{_run_name(*run_id)}.csv" for run_id in runs]
 
     # the workers stage each conv__*.csv in the system's temporary directory,
     # so a failing log leaves nothing near --out-dir; it is removed on every exit
     with tempfile.TemporaryDirectory(prefix="apmads-profile-") as staging:
-        tasks = [(staging, path, *run_id) for path, run_id in zip(args.logs, runs)]
+        tasks = [(os.path.join(staging, conv), path, *run_id)
+                 for conv, path, run_id in zip(conv_names, args.logs, runs)]
         outputs = _map_in_workers(_profile_task, tasks, workers)
 
         curves = [curve for curve, _ in outputs]

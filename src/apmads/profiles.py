@@ -50,13 +50,21 @@ class RunCurve:
 
     ``accuracy``, ``budget_to_solve`` and the performance and data
     profiles need no more, so they take a ``RunCurve`` wherever they take
-    a ``RunResult``.
+    a ``RunResult``. Its curve is read-only, also once unpickled (as from a
+    ``profile`` worker): unpickling calls the constructor, which sets the flag.
     """
 
     algorithm: str
     problem: str
     seed: int
     curve: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        for array in self.curve:
+            array.flags.writeable = False
+
+    def __reduce__(self):
+        return RunCurve, (self.algorithm, self.problem, self.seed, self.curve)
 
 
 def make_run_result(
@@ -224,21 +232,14 @@ def _profile_csv(abscissa: str, xs: np.ndarray, fractions: dict) -> str:
 
 
 def accuracy_csv(results) -> str:
-    return join_accuracy_rows(
-        (res, _accuracy_rows(res, _draws_column(res), accuracy_curve(res)[1])) for res in results
-    )
-
-
-def join_accuracy_rows(blocks) -> str:
-    """``accuracy_csv`` from each run's rows, given as (``RunResult`` or ``RunCurve``, rows)."""
-    return "".join(accuracy_csv_parts(blocks))
+    return "".join(accuracy_csv_parts(run_outputs(res)[:2] for res in results))
 
 
 def accuracy_csv_parts(blocks) -> list[str]:
     """The header of ``accuracy_csv``, then each run's rows, by (algorithm, problem, seed).
 
-    ``blocks`` is as for ``join_accuracy_rows``. ``apmads profile`` writes
-    these parts one after another, so it never holds the text whole.
+    ``blocks`` are (``RunCurve`` or ``RunResult``, rows) pairs, as from ``run_outputs``.
+    ``apmads profile`` writes the parts one after another, never joined.
     """
     ordered = sorted(blocks, key=lambda b: (b[0].algorithm, b[0].problem, b[0].seed))
     return ["budget,algo,problem,seed,f_acc\n", *(rows for _, rows in ordered)]
@@ -246,35 +247,24 @@ def accuracy_csv_parts(blocks) -> list[str]:
 
 def convergence_csv(result: RunResult) -> str:
     """Truth-versus-draws curve of one run (plus the estimates for context)."""
-    return _convergence_csv(result, _draws_column(result))
+    return run_outputs(result)[2]
 
 
 def run_outputs(result: RunResult) -> tuple[RunCurve, str, str]:
     """The run's ``RunCurve``, its rows of ``accuracy_csv`` and its ``convergence_csv``.
 
-    The accuracy curve is computed once for all three.
+    The one renderer of both files' rows, for ``apmads profile`` and the two
+    functions alike. The accuracy curve and the draws column are computed once.
     """
     curve = accuracy_curve(result)
-    draws = _draws_column(result)
-    run_curve = RunCurve(result.algorithm, result.problem, result.seed, curve)
-    return run_curve, _accuracy_rows(result, draws, curve[1]), _convergence_csv(result, draws)
-
-
-def _draws_column(result: RunResult) -> list[str]:
-    return ["%.17g" % rec.draws for rec in result.records]
-
-
-def _accuracy_rows(result: RunResult, draws: list[str], facc: np.ndarray) -> str:
+    draws = ["%.17g" % rec.draws for rec in result.records]
     run = f"{result.algorithm},{result.problem},{result.seed}"
-    return "".join([f"{d},{run},{f:.17g}\n" for d, f in zip(draws, facc.tolist())])
-
-
-def _convergence_csv(result: RunResult, draws: list[str]) -> str:
-    rows = [
+    acc = "".join([f"{d},{run},{f:.17g}\n" for d, f in zip(draws, curve[1].tolist())])
+    conv = "draws,f_true_inc,f_inc,sig_inc\n" + "".join([
         "%s,%.17g,%.17g,%.17g\n" % (d, truth, rec.f_inc, rec.sig_inc)
         for d, rec, truth in zip(draws, result.records, result.truth_trace)
-    ]
-    return "draws,f_true_inc,f_inc,sig_inc\n" + "".join(rows)
+    ])
+    return RunCurve(result.algorithm, result.problem, result.seed, curve), acc, conv
 
 
 # --- log validation -----------------------------------------------------------

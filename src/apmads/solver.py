@@ -520,7 +520,6 @@ def run_fixed_precision_baseline(
 # original values exactly. Both directions work a column (or a row) at a
 # time rather than a field at a time: a log is thousands of rows.
 
-_FIXED_COLUMNS_AFTER_COORDS = 8
 _STATUS = {status.value: status for status in IterationStatus}
 
 
@@ -581,7 +580,8 @@ def write_log(records: list[IterationRecord], path, dimension: int | None = None
 def parse_log(text: str) -> list[IterationRecord]:
     """Parse a run-log CSV back into records, losslessly.
 
-    Blank lines are skipped. An empty log, an unrecognised header, and a
+    Blank lines are skipped. The header must be ``log_header(n)``, the
+    writer's, for some dimension n >= 1. An empty log, any other header, and a
     row with the wrong number of fields, a field that does not parse (an
     integer for ``k`` and ``cache_size``, a float elsewhere) or an unknown
     status all raise ``InvalidInputError``; a bad row is named by its line
@@ -591,34 +591,25 @@ def parse_log(text: str) -> list[IterationRecord]:
     if not lines:
         raise InvalidInputError("empty log")
     header = lines[0].split(",")
-    width = len(header)
-    n = width - 2 - _FIXED_COLUMNS_AFTER_COORDS
-    if n < 1 or header[:2] != ["k", "draws"] or header[-1] != "cache_size":
+    n = len(header) - 10  # log_header(n) has n + 10 columns when n >= 1
+    if lines[0] != log_header(n):
         raise InvalidInputError(f"unrecognised log header: {lines[0]!r}")
     rows = [ln.split(",") for ln in lines[1:]]
     if not rows:
         return []
-    if any(len(row) != width for row in rows):
-        raise _row_error(text, header)
-    columns = list(zip(*rows))
-    try:
-        records = list(map(
-            IterationRecord,
-            map(int, columns[0]),
-            map(float, columns[1]),
-            zip(*[map(float, col) for col in columns[2 : 2 + n]]),
-            *[map(float, col) for col in columns[2 + n : 8 + n]],
-            map(_STATUS.__getitem__, columns[8 + n]),
-            map(int, columns[9 + n]),
-        ))
-    except (KeyError, ValueError):
-        raise _row_error(text, header) from None
-    return records
-
-
-def _row_error(text: str, header: list[str]) -> InvalidInputError:
-    """The error naming the first row of ``text`` that does not parse."""
+    # one parser per column, in the header's order
     parsers = [int] + [float] * (len(header) - 3) + [_STATUS.__getitem__, int]
+    if any(len(row) != len(header) for row in rows):
+        raise _row_error(text, header, parsers)
+    k, draws, *fields = [map(parse, column) for parse, column in zip(parsers, zip(*rows))]
+    try:
+        return list(map(IterationRecord, k, draws, zip(*fields[:n]), *fields[n:]))
+    except (KeyError, ValueError):
+        raise _row_error(text, header, parsers) from None
+
+
+def _row_error(text: str, header: list[str], parsers: list) -> InvalidInputError:
+    """The error naming the first row of ``text`` that does not parse."""
     rows = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln)
     next(rows)  # the header
     for lineno, line in rows:

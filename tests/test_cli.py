@@ -5,14 +5,27 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from apmads import InvalidSigmaError, SolverConfig, cli, read_log, solver, write_log
+from apmads import (
+    InvalidSigmaError,
+    SolverConfig,
+    cli,
+    problem_registry,
+    read_log,
+    solver,
+    validate_records,
+    write_log,
+)
 from apmads.cli import UsageError, bench_workers, load_config_file, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_run_writes_log_with_fixed_header(tmp_path, capsys):
@@ -98,6 +111,30 @@ def test_a_config_key_the_algorithm_refuses_exits_1(tmp_path, capsys, lines, alg
 def test_usage_error_exits_1():
     assert main(["run", "--problem", "norm2"]) == 1  # --out missing
     assert main(["nonsense"]) == 1
+
+
+def test_the_module_exits_with_the_codes_of_main(tmp_path):
+    # `python -m apmads.cli` runs entry_point, as the installed `apmads` script does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+
+    def apmads(*args):
+        return subprocess.run([sys.executable, "-m", "apmads.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    log, refused_log = tmp_path / "norm2__dpmads__s0.csv", tmp_path / "refused.csv"
+    solve = ["run", "--problem", "norm2", "--algo", "dpmads", "--budget", "1e4"]
+    done = apmads(*solve, "--out", str(log))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "stop=budget" in done.stdout
+    refused = apmads(*solve, "--stop-delta-p", "0", "--out", str(refused_log))
+    assert refused.returncode == 1
+    assert "error: stop_delta_p must be positive" in refused.stderr
+    assert not refused_log.exists()
+    log.write_text(log.read_text() + "1,x\n")
+    failed = apmads("profile", str(log), "--out-dir", str(tmp_path / "out"))
+    assert failed.returncode == 2
+    assert "malformed log row" in failed.stderr
 
 
 def test_bench_and_profile_pipeline(tmp_path):
@@ -196,6 +233,24 @@ def test_profile_bad_value_exits_1_before_writing(tmp_path, capsys, args):
     assert main(["profile", *args, "--out-dir", str(out_dir), str(log)]) == 1
     assert "error:" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+# names int() would read, but not as _run_name writes them: s1_0 would be seed 10
+@pytest.mark.parametrize("seed", ["sx", "s1_0", "s01", "s+1", "s-1", "s 1"])
+def test_profile_refuses_a_log_name_with_a_bad_seed_before_reading_any_log(
+    tmp_path, monkeypatch, capsys, seed
+):
+    logs = _bench_norm2_logs(tmp_path / "logs")
+    bad = tmp_path / f"norm2__dpmads__{seed}.csv"
+    bad.write_text("not a log\n")
+    read = []
+    monkeypatch.setattr(cli, "read_log", lambda path: read.append(path) or read_log(path))
+    out_dir = tmp_path / "out"
+    code = main(["profile", *logs, str(bad), "--workers", "1", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert f"error: bad seed in log name {str(bad)!r}" in capsys.readouterr().err
+    assert read == []
+    assert not out_dir.exists()
 
 
 def test_profile_on_a_malformed_log_exits_2(tmp_path, capsys):
@@ -452,6 +507,26 @@ def test_validate_ok_and_corrupted(tmp_path, capsys):
     assert "FAIL mesh-frame-coupling" in capsys.readouterr().out
 
 
+def test_validate_finds_an_incumbent_off_the_mesh(tmp_path, capsys):
+    log = tmp_path / "norm2__dpmads__s0.csv"
+    assert main(["run", "--problem", "norm2", "--algo", "dpmads", "--seed", "0",
+                 "--budget", "1e4", "--out", str(log)]) == 0
+    problem = problem_registry("norm2")
+    records = read_log(log)
+    assert all(ok for _, ok, _ in validate_records(records, problem))
+    # move the incumbent at k=5 by half the finest mesh size so far
+    x0, *rest = records[4].incumbent
+    records[4].incumbent = (x0 + min(rec.delta_m for rec in records[:5]) / 2, *rest)
+    checks = {name: (ok, detail) for name, ok, detail in validate_records(records, problem)}
+    assert checks["incumbents-on-mesh"] == (False, "incumbent off mesh at k=5")
+    write_log(records, log)
+    capsys.readouterr()
+    assert main(["validate", str(log), "--problem", "norm2"]) == 2
+    out = capsys.readouterr().out
+    assert f"{log}: FAIL incumbents-on-mesh (incumbent off mesh at k=5)" in out
+    assert "FAIL" not in out.replace("FAIL incumbents-on-mesh", "")
+
+
 @pytest.mark.parametrize("name", ["norm2__mpmads__s1.csv", "moustache__dpmads__s1.csv"])
 def test_a_log_of_the_wrong_dimension_fails_profile_and_validate(tmp_path, capsys, name):
     # a norm2 log whose incumbents carry a third coordinate of 0
@@ -519,6 +594,8 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     "variant = xx",
     # rho(2000) and rho(2005), the first search's sigma, have no finite draw cost
     "r_init = 2000",
+    # a line without '='
+    "seed 1",
 ])
 def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "solver.cfg"
@@ -530,6 +607,8 @@ def test_config_file_non_finite_value_exits_1(tmp_path, capsys, line):
     assert line.split()[0] in err
     if line == "variant = xx":
         assert "'mp', 'dp', 'fixed'" in err
+    if "=" not in line:
+        assert f"error: {cfg}:1: expected 'key = value', got 'seed 1'" in err
     assert not out.exists()
 
     # bench checks each run's settings as run does, before it creates --out-dir;

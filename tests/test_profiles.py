@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -24,9 +25,9 @@ from apmads import profiles
 from apmads.mesh import IterationStatus
 from apmads.profiles import (
     accuracy_csv,
+    accuracy_csv_parts,
     convergence_csv,
     data_profile_csv,
-    join_accuracy_rows,
     performance_profile_csv,
     run_outputs,
 )
@@ -104,6 +105,24 @@ def test_accuracy_curve_is_computed_once_per_result(monkeypatch):
     assert not budgets.flags.writeable and not facc.flags.writeable
     assert all(a.tolist() == b.tolist() for a, b in zip(curve.curve, accuracy_curve(res)))
     assert res == fresh
+
+
+def test_a_run_curve_stays_read_only_through_a_pickle_round_trip():
+    # as a RunCurve comes back from a profile worker process
+    curve, _, _ = run_outputs(synthetic_result("a", 0, [(10.0, -1.0), (100.0, -5.0)]))
+    copy = pickle.loads(pickle.dumps(curve))
+    assert (copy.algorithm, copy.problem, copy.seed) == ("a", "synth", 0)
+    assert [a.tolist() for a in copy.curve] == [a.tolist() for a in curve.curve]
+    assert not any(a.flags.writeable for a in copy.curve)
+
+
+def test_a_tau_outside_the_unit_interval_or_a_negative_budget_raises():
+    res = synthetic_result("a", 0, [(10.0, -1.0)])
+    for tau in (0.0, 1.0, -0.5, 2.0, math.nan):
+        with pytest.raises(InvalidInputError, match="tau must lie in"):
+            budget_to_solve(res, tau)
+    with pytest.raises(InvalidInputError, match="budget must be >= 0"):
+        accuracy(res, -1.0)
 
 
 def test_accuracy_degenerate_normalisation():
@@ -248,7 +267,7 @@ def test_run_curves_give_the_csvs_of_their_results():
         budget_to_solve(r, 0.5) for r in results
     ]
     assert [conv for _, _, conv in outputs] == [convergence_csv(r) for r in results]
-    assert join_accuracy_rows((c, rows) for c, rows, _ in outputs) == accuracy_csv(results)
+    assert "".join(accuracy_csv_parts((c, rows) for c, rows, _ in outputs)) == accuracy_csv(results)
     for tau in (0.5, 0.01):
         assert performance_profile_csv(curves, tau) == performance_profile_csv(results, tau)
         assert data_profile_csv(curves, tau, 1e-1) == data_profile_csv(results, tau, 1e-1)

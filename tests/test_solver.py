@@ -355,6 +355,8 @@ def test_config_rejects_bad_fields():
         SolverConfig(stop_draws=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(beta_l=0.7)
+    with pytest.raises(ConfigError, match="stop_delta_p must be positive"):
+        SolverConfig(stop_delta_p=0)
 
 
 def test_run_deterministic_logs():
@@ -567,7 +569,11 @@ def test_parse_log_rejects_an_empty_log(text):
     "header",
     ["draws,k,inc0,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size",
      "k,draws,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size",
-     HEADER + ",extra"],
+     HEADER + ",extra",
+     # the right width and ends, but not log_header(2): f_inc and sig_inc
+     # would swap, or the columns have no known names
+     "k,draws,inc0,inc1,sig_inc,f_inc,delta_p,delta_m,r,p,status,cache_size",
+     "k,draws,a,b,c,d,e,f,g,h,i,cache_size"],
 )
 def test_parse_log_rejects_a_bad_header(header):
     with pytest.raises(InvalidInputError, match="unrecognised log header"):
@@ -577,6 +583,8 @@ def test_parse_log_rejects_a_bad_header(header):
 def test_parse_log_of_a_header_alone_is_empty():
     assert parse_log(HEADER + "\n") == []
     assert log_to_csv([], dimension=2) == HEADER + "\n"
+    with pytest.raises(InvalidInputError, match="cannot infer dimension"):
+        log_to_csv([])
 
 
 def test_log_to_csv_rejects_an_incumbent_of_the_wrong_width():
