@@ -16,6 +16,7 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import closing
 from dataclasses import fields
 from multiprocessing import Pool
 
@@ -24,9 +25,9 @@ from .problems import available_problems, problem_registry
 # accuracy_csv and convergence_csv are not called here; they stay importable
 # from this module because perfbench/tracing.py wraps them here
 from .profiles import (
+    ACCURACY_HEADER,
     REFERENCE_SIGMA,
     accuracy_csv,
-    accuracy_csv_parts,
     convergence_csv,
     data_profile_csv,
     make_run_result,
@@ -154,20 +155,23 @@ def bench_workers(requested: int | None, n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
-def _map_in_workers(task, tasks: list, workers: int) -> list:
-    """``[task(t) for t in tasks]``, in ``workers`` processes when that is more than one.
+def _map_in_workers(task, tasks: list, workers: int):
+    """``task(t)`` for each of ``tasks`` in order, in ``workers`` processes if more than one.
 
-    The results keep the order of ``tasks``, so an error is the first failing task's.
+    A task that raises stops the generator there, so the error is the first failing
+    task's. When a task raises, or the caller closes the generator before its last
+    result, the workers finish the tasks already queued before the generator returns.
     """
     if workers == 1:
-        return [task(t) for t in tasks]
+        yield from map(task, tasks)
+        return
     # chunks as Pool.map sizes them, since one round trip per task can cost
     # about as much as the second worker saves
     chunksize = -(-len(tasks) // (4 * workers))
     with Pool(processes=workers) as pool:
         try:
-            return list(pool.imap(task, tasks, chunksize))
-        except Exception:
+            yield from pool.imap(task, tasks, chunksize)
+        except (Exception, GeneratorExit):
             # let the workers finish the queued tasks first: Pool.terminate
             # can hang for good when it kills a worker sending a result
             pool.close()
@@ -201,7 +205,7 @@ def cmd_bench(args) -> int:
     ]
     workers = bench_workers(args.workers, len(tasks))
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = _map_in_workers(_bench_task, tasks, workers)
+    rows = list(_map_in_workers(_bench_task, tasks, workers))
     manifest = os.path.join(args.out_dir, "manifest.csv")
     with open(manifest, "w", newline="") as fh:
         fh.write("problem,algo,seed,path,status\n")
@@ -229,20 +233,25 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
     return parts[0], parts[1], int(seed)
 
 
-def _profile_task(task) -> tuple:
-    """One log's share of ``profile``: its ``RunCurve`` and its acc.csv rows.
+def _profile_task(task):
+    """One log's share of ``profile``: its ``RunCurve`` and its acc.csv rows, or its error.
 
     The task writes the run's conv__*.csv to ``conv_path`` itself, so only
-    the curve and the rows cross back from a worker process.
+    the curve and the rows cross back from a worker process. A log it cannot
+    read, annotate or write out returns its error instead of raising it: a
+    raised error would also drop the rest of its worker's chunk, which may
+    hold a bad log given earlier on the command line.
     """
     conv_path, path, problem_name, algo, seed = task
     try:
         result = make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
         curve, rows, conv = run_outputs(result)
+        with open(conv_path, "w", newline="") as fh:
+            fh.write(conv)
     except ApmadsError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    with open(conv_path, "w", newline="") as fh:
-        fh.write(conv)
+        return type(exc)(f"{path}: {exc}")
+    except (OSError, ValueError) as exc:
+        return exc
     return curve, rows
 
 
@@ -260,6 +269,11 @@ def _move_into_place(src: str, dst: str) -> None:
 
 
 def cmd_profile(args) -> int:
+    """Write acc.csv, the perf/data files of each ``--tau`` and a conv__*.csv per log.
+
+    Every log is read before a bad one is reported: the error is then the first
+    bad log's in argument order, and nothing is written to ``--out-dir``.
+    """
     # check every value and name before any log is read or any file is written
     tau_of = {}  # file suffix -> tau: two taus must not write the same files
     for tau in args.tau:
@@ -281,28 +295,51 @@ def cmd_profile(args) -> int:
     for problem_name, _, _ in runs:
         problem_registry(problem_name)
     conv_names = [f"conv__{_run_name(*run_id)}.csv" for run_id in runs]
+    # the logs are read in acc.csv's row order, so each log's rows are written
+    # as they arrive and only its curve is kept
+    order = sorted(range(len(runs)), key=lambda i: (runs[i][1], runs[i][0], runs[i][2]))
 
-    # the workers stage each conv__*.csv in the system's temporary directory,
-    # so a failing log leaves nothing near --out-dir; it is removed on every exit
+    # acc.csv and the workers' conv__*.csv files are staged in the system's
+    # temporary directory, so a failing log leaves nothing near --out-dir; it
+    # is removed on every exit
     with tempfile.TemporaryDirectory(prefix="apmads-profile-") as staging:
-        tasks = [(os.path.join(staging, conv), path, *run_id)
-                 for conv, path, run_id in zip(conv_names, args.logs, runs)]
-        outputs = _map_in_workers(_profile_task, tasks, workers)
+        tasks = [(os.path.join(staging, conv_names[i]), args.logs[i], *runs[i]) for i in order]
+        curves, errors = [], []
+        with open(os.path.join(staging, "acc.csv"), "w", newline="") as acc, \
+                closing(_map_in_workers(_profile_task, tasks, workers)) as outputs:
+            acc.write(ACCURACY_HEADER)
+            for i, output in zip(order, outputs):
+                if isinstance(output, Exception):
+                    errors.append((i, output))
+                else:
+                    curve, rows = output
+                    curves.append(curve)
+                    acc.write(rows)
+        if errors:
+            raise min(errors, key=lambda error: error[0])[1]
 
-        curves = [curve for curve, _ in outputs]
-        # each file's text in parts, written one after another: acc.csv is never joined
-        parts = {"acc.csv": accuracy_csv_parts(outputs)}
+        profiles = {}
         for suffix, tau in tau_of.items():
-            parts[f"perf{suffix}.csv"] = [performance_profile_csv(curves, tau)]
-            parts[f"data{suffix}.csv"] = [data_profile_csv(curves, tau, args.sigma_ref)]
+            profiles[f"perf{suffix}.csv"] = performance_profile_csv(curves, tau)
+            profiles[f"data{suffix}.csv"] = data_profile_csv(curves, tau, args.sigma_ref)
         os.makedirs(args.out_dir, exist_ok=True)
-        for name, texts in parts.items():
+        for name, text in profiles.items():
             with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
-                fh.writelines(texts)
-        for name in conv_names:
+                fh.write(text)
+        for name in ["acc.csv", *conv_names]:
             _move_into_place(os.path.join(staging, name), os.path.join(args.out_dir, name))
-    print(f"wrote {', '.join([*parts, *conv_names])} in {args.out_dir}")
+    print(f"wrote {', '.join(['acc.csv', *profiles, *conv_names])} in {args.out_dir}")
     return 0
+
+
+def _tau_value(token: str) -> float:
+    """One ``--tau`` value: ``--tau`` takes every word up to the next option, logs too."""
+    try:
+        return float(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{token!r} is not a number; give the run logs before --tau"
+        ) from None
 
 
 def cmd_validate(args) -> int:
@@ -358,8 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", parents=[pool_flags],
                             help="profiles and convergence curves from logs")
-    p_prof.add_argument("logs", nargs="+", help="run logs named <problem>__<algo>__s<seed>.csv")
-    p_prof.add_argument("--tau", nargs="+", type=float, default=[1e-3])
+    p_prof.add_argument("logs", nargs="+",
+                        help="run logs named <problem>__<algo>__s<seed>.csv, given before --tau")
+    p_prof.add_argument("--tau", nargs="+", type=_tau_value, default=[1e-3],
+                        help="accuracy levels in (0, 1) (default: 1e-3); every word after "
+                             "--tau up to the next option is a level, so give the run logs first")
     p_prof.add_argument("--sigma-ref", type=float, default=REFERENCE_SIGMA)
     p_prof.add_argument("--out-dir", default=".")
     p_prof.set_defaults(func=cmd_profile)

@@ -30,6 +30,9 @@ from .solver import IterationRecord
 # Standard deviation of the reference estimate that data profiles count in.
 REFERENCE_SIGMA = 1e-3
 
+# The first line of ``accuracy_csv``; its rows follow, sorted by (algo, problem, seed).
+ACCURACY_HEADER = "budget,algo,problem,seed,f_acc\n"
+
 
 @dataclass
 class RunResult:
@@ -236,13 +239,13 @@ def accuracy_csv(results) -> str:
 
 
 def accuracy_csv_parts(blocks) -> list[str]:
-    """The header of ``accuracy_csv``, then each run's rows, by (algorithm, problem, seed).
+    """``ACCURACY_HEADER``, then each run's rows, by (algorithm, problem, seed).
 
     ``blocks`` are (``RunCurve`` or ``RunResult``, rows) pairs, as from ``run_outputs``.
-    ``apmads profile`` writes the parts one after another, never joined.
+    ``apmads profile`` writes the same parts in the same order as its logs are read.
     """
     ordered = sorted(blocks, key=lambda b: (b[0].algorithm, b[0].problem, b[0].seed))
-    return ["budget,algo,problem,seed,f_acc\n", *(rows for _, rows in ordered)]
+    return [ACCURACY_HEADER, *(rows for _, rows in ordered)]
 
 
 def convergence_csv(result: RunResult) -> str:

@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import dataclasses
 import errno
+import io
 import multiprocessing
+import multiprocessing.pool
 import os
 import re
 import shutil
@@ -12,6 +16,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmads import (
     InvalidSigmaError,
@@ -369,7 +375,11 @@ def test_profile_parent_holds_no_convergence_text(tmp_path):
     # Measured on Linux, Python 3.11: the parent's traced peak exceeds the
     # rows plus the curves by about 0.34 MB when the workers write the conv
     # files and by about 2.2 MB when the parent holds their text, so the
-    # allowance leaves about 0.66 MB of margin either way.
+    # allowance leaves about 0.66 MB of margin either way. Nor does the
+    # parent hold the acc.csv rows, which it writes as each log's rows arrive:
+    # over 20 runs its peak was 0.98-1.14 MB, at least 0.21 MB below the
+    # curves plus the allowance (1.35 MB); a parent that holds every log's
+    # rows until the last log is read peaked at 1.85-1.95 MB.
     allowance = 1_000_000
     bench_dir = tmp_path / "bench"
     assert main(["bench", "--problems", "moustache", "--algos", "dpmads", "mpmads",
@@ -398,6 +408,7 @@ def test_profile_parent_holds_no_convergence_text(tmp_path):
     conv = sum(path.stat().st_size for path in out_dir.glob("conv__*.csv"))
     assert conv > allowance
     assert peak < acc + 16 * rows + allowance
+    assert peak < 16 * rows + allowance
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -437,8 +448,83 @@ def test_profile_failure_leaves_no_staging_or_out_dir(tmp_path, monkeypatch, cap
     assert {path.name: path.read_bytes() for path in stale_dir.iterdir()} == {
         path.name: path.read_bytes() for path in fresh_dir.iterdir()
     }
-    assert len(moved_from) == 2 * len(good)
+    assert len(moved_from) == 2 * (len(good) + 1)
     assert {os.path.dirname(d) for d in moved_from} == {str(staging_root)}
+    assert os.listdir(staging_root) == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_profile_names_the_first_bad_log_given_though_it_is_read_last(
+        tmp_path, monkeypatch, capsys, workers):
+    # the logs are read in acc.csv's row order, by (algo, problem, seed): the
+    # moustache dpmads log first and the norm2 mpmads log, given first, last
+    staging_root = tmp_path / "tmp"
+    staging_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
+    good = _bench_norm2_logs(tmp_path / "logs", seeds=("0", "1", "2", "3", "4"))
+    header = "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size\n"
+    first = tmp_path / "norm2__mpmads__s7.csv"
+    first.write_text(header + "1,44,0.5,-1,2.5,0.25,1,1,0,0.75,Z,5\n")
+    second = tmp_path / "moustache__dpmads__s0.csv"
+    second.write_text(header + "1,44,0.5\n")
+    out_parent = tmp_path / "new"
+    code = main(["profile", *good[:2], str(first), *good[2:9], str(second), good[9],
+                 "--workers", workers, "--out-dir", str(out_parent / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {first}: malformed log row at line 2: bad status 'Z'" in err
+    assert str(second) not in err
+    assert not out_parent.exists()
+    assert os.listdir(staging_root) == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_profile_joins_its_workers_when_writing_acc_csv_fails(
+        tmp_path, monkeypatch, capsys, workers):
+    staging_root = tmp_path / "tmp"
+    staging_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(staging_root))
+    logs = _bench_norm2_logs(tmp_path / "logs", seeds=("0", "1", "2", "3", "4"))
+
+    class FullDisk:
+        """A file that takes two writes, acc.csv's header and one log's rows, then fails."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(text)
+
+    def spy(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return FullDisk(fh) if os.path.basename(path) == "acc.csv" else fh
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    # Pool.terminate can hang for good when it kills a worker sending a result,
+    # so the workers are joined first; the pool's exit then has none to kill
+    calls = []
+    for name in ("close", "join", "terminate"):
+        method = getattr(multiprocessing.pool.Pool, name)
+        monkeypatch.setattr(multiprocessing.pool.Pool, name,
+                            lambda pool, name=name, method=method:
+                            calls.append(name) or method(pool))
+    out_parent = tmp_path / "new"
+    assert main(["profile", *logs, "--workers", workers,
+                 "--out-dir", str(out_parent / "out")]) == 2
+    assert f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}" in capsys.readouterr().err
+    assert calls[:2] == ([] if workers == "1" else ["close", "join"])
+    assert multiprocessing.active_children() == []
+    assert not out_parent.exists()
     assert os.listdir(staging_root) == []
 
 
@@ -465,6 +551,16 @@ def test_profile_refuses_a_directory_at_a_conv_name(tmp_path, monkeypatch, capsy
     # the conv files staged before the blocked one are in place
     first = f"conv__{os.path.basename(logs[0])}"
     assert (out_dir / first).read_bytes() == (fresh_dir / first).read_bytes()
+
+
+def test_profile_refuses_a_log_given_after_tau_with_a_hint(tmp_path, capsys):
+    # --tau takes every word up to the next option, so the log is read as a level
+    log = tmp_path / "norm2__dpmads__s0.csv"
+    out_dir = tmp_path / "out"
+    assert main(["profile", "--tau", "1e-3", str(log), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --tau: {str(log)!r} is not a number; give the run logs before --tau" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -636,6 +732,60 @@ def test_config_file_key_set_twice_exits_1(tmp_path, capsys):
     assert code == 1
     assert f"error: {cfg}:4: key 'seed' is set twice (lines 1 and 4)" in capsys.readouterr().err
     assert not out.exists()
+
+
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "0.1", "0.01", "1e-3", "10", "-5", "true", "false", "mp"]),
+    st.sampled_from(["-1", "2", "1e300", "-1e300", "5e-324", "nan", "inf", "-inf", "word",
+                     "dp", "fixed", ""]),
+    st.integers(-10, 2000).map(str),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def config_lines(draw):
+    """Up to three known keys, each set once, and now and then one faulty line."""
+    values = draw(st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES, max_size=3))
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    fault = draw(st.sampled_from(["", "", "", "set twice", "sigma = 1", "Seed = 1",
+                                  "seed 1", "tau"]))  # an unknown key, or no '='
+    if fault == "set twice":
+        fault = f"{draw(st.sampled_from(sorted(values) or ['seed']))} = {draw(CONFIG_VALUES)}"
+    if fault:
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    return lines
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lines=config_lines(), command=st.sampled_from(["run", "bench"]))
+def test_every_config_file_runs_or_exits_1_naming_its_fault(lines, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, made = os.path.join(tmp, "solver.cfg"), os.path.join(tmp, "made")
+        with open(cfg, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        if command == "run":
+            args = ["run", "--problem", "norm2", "--out", made]
+        else:
+            args = ["bench", "--problems", "norm2", "--algos", "dpmads", "mpmads",
+                    "--seeds", "0", "--workers", "1", "--out-dir", made]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*args, "--budget", "1e3", "--config", cfg])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 0:
+            assert os.path.exists(made)
+            return
+        assert code == 1 and not os.path.exists(made)
+        fault = next(line for line in err.splitlines() if line.startswith("error: "))
+        # the file's faulty line, or a key the file sets; a fixed run's missing
+        # sigma is named by its flag, and the precision floor by r_init, where
+        # the sigma schedule starts
+        named = [f"{cfg}:", "--sigma-fixed", "r_init",
+                 *(line.split("=")[0].strip() for line in lines)]
+        assert any(name in fault for name in named), fault
 
 
 def test_cli_flags_override_config_file(tmp_path):
