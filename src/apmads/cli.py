@@ -22,18 +22,18 @@ from multiprocessing import Pool
 
 from .exceptions import ApmadsError, ConfigError, InvalidSigmaError, UnknownProblemError
 from .problems import available_problems, problem_registry
-# accuracy_csv and convergence_csv are not called here; they stay importable
-# from this module because perfbench/tracing.py wraps them here
+# accuracy_csv, convergence_csv and make_run_result are not called here; they
+# stay importable from this module because perfbench/tracing.py wraps them here
 from .profiles import (
     ACCURACY_HEADER,
     REFERENCE_SIGMA,
     accuracy_csv,
     convergence_csv,
     data_profile_csv,
+    log_outputs,
     make_run_result,
     performance_profile_csv,
     reference_draws,
-    run_outputs,
     validate_records,
 )
 from .solver import SolverConfig, check_run_settings, read_log, run, write_log
@@ -236,16 +236,16 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
 def _profile_task(task):
     """One log's share of ``profile``: its ``RunCurve`` and its acc.csv rows, or its error.
 
-    The task writes the run's conv__*.csv to ``conv_path`` itself, so only
-    the curve and the rows cross back from a worker process. A log it cannot
-    read, annotate or write out returns its error instead of raising it: a
-    raised error would also drop the rest of its worker's chunk, which may
-    hold a bad log given earlier on the command line.
+    ``log_outputs`` renders the log's text, without records. The task writes the
+    run's conv__*.csv to ``conv_path`` itself, so only the curve and the rows
+    cross back from a worker process. A log it cannot read, annotate or write
+    out returns its error instead of raising it: a raised error would also drop
+    the rest of its worker's chunk, which may hold a bad log given earlier.
     """
     conv_path, path, problem_name, algo, seed = task
     try:
-        result = make_run_result(problem_registry(problem_name), algo, seed, read_log(path))
-        curve, rows, conv = run_outputs(result)
+        with open(path, "r", newline="") as fh:  # as read_log opens a log
+            curve, rows, conv = log_outputs(problem_registry(problem_name), algo, seed, fh.read())
         with open(conv_path, "w", newline="") as fh:
             fh.write(conv)
     except ApmadsError as exc:
@@ -393,8 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out-dir", required=True)
     p_bench.set_defaults(func=cmd_bench)
 
+    # argparse would list the logs last, after --tau, where they would be read as levels
     p_prof = sub.add_parser("profile", parents=[pool_flags],
-                            help="profiles and convergence curves from logs")
+                            help="profiles and convergence curves from logs",
+                            usage="%(prog)s [-h] logs [logs ...] [--workers WORKERS] "
+                                  "[--tau TAU [TAU ...]] [--sigma-ref SIGMA_REF] "
+                                  "[--out-dir OUT_DIR]")
     p_prof.add_argument("logs", nargs="+",
                         help="run logs named <problem>__<algo>__s<seed>.csv, given before --tau")
     p_prof.add_argument("--tau", nargs="+", type=_tau_value, default=[1e-3],

@@ -25,7 +25,7 @@ from .exceptions import (
 )
 from .mesh import IterationStatus, mesh_size, on_mesh
 from .problems import ProblemDef
-from .solver import IterationRecord
+from .solver import IterationRecord, log_columns
 
 # Standard deviation of the reference estimate that data profiles count in.
 REFERENCE_SIGMA = 1e-3
@@ -73,48 +73,47 @@ class RunCurve:
 def make_run_result(
     problem: ProblemDef, algorithm: str, seed: int, records: list[IterationRecord]
 ) -> RunResult:
-    """Annotate a run log with the problem's truth oracle.
+    """Annotate a run log with the problem's truth oracle, by the rules of ``_truth_trace``."""
+    trace = _truth_trace(problem, ((rec.k, rec.incumbent) for rec in records))
+    return RunResult(algorithm, problem.name, seed, records, trace, problem.start_truth,
+                     problem.best_truth)
 
-    An incumbent equal to the previous row's shares its truth value,
-    unless it has a zero coordinate: -0.0 == 0.0, but the oracle may tell
-    them apart. An incumbent without ``problem.dimension`` coordinates
-    raises ``InvalidInputError``.
+
+def _truth_trace(problem: ProblemDef, rows) -> list[float]:
+    """The truth value of the incumbent of each (k, incumbent) row.
+
+    An incumbent equal to the previous row's shares its truth value, unless it has a zero
+    coordinate: -0.0 == 0.0, but the oracle may tell them apart. An incumbent without
+    ``problem.dimension`` coordinates raises ``InvalidInputError``.
     """
     trace = []
     last = truth = None
-    for rec in records:
-        x = rec.incumbent
+    for k, x in rows:
         if x != last or 0.0 in x:
             if len(x) != problem.dimension:
-                raise InvalidInputError(
-                    f"incumbent at k={rec.k} has {len(x)} coordinates; "
-                    f"{problem.name} has dimension {problem.dimension}"
-                )
+                raise InvalidInputError(f"incumbent at k={k} has {len(x)} coordinates; "
+                                        f"{problem.name} has dimension {problem.dimension}")
             last, truth = x, problem.truth(x)
         trace.append(truth)
-    return RunResult(
-        algorithm=algorithm,
-        problem=problem.name,
-        seed=seed,
-        records=records,
-        truth_trace=trace,
-        start_truth=problem.start_truth,
-        best_truth=problem.best_truth,
-    )
+    return trace
 
 
 def accuracy_curve(result: RunResult | RunCurve) -> tuple[np.ndarray, np.ndarray]:
     """(budgets, best-so-far accuracy) aligned with the run log, as read-only arrays."""
     if isinstance(result, RunCurve):
         return result.curve
-    denom = result.start_truth - result.best_truth
+    return _curve([rec.draws for rec in result.records], result.truth_trace,
+                  result.start_truth, result.best_truth)
+
+
+def _curve(draws, truths, start_truth: float, best_truth: float):
+    """``accuracy_curve`` of a run's draws and truth trace."""
+    denom = start_truth - best_truth
     if denom == 0.0:
-        raise DegenerateNormalizationError(
-            f"start and optimum share the value {result.best_truth}"
-        )
-    budgets = np.array([rec.draws for rec in result.records], dtype=float)
-    best = np.minimum.accumulate(np.asarray(result.truth_trace, dtype=float))
-    facc = (result.start_truth - best) / denom
+        raise DegenerateNormalizationError(f"start and optimum share the value {best_truth}")
+    budgets = np.array(draws, dtype=float)
+    best = np.minimum.accumulate(np.asarray(truths, dtype=float))
+    facc = (start_truth - best) / denom
     budgets.flags.writeable = facc.flags.writeable = False
     return budgets, facc
 
@@ -256,18 +255,50 @@ def convergence_csv(result: RunResult) -> str:
 def run_outputs(result: RunResult) -> tuple[RunCurve, str, str]:
     """The run's ``RunCurve``, its rows of ``accuracy_csv`` and its ``convergence_csv``.
 
-    The one renderer of both files' rows, for ``apmads profile`` and the two
-    functions alike. The accuracy curve and the draws column are computed once.
+    ``_run_rows`` renders the records' fields in ``%.17g`` form, as ``write_log`` writes them.
     """
     curve = accuracy_curve(result)
-    draws = ["%.17g" % rec.draws for rec in result.records]
-    run = f"{result.algorithm},{result.problem},{result.seed}"
-    acc = "".join([f"{d},{run},{f:.17g}\n" for d, f in zip(draws, curve[1].tolist())])
-    conv = "draws,f_true_inc,f_inc,sig_inc\n" + "".join([
-        "%s,%.17g,%.17g,%.17g\n" % (d, truth, rec.f_inc, rec.sig_inc)
-        for d, rec, truth in zip(draws, result.records, result.truth_trace)
-    ])
+    columns = (["%.17g" % getattr(rec, name) for rec in result.records]
+               for name in ("draws", "f_inc", "sig_inc"))
+    acc, conv = _run_rows(f"{result.algorithm},{result.problem},{result.seed}", *columns,
+                          result.truth_trace, curve[1].tolist())
     return RunCurve(result.algorithm, result.problem, result.seed, curve), acc, conv
+
+
+def log_outputs(problem: ProblemDef, algorithm: str, seed: int, text: str):
+    """``run_outputs(make_run_result(problem, algorithm, seed, parse_log(text)))``, from the text.
+
+    A log is refused as that call refuses it. The log's draws, f_inc and sig_inc fields are
+    copied, so the outputs are the same whenever those are in ``%.17g`` form, as ``write_log``
+    writes them.
+    """
+    n, fields, columns = log_columns(text)
+    truths = _truth_trace(problem, zip(columns[0], zip(*columns[2:n + 2])))
+    curve = _curve(columns[1], truths, problem.start_truth, problem.best_truth)
+    acc, conv = _run_rows(f"{algorithm},{problem.name},{seed}", fields[1], fields[n + 2],
+                          fields[n + 3], truths, curve[1].tolist())
+    return RunCurve(algorithm, problem.name, seed, curve), acc, conv
+
+
+def _run_rows(run: str, draws, f_inc, sig_inc, truths, facc) -> tuple[str, str]:
+    """A run's rows of ``accuracy_csv`` and its ``convergence_csv``: the one renderer of both.
+
+    ``draws``, ``f_inc`` and ``sig_inc`` are text; ``truths`` and ``facc`` are formatted here.
+    """
+    acc = "".join([f"{d},{run},{f}\n" for d, f in zip(draws, _formatted(facc))])
+    conv = "".join(["draws,f_true_inc,f_inc,sig_inc\n"] + [
+        f"{d},{t},{f},{s}\n" for d, t, f, s in zip(draws, _formatted(truths), f_inc, sig_inc)])
+    return acc, conv
+
+
+def _formatted(values) -> list[str]:
+    """``%.17g`` of each value, once per run of equal values; a zero each time, as -0.0 == 0.0."""
+    out, last, text = [], None, None
+    for value in values:
+        if value != last or value == 0.0:
+            last, text = value, "%.17g" % value
+        out.append(text)
+    return out
 
 
 # --- log validation -----------------------------------------------------------

@@ -372,8 +372,8 @@ def check_run_settings(config: SolverConfig) -> None:
     """Every check a run makes before its first draw that depends on its settings alone.
 
     ``dp`` and ``mp`` need sigma_max <= ``SIGMA_MAX`` and ``r_init`` not past the precision
-    floor, else ``ConfigError``; ``fixed`` needs ``sigma_fixed`` in (0, SIGMA_MAX] with a
-    finite draw cost, else ``InvalidSigmaError``.
+    floor, else ``ConfigError`` (past the floor, it names the schedule's values); ``fixed``
+    needs ``sigma_fixed`` in (0, SIGMA_MAX] with a finite draw cost, else ``InvalidSigmaError``.
     """
     if config.variant == "fixed":
         if not 0.0 < config.sigma_fixed <= SIGMA_MAX:
@@ -383,8 +383,12 @@ def check_run_settings(config: SolverConfig) -> None:
     elif config.sigma_max > SIGMA_MAX:
         raise ConfigError(f"sigma_max {config.sigma_max} exceeds the observable cap {SIGMA_MAX}")
     elif (floor := _past_precision_floor(config, config.r_init)) is not None:
-        raise ConfigError(f"r_init {config.r_init} is past the precision floor: rho({floor})"
-                          f" = {rho(config, floor)} has no finite draw cost")
+        # the schedule's values that set rho(floor); r_s only when floor is the search's
+        names = ("r_init", "r_s") if floor != config.r_init else ("r_init",)
+        values = ", ".join(f"{name} = {getattr(config, name)}"
+                           for name in (*names, "r0", "theta", "sigma_min", "sigma_max"))
+        raise ConfigError(f"{values} start the run past the precision floor: "
+                          f"rho({floor}) = {rho(config, floor)} has no finite draw cost")
 
 
 def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -> str | None:
@@ -577,15 +581,15 @@ def write_log(records: list[IterationRecord], path, dimension: int | None = None
         fh.writelines(lines)
 
 
-def parse_log(text: str) -> list[IterationRecord]:
-    """Parse a run-log CSV back into records, losslessly.
+def log_columns(text: str) -> tuple[int, list[tuple[str, ...]], list[list]]:
+    """The run log's dimension n, its fields as text columns, and those columns parsed.
 
-    Blank lines are skipped. The header must be ``log_header(n)``, the
-    writer's, for some dimension n >= 1. An empty log, any other header, and a
-    row with the wrong number of fields, a field that does not parse (an
-    integer for ``k`` and ``cache_size``, a float elsewhere) or an unknown
-    status all raise ``InvalidInputError``; a bad row is named by its line
-    number.
+    The one reader of run logs, for ``parse_log`` and ``apmads profile``. Blank
+    lines are skipped. The header must be ``log_header(n)``, the writer's, for
+    some n >= 1. An empty log, any other header, and a row with the wrong number
+    of fields, a field that does not parse (an integer for ``k`` and
+    ``cache_size``, a float elsewhere, NaN only in ``f_inc``) or an unknown
+    status all raise ``InvalidInputError``; a bad row is named by its line number.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
@@ -595,21 +599,31 @@ def parse_log(text: str) -> list[IterationRecord]:
     if lines[0] != log_header(n):
         raise InvalidInputError(f"unrecognised log header: {lines[0]!r}")
     rows = [ln.split(",") for ln in lines[1:]]
-    if not rows:
-        return []
     # one parser per column, in the header's order
     parsers = [int] + [float] * (len(header) - 3) + [_STATUS.__getitem__, int]
     if any(len(row) != len(header) for row in rows):
         raise _row_error(text, header, parsers)
-    k, draws, *fields = [map(parse, column) for parse, column in zip(parsers, zip(*rows))]
+    fields = list(zip(*rows)) or [()] * len(header)
     try:
-        return list(map(IterationRecord, k, draws, zip(*fields[:n]), *fields[n:]))
+        columns = [list(map(parse, column)) for parse, column in zip(parsers, fields)]
     except (KeyError, ValueError):
         raise _row_error(text, header, parsers) from None
+    # a column sums to NaN if it holds a NaN (or +inf and -inf); f_inc may hold one
+    floats = columns[1:n + 2] + columns[n + 3:-2]
+    if any(math.isnan(sum(c)) and any(map(math.isnan, c)) for c in floats):
+        raise _row_error(text, header, parsers)
+    return n, fields, columns
+
+
+def parse_log(text: str) -> list[IterationRecord]:
+    """The records of a run-log CSV, losslessly; ``log_columns`` reads it, or refuses it."""
+    n, _, columns = log_columns(text)
+    k, draws, *fields = columns
+    return list(map(IterationRecord, k, draws, zip(*fields[:n]), *fields[n:]))
 
 
 def _row_error(text: str, header: list[str], parsers: list) -> InvalidInputError:
-    """The error naming the first row of ``text`` that does not parse."""
+    """The error naming the first row of ``text`` that ``log_columns`` refuses."""
     rows = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln)
     next(rows)  # the header
     for lineno, line in rows:
@@ -620,13 +634,14 @@ def _row_error(text: str, header: list[str], parsers: list) -> InvalidInputError
         else:
             for name, parse, part in zip(header, parsers, parts):
                 try:
-                    parse(part)
+                    if (value := parse(part)) != value and name != "f_inc":
+                        raise ValueError  # NaN; f_inc is inf / inf once its fusion sums overflow
                 except (KeyError, ValueError):
                     problem = f"bad {name} {part!r}"
                     break
         if problem is not None:
             return InvalidInputError(f"malformed log row at line {lineno}: {problem}: {line!r}")
-    raise AssertionError("parse_log failed on a log whose rows all parse")
+    raise AssertionError("log_columns failed on a log whose rows all parse")
 
 
 def read_log(path) -> list[IterationRecord]:

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import functools
 import io
 import multiprocessing
 import multiprocessing.pool
@@ -25,6 +26,7 @@ from apmads import (
     cli,
     problem_registry,
     read_log,
+    run,
     solver,
     validate_records,
     write_log,
@@ -583,6 +585,131 @@ def test_profile_unknown_problem_exits_1_before_creating_the_out_dir(tmp_path, c
     assert not out_dir.exists()
 
 
+PROFILE_USAGE = ("usage: apmads profile [-h] logs [logs ...] [--workers WORKERS] "
+                 "[--tau TAU [TAU ...]] [--sigma-ref SIGMA_REF] [--out-dir OUT_DIR]\n")
+
+
+def test_profile_usage_shows_the_logs_before_tau(tmp_path, capsys):
+    assert main(["profile", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(PROFILE_USAGE)
+    # the usage is written out by hand: it must list every option the help lists
+    options = set(re.findall(r"--[a-z-]+", out.split("options:", 1)[1]))
+    assert options == set(re.findall(r"--[a-z-]+", PROFILE_USAGE)) | {"--help"}
+    log = tmp_path / "norm2__dpmads__s0.csv"
+    assert main(["profile", "--tau", "1e-3", str(log)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(PROFILE_USAGE)
+    assert "give the run logs before --tau" in err
+
+
+@functools.lru_cache(maxsize=None)
+def writer_log(problem_name: str) -> str:
+    """The text ``write_log`` writes for a short dp run."""
+    problem = problem_registry(problem_name)
+    records = run(problem, SolverConfig(variant="dp", seed=0, stop_draws=2e3)).records
+    assert len(records) >= 3
+    return solver.log_to_csv(records, problem.dimension)
+
+
+@st.composite
+def malformed_logs(draw):
+    """(log name, text, line a row error names or None) for a mutated writer log."""
+    problem = draw(st.sampled_from(["norm2", "moustache"]))
+    lines = writer_log(problem).splitlines()
+    header = lines[0].split(",")
+    i = draw(st.integers(1, len(lines) - 1))  # the row to break, at line i + 1
+    row = lines[i].split(",")
+    kind = draw(st.sampled_from(["drop", "add", "word", "nan", "empty", "status",
+                                 "header", "no header", "dimension"]))
+    # an f_inc of NaN is the estimate of a point whose fusion sums
+    # overflowed: the reader takes it (test below)
+    j = draw(st.sampled_from([c for c, name in enumerate(header)
+                              if kind != "nan" or name != "f_inc"]))
+    if kind == "drop":
+        del row[j]
+    elif kind == "add":
+        row.insert(j, draw(st.sampled_from(["0", "1.5", "S", ""])))
+    elif kind in ("word", "nan", "empty"):
+        row[j] = draw(st.sampled_from({"word": ["x", "0x10", "1.5.2", "--1"],
+                                       "nan": ["nan", "NaN", "-nan"], "empty": [""]}[kind]))
+    elif kind == "status":
+        row[-2] = draw(st.sampled_from(["X", "s", "SUCCESS", "0", " S"]))
+    lines[i] = ",".join(row)
+    if kind == "header":
+        a, b = draw(st.lists(st.integers(0, len(header) - 1), min_size=2, max_size=2,
+                             unique=True))
+        header[a], header[b] = header[b], header[a] if draw(st.booleans()) else "x"
+        lines[0] = ",".join(header)
+    elif kind == "no header":
+        del lines[0]
+    elif kind == "dimension":
+        # every incumbent gains a coordinate of 0: a well-formed log of the wrong width
+        lines = [solver.log_header(3)] + [
+            ",".join([*fields[:4], "0", *fields[4:]])
+            for fields in (line.split(",") for line in lines[1:])
+        ]
+    line = i + 1 if kind in ("drop", "add", "word", "nan", "empty", "status") else None
+    return f"{problem}__dpmads__s0.csv", "".join(ln + "\n" for ln in lines), line
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(log=malformed_logs())
+def test_profile_and_validate_refuse_a_malformed_log_cleanly(log):
+    name, text, line = log
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = os.path.join(tmp, name), os.path.join(tmp, "out")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        staging_root = os.path.join(tmp, "staging")
+        os.mkdir(staging_root)
+        saved, tempfile.tempdir = tempfile.tempdir, staging_root
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["profile", path, "--workers", "1", "--out-dir", out_dir])
+        finally:
+            tempfile.tempdir = saved
+        err = err.getvalue()
+        assert code == 2, err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        if line is not None:
+            assert f": malformed log row at line {line}: " in err
+        assert not os.path.exists(out_dir)
+        assert os.listdir(staging_root) == []
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(["validate", path, "--problem", name.split("__")[0]])
+        assert code == 2
+        assert "Traceback" not in err.getvalue()
+        assert "FAIL" in out.getvalue() or err.getvalue().startswith("error: ")
+
+
+def test_profile_copies_a_nan_f_inc_and_takes_a_header_alone(tmp_path):
+    # f_inc is the incumbent's estimate: inf / inf, NaN, when its fusion sums
+    # overflow. A header alone is the log of a run stopped before its first
+    # iteration (as by --budget 0); profile counts it as a run that never solved
+    lines = writer_log("norm2").splitlines()
+    f_inc = lines[0].split(",").index("f_inc")
+    row = lines[-1].split(",")
+    row[f_inc] = "nan"
+    (tmp_path / "norm2__dpmads__s0.csv").write_text("\n".join([*lines[:-1], ",".join(row)]) + "\n")
+    (tmp_path / "norm2__mpmads__s0.csv").write_text(lines[0] + "\n")
+    out_dir = tmp_path / "out"
+    assert main(["profile", str(tmp_path / "norm2__dpmads__s0.csv"),
+                 str(tmp_path / "norm2__mpmads__s0.csv"), "--tau", "0.5",
+                 "--workers", "1", "--out-dir", str(out_dir)]) == 0
+    conv = (out_dir / "conv__norm2__dpmads__s0.csv").read_text().splitlines()
+    assert conv[-1].split(",")[2] == "nan"
+    header_only = (out_dir / "conv__norm2__mpmads__s0.csv").read_text()
+    assert header_only == "draws,f_true_inc,f_inc,sig_inc\n"
+    perf = (out_dir / "perf.csv").read_text().splitlines()
+    assert perf[-1].startswith("1,mpmads,") and perf[-1].endswith(",0")
+    for log in tmp_path.glob("*.csv"):
+        assert main(["validate", str(log), "--problem", "norm2"]) == 0
+
+
 def test_validate_ok_and_corrupted(tmp_path, capsys):
     log = tmp_path / "norm2__mpmads__s0.csv"
     main(["run", "--problem", "norm2", "--algo", "mpmads", "--seed", "0",
@@ -781,11 +908,28 @@ def test_every_config_file_runs_or_exits_1_naming_its_fault(lines, command):
         assert code == 1 and not os.path.exists(made)
         fault = next(line for line in err.splitlines() if line.startswith("error: "))
         # the file's faulty line, or a key the file sets; a fixed run's missing
-        # sigma is named by its flag, and the precision floor by r_init, where
-        # the sigma schedule starts
-        named = [f"{cfg}:", "--sigma-fixed", "r_init",
-                 *(line.split("=")[0].strip() for line in lines)]
+        # sigma is named by its flag
+        named = [f"{cfg}:", "--sigma-fixed", *(line.split("=")[0].strip() for line in lines)]
         assert any(name in fault for name in named), fault
+
+
+@pytest.mark.parametrize("line, index", [
+    ("theta = 2178574739", "rho(5.0)"), ("r_s = -1e300", "rho(1e+300)"),
+    ("r0 = -1e300", "rho(0.0)"), ("sigma_max = 1e-160", "rho(0.0)"),
+])
+def test_a_run_past_the_precision_floor_names_the_key_that_put_it_there(tmp_path, capsys,
+                                                                         line, index):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--problem", "norm2", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    key, value = (part.strip() for part in line.split("="))
+    assert f"{key} = {cli._parse_value(value)}" in err
+    assert f"start the run past the precision floor: {index} = " in err
+    # r_s is named when the search's index, r_init - r_s, is past the floor
+    assert ("r_s = " in err) == (index != "rho(0.0)")
+    assert not out.exists()
 
 
 def test_cli_flags_override_config_file(tmp_path):

@@ -5,6 +5,8 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmads import (
     DegenerateNormalizationError,
@@ -28,10 +30,11 @@ from apmads.profiles import (
     accuracy_csv_parts,
     convergence_csv,
     data_profile_csv,
+    log_outputs,
     performance_profile_csv,
     run_outputs,
 )
-from apmads.solver import IterationRecord
+from apmads.solver import IterationRecord, log_to_csv, parse_log
 
 
 def record(k, draws, inc, delta_p=1.0):
@@ -338,3 +341,114 @@ def test_validate_records_detects_corruption():
     assert not checks["draws-nondecreasing"]
     assert not checks["mesh-frame-coupling"]
     assert not checks["r-nondecreasing"]
+
+
+def record_outputs(problem, algorithm, seed, text):
+    """The outputs of ``text`` rendered from its records: the reference of ``log_outputs``."""
+    return run_outputs(make_run_result(problem, algorithm, seed, parse_log(text)))
+
+
+def assert_same_outputs(ours, reference):
+    (curve, acc, conv), (ref_curve, ref_acc, ref_conv) = ours, reference
+    assert (curve.algorithm, curve.problem, curve.seed) == (
+        ref_curve.algorithm, ref_curve.problem, ref_curve.seed)
+    for array, ref_array in zip(curve.curve, ref_curve.curve):
+        assert array.tobytes() == ref_array.tobytes()
+        assert not array.flags.writeable
+    assert (acc, conv) == (ref_acc, ref_conv)
+
+
+# values the writer logs, zeros of both signs and infinities among them
+LOGGED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.1, math.inf, -math.inf]),
+                   st.floats(allow_nan=False))
+
+
+@st.composite
+def writer_logs(draw):
+    """(problem, log text) of records that ``log_to_csv`` writes: repeated incumbents,
+    coordinates of 0.0 and -0.0, moustache's start (truth -0.0), draws up to about 1e308."""
+    problem = problem_registry(draw(st.sampled_from(["norm2", "moustache"])))
+    points = [problem.start, (0.0, 2.0), (-0.0, 2.0), (0.0, -0.0), (1.5, 2.25), (-3.0, 1e-300)]
+    n = draw(st.integers(0, 30))
+    incumbents = draw(st.lists(st.one_of(st.sampled_from(points),
+                                         st.tuples(LOGGED, LOGGED).filter(
+                                             lambda x: all(map(math.isfinite, x)))),
+                               min_size=n, max_size=n))
+    draws = sorted(draw(st.lists(st.floats(0.0, 1.7e308), min_size=n, max_size=n)))
+    records = [
+        IterationRecord(
+            k=k, draws=d, incumbent=x, f_inc=draw(st.one_of(LOGGED, st.just(math.nan))),
+            sig_inc=draw(LOGGED), delta_p=draw(LOGGED), delta_m=draw(LOGGED), r=draw(LOGGED),
+            p=draw(LOGGED), status=draw(st.sampled_from(IterationStatus)),
+            cache_size=draw(st.integers(0, 10**6)),
+        )
+        for k, (d, x) in enumerate(zip(draws, incumbents), start=1)
+    ]
+    return problem, log_to_csv(records, problem.dimension)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(log=writer_logs(), algorithm=st.sampled_from(["dpmads", "mpmads", "fixed"]))
+def test_a_writer_log_renders_the_bytes_of_its_records(log, algorithm):
+    # log_outputs copies the log's draws, f_inc and sig_inc fields, which
+    # write_log formats with %.17g, as run_outputs formats the records
+    problem, text = log
+    ours = log_outputs(problem, algorithm, 3, text)
+    assert_same_outputs(ours, record_outputs(problem, algorithm, 3, text))
+    # each derived value is formatted as itself, -0.0 apart from 0.0
+    result = make_run_result(problem, algorithm, 3, parse_log(text))
+    _, acc, conv = ours
+    assert [row.split(",")[1] for row in conv.splitlines()[1:]] == [
+        "%.17g" % truth for truth in result.truth_trace]
+    assert [row.rsplit(",", 1)[1] for row in acc.splitlines()] == [
+        "%.17g" % f for f in accuracy_curve(result)[1].tolist()]
+
+
+def test_a_hand_edited_log_is_copied_as_written():
+    # the fields are valid floats, but not in %.17g form
+    problem = problem_registry("norm2")
+    text = (
+        "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size\n"
+        "1,1e3,0.5,-1,2.50,0.1,1,1,0,0.75,S,5\n"
+        "2,2000.0,0.5,-1.0,+2.5,1E-1,1,1,0,0.75,F,5\n"
+        "3,3e+03,0.25,0.125,0.1,.1,1,1,0,0.75,S,6\n"
+    )
+    curve, acc, conv = log_outputs(problem, "dpmads", 0, text)
+    assert [row.split(",")[0] for row in acc.splitlines()] == ["1e3", "2000.0", "3e+03"]
+    assert [row.split(",")[::2] for row in conv.splitlines()[1:]] == [
+        ["1e3", "2.50"], ["2000.0", "+2.5"], ["3e+03", "0.1"]]
+    assert [row.split(",")[3] for row in conv.splitlines()[1:]] == ["0.1", "1E-1", ".1"]
+    # the numbers are those of the canonical log, and so are its profiles
+    canonical = log_to_csv(parse_log(text))
+    assert canonical != text
+    ref_curve, ref_acc, ref_conv = log_outputs(problem, "dpmads", 0, canonical)
+    assert ref_acc.splitlines()[0].split(",")[0] == "1000"
+    for array, ref_array in zip(curve.curve, ref_curve.curve):
+        assert array.tobytes() == ref_array.tobytes()
+    for tau in (0.5, 1e-3):
+        assert performance_profile_csv([curve], tau) == performance_profile_csv([ref_curve], tau)
+        assert data_profile_csv([curve], tau) == data_profile_csv([ref_curve], tau)
+    # every field but the copied ones is formatted as in the canonical log
+    assert [row.split(",")[1:] for row in acc.splitlines()] == [
+        row.split(",")[1:] for row in ref_acc.splitlines()]
+
+
+def test_log_outputs_refuses_a_log_as_the_record_path_does():
+    problem = problem_registry("norm2")
+    header = "k,draws,inc0,inc1,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size\n"
+    wide = "k,draws,inc0,inc1,inc2,f_inc,sig_inc,delta_p,delta_m,r,p,status,cache_size\n"
+    flat = dataclasses.replace(problem, best_truth=problem.start_truth)
+    for prob, text in [
+        (problem, ""),
+        (problem, header + "1,44,0.5,-1,2.5,0.25,1,1,0,0.75,Z,5\n"),
+        (problem, header + "1,44,0.5,-1,2.5,0.25,1,nan,0,0.75,S,5\n"),
+        (problem, wide + "4,44,0.5,-1,0,2.5,0.25,1,1,0,0.75,S,5\n"),
+        (flat, header),
+    ]:
+        with pytest.raises(Exception) as ours:
+            log_outputs(prob, "dpmads", 0, text)
+        with pytest.raises(Exception) as reference:
+            record_outputs(prob, "dpmads", 0, text)
+        assert (type(ours.value), str(ours.value)) == (
+            type(reference.value), str(reference.value))
+        assert isinstance(ours.value, (InvalidInputError, DegenerateNormalizationError))
