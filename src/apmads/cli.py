@@ -27,7 +27,9 @@ from .problems import available_problems, problem_registry
 from .profiles import (
     ACCURACY_HEADER,
     REFERENCE_SIGMA,
+    SolveBudgets,
     accuracy_csv,
+    budget_to_solve,
     convergence_csv,
     data_profile_csv,
     log_outputs,
@@ -234,25 +236,27 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
 
 
 def _profile_task(task):
-    """One log's share of ``profile``: its ``RunCurve`` and its acc.csv rows, or its error.
+    """One log's share of ``profile``: its solve budget at each of ``taus``, or its error.
 
     ``log_outputs`` renders the log's text, without records. The task writes the
-    run's conv__*.csv to ``conv_path`` itself, so only the curve and the rows
-    cross back from a worker process. A log it cannot read, annotate or write
-    out returns its error instead of raising it: a raised error would also drop
-    the rest of its worker's chunk, which may hold a bad log given earlier.
+    run's conv__*.csv to ``conv_path`` and its acc.csv rows to ``part_path`` itself,
+    so only the budgets cross back from a worker process. A log it cannot read,
+    annotate or write out returns its error instead of raising it: a raised error
+    would also drop the rest of its worker's chunk, which may hold a bad log given
+    earlier.
     """
-    conv_path, path, problem_name, algo, seed = task
+    conv_path, part_path, path, problem_name, algo, seed, taus = task
     try:
         with open(path, "r", newline="") as fh:  # as read_log opens a log
             curve, rows, conv = log_outputs(problem_registry(problem_name), algo, seed, fh.read())
-        with open(conv_path, "w", newline="") as fh:
-            fh.write(conv)
+        for out_path, text in ((conv_path, conv), (part_path, rows)):
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
     except ApmadsError as exc:
         return type(exc)(f"{path}: {exc}")
     except (OSError, ValueError) as exc:
         return exc
-    return curve, rows
+    return tuple(budget_to_solve(curve, tau) for tau in taus)
 
 
 def _move_into_place(src: str, dst: str) -> None:
@@ -272,7 +276,10 @@ def cmd_profile(args) -> int:
     """Write acc.csv, the perf/data files of each ``--tau`` and a conv__*.csv per log.
 
     Every log is read before a bad one is reported: the error is then the first
-    bad log's in argument order, and nothing is written to ``--out-dir``.
+    bad log's in argument order, and nothing is written to ``--out-dir``. Of each
+    log, this process keeps only its ``SolveBudgets`` at the ``--tau`` levels, from
+    which the perf/data files are rendered: the log's task stages its acc.csv rows
+    in a part file, copied into acc.csv as the budgets arrive.
     """
     # check every value and name before any log is read or any file is written
     tau_of = {}  # file suffix -> tau: two taus must not write the same files
@@ -294,34 +301,39 @@ def cmd_profile(args) -> int:
     _refuse_repeats(runs)
     for problem_name, _, _ in runs:
         problem_registry(problem_name)
-    conv_names = [f"conv__{_run_name(*run_id)}.csv" for run_id in runs]
-    # the logs are read in acc.csv's row order, so each log's rows are written
-    # as they arrive and only its curve is kept
+    names = [_run_name(*run_id) for run_id in runs]
+    conv_names = [f"conv__{name}.csv" for name in names]
+    taus = tuple(tau_of.values())
+    # the logs are read in acc.csv's row order, so each log's staged rows are
+    # copied into acc.csv as its budgets arrive, and only the budgets are kept
     order = sorted(range(len(runs)), key=lambda i: (runs[i][1], runs[i][0], runs[i][2]))
 
-    # acc.csv and the workers' conv__*.csv files are staged in the system's
-    # temporary directory, so a failing log leaves nothing near --out-dir; it
-    # is removed on every exit
+    # acc.csv, its per-log parts and the workers' conv__*.csv files are staged
+    # in the system's temporary directory, so a failing log leaves nothing near
+    # --out-dir; it is removed on every exit
     with tempfile.TemporaryDirectory(prefix="apmads-profile-") as staging:
-        tasks = [(os.path.join(staging, conv_names[i]), args.logs[i], *runs[i]) for i in order]
-        curves, errors = [], []
+        tasks = [(os.path.join(staging, conv_names[i]),
+                  os.path.join(staging, f"acc__{names[i]}.csv"), args.logs[i], *runs[i], taus)
+                 for i in order]
+        budgets, errors = [], []
         with open(os.path.join(staging, "acc.csv"), "w", newline="") as acc, \
                 closing(_map_in_workers(_profile_task, tasks, workers)) as outputs:
             acc.write(ACCURACY_HEADER)
-            for i, output in zip(order, outputs):
+            for i, (_, part_path, *_), output in zip(order, tasks, outputs):
                 if isinstance(output, Exception):
                     errors.append((i, output))
-                else:
-                    curve, rows = output
-                    curves.append(curve)
-                    acc.write(rows)
+                    continue
+                problem_name, algo, seed = runs[i]
+                budgets.append(SolveBudgets(algo, problem_name, seed, tuple(zip(taus, output))))
+                with open(part_path, "r", newline="") as part:
+                    shutil.copyfileobj(part, acc)
         if errors:
             raise min(errors, key=lambda error: error[0])[1]
 
         profiles = {}
         for suffix, tau in tau_of.items():
-            profiles[f"perf{suffix}.csv"] = performance_profile_csv(curves, tau)
-            profiles[f"data{suffix}.csv"] = data_profile_csv(curves, tau, args.sigma_ref)
+            profiles[f"perf{suffix}.csv"] = performance_profile_csv(budgets, tau)
+            profiles[f"data{suffix}.csv"] = data_profile_csv(budgets, tau, args.sigma_ref)
         os.makedirs(args.out_dir, exist_ok=True)
         for name, text in profiles.items():
             with open(os.path.join(args.out_dir, name), "w", newline="") as fh:

@@ -70,6 +70,28 @@ class RunCurve:
         return RunCurve, (self.algorithm, self.problem, self.seed, self.curve)
 
 
+@dataclass(frozen=True)
+class SolveBudgets:
+    """A run's (algorithm, problem, seed) and its ``budget_to_solve`` at some taus.
+
+    ``budgets`` holds (tau, budget) pairs. The performance and data profiles at
+    those taus need no more, so they take a ``SolveBudgets`` wherever they take a
+    ``RunCurve``; ``budget_to_solve`` at any other tau raises ``InvalidInputError``.
+    """
+
+    algorithm: str
+    problem: str
+    seed: int
+    budgets: tuple[tuple[float, float], ...]
+
+    def budget(self, tau: float) -> float:
+        for level, budget in self.budgets:
+            if level == tau:
+                return budget
+        raise InvalidInputError(f"no solve budget at tau={tau} for "
+                                f"{(self.algorithm, self.problem, self.seed)}")
+
+
 def make_run_result(
     problem: ProblemDef, algorithm: str, seed: int, records: list[IterationRecord]
 ) -> RunResult:
@@ -127,10 +149,12 @@ def accuracy(result: RunResult | RunCurve, budget: float) -> float:
     return float(facc[i]) if i >= 0 else 0.0
 
 
-def budget_to_solve(result: RunResult | RunCurve, tau: float) -> float:
+def budget_to_solve(result: RunResult | RunCurve | SolveBudgets, tau: float) -> float:
     """Smallest logged budget reaching accuracy 1 - tau; +inf if never."""
     if not 0.0 < tau < 1.0:
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
+    if isinstance(result, SolveBudgets):
+        return result.budget(tau)
     budgets, facc = accuracy_curve(result)
     hits = np.flatnonzero(facc >= 1.0 - tau)
     return float(budgets[hits[0]]) if hits.size else math.inf

@@ -588,8 +588,9 @@ def log_columns(text: str) -> tuple[int, list[tuple[str, ...]], list[list]]:
     lines are skipped. The header must be ``log_header(n)``, the writer's, for
     some n >= 1. An empty log, any other header, and a row with the wrong number
     of fields, a field that does not parse (an integer for ``k`` and
-    ``cache_size``, a float elsewhere, NaN only in ``f_inc``) or an unknown
-    status all raise ``InvalidInputError``; a bad row is named by its line number.
+    ``cache_size``, a float elsewhere, NaN only in ``f_inc``) or that holds text
+    ``write_log`` never writes (``_stray_text``), or an unknown status all raise
+    ``InvalidInputError``; a bad row is named by its line number.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
@@ -601,7 +602,7 @@ def log_columns(text: str) -> tuple[int, list[tuple[str, ...]], list[list]]:
     rows = [ln.split(",") for ln in lines[1:]]
     # one parser per column, in the header's order
     parsers = [int] + [float] * (len(header) - 3) + [_STATUS.__getitem__, int]
-    if any(len(row) != len(header) for row in rows):
+    if any(len(row) != len(header) for row in rows) or _stray_text("".join(lines[1:])):
         raise _row_error(text, header, parsers)
     fields = list(zip(*rows)) or [()] * len(header)
     try:
@@ -613,6 +614,18 @@ def log_columns(text: str) -> tuple[int, list[tuple[str, ...]], list[list]]:
     if any(math.isnan(sum(c)) and any(map(math.isnan, c)) for c in floats):
         raise _row_error(text, header, parsers)
     return n, fields, columns
+
+
+def _stray_text(text: str) -> bool:
+    """Whether ``text``, a log's fields, holds a ``_``, a space, a tab or a non-ASCII character.
+
+    ``float`` and ``int`` accept each, as in ``1_000``, a padded ``0.5`` or an
+    Arabic-Indic digit, but ``write_log`` writes none, and ``apmads profile``
+    copies some fields as written. Any other whitespace either ends a line or is
+    refused by ``float`` and ``int``. The check is a few scans at C speed, so
+    ``log_columns`` runs it over all the rows' text at once.
+    """
+    return not text.isascii() or "_" in text or " " in text or "\t" in text
 
 
 def parse_log(text: str) -> list[IterationRecord]:
@@ -634,6 +647,8 @@ def _row_error(text: str, header: list[str], parsers: list) -> InvalidInputError
         else:
             for name, parse, part in zip(header, parsers, parts):
                 try:
+                    if _stray_text(part):
+                        raise ValueError
                     if (value := parse(part)) != value and name != "f_inc":
                         raise ValueError  # NaN; f_inc is inf / inf once its fusion sums overflow
                 except (KeyError, ValueError):

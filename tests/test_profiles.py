@@ -26,6 +26,7 @@ from apmads import (
 from apmads import profiles
 from apmads.mesh import IterationStatus
 from apmads.profiles import (
+    SolveBudgets,
     accuracy_csv,
     accuracy_csv_parts,
     convergence_csv,
@@ -274,6 +275,28 @@ def test_run_curves_give_the_csvs_of_their_results():
     for tau in (0.5, 0.01):
         assert performance_profile_csv(curves, tau) == performance_profile_csv(results, tau)
         assert data_profile_csv(curves, tau, 1e-1) == data_profile_csv(results, tau, 1e-1)
+
+
+def test_solve_budgets_give_the_profiles_of_their_results():
+    # apmads profile keeps only these budgets of each log, for the perf/data files
+    results = [
+        synthetic_result("b", 1, [(10.0, -1.0), (150.0, -10.0)]),
+        synthetic_result("a", 0, [(100.0, -9.0), (200.0, -10.0)]),
+        synthetic_result("a", 1, [(50.0, -2.0)]),
+        synthetic_result("b", 0, []),
+    ]
+    taus = (0.5, 0.01)
+    solved = [SolveBudgets(r.algorithm, r.problem, r.seed,
+                           tuple((tau, budget_to_solve(r, tau)) for tau in taus))
+              for r in results]
+    assert solved[1].budgets == ((0.5, 100.0), (0.01, 200.0))
+    for tau in taus:
+        assert performance_profile_csv(solved, tau) == performance_profile_csv(results, tau)
+        assert data_profile_csv(solved, tau, 1e-1) == data_profile_csv(results, tau, 1e-1)
+    with pytest.raises(InvalidInputError, match="no solve budget at tau=0.1 for"):
+        budget_to_solve(solved[0], 0.1)
+    with pytest.raises(InvalidInputError, match="duplicate run"):
+        performance_profile(solved + solved[:1], 0.5)
 
 
 def test_make_run_result_reuses_truth_only_for_equal_nonzero_incumbents():
