@@ -20,7 +20,8 @@ from contextlib import closing
 from dataclasses import fields
 from multiprocessing import Pool
 
-from .exceptions import ApmadsError, ConfigError, InvalidSigmaError, UnknownProblemError
+from .exceptions import (ApmadsError, ConfigError, InvalidInputError, InvalidSigmaError,
+                         UnknownProblemError)
 from .problems import available_problems, problem_registry
 # accuracy_csv, convergence_csv and make_run_result are not called here; they
 # stay importable from this module because perfbench/tracing.py wraps them here
@@ -29,7 +30,6 @@ from .profiles import (
     REFERENCE_SIGMA,
     SolveBudgets,
     accuracy_csv,
-    budget_to_solve,
     convergence_csv,
     data_profile_csv,
     log_outputs,
@@ -235,28 +235,38 @@ def _parse_log_name(path: str) -> tuple[str, str, int]:
     return parts[0], parts[1], int(seed)
 
 
+def _log_error(path: str, exc: Exception) -> Exception:
+    """``exc``, raised reading the log at ``path``, with the path before its message.
+
+    An ``OSError`` names its file already. A ``UnicodeDecodeError`` cannot be built
+    from a message, so a log that is not UTF-8 text gives an ``InvalidInputError``.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        exc = InvalidInputError(exc)
+    return type(exc)(f"{path}: {exc}") if isinstance(exc, ApmadsError) else exc
+
+
 def _profile_task(task):
     """One log's share of ``profile``: its solve budget at each of ``taus``, or its error.
 
-    ``log_outputs`` renders the log's text, without records. The task writes the
-    run's conv__*.csv to ``conv_path`` and its acc.csv rows to ``part_path`` itself,
-    so only the budgets cross back from a worker process. A log it cannot read,
-    annotate or write out returns its error instead of raising it: a raised error
-    would also drop the rest of its worker's chunk, which may hold a bad log given
-    earlier.
+    ``log_outputs`` renders the log's text and computes its budgets, without records.
+    The task writes the run's conv__*.csv to ``conv_path`` and its acc.csv rows to
+    ``part_path`` itself, so only the budgets cross back from a worker process. A log
+    it cannot read, annotate or write out returns its error, by ``_log_error``, instead
+    of raising it: a raised error would also drop the rest of its worker's chunk, which
+    may hold a bad log given earlier.
     """
     conv_path, part_path, path, problem_name, algo, seed, taus = task
     try:
         with open(path, "r", newline="") as fh:  # as read_log opens a log
-            curve, rows, conv = log_outputs(problem_registry(problem_name), algo, seed, fh.read())
+            budgets, rows, conv = log_outputs(problem_registry(problem_name), algo, seed,
+                                              fh.read(), taus)
         for out_path, text in ((conv_path, conv), (part_path, rows)):
             with open(out_path, "w", newline="") as fh:
                 fh.write(text)
-    except ApmadsError as exc:
-        return type(exc)(f"{path}: {exc}")
-    except (OSError, ValueError) as exc:
-        return exc
-    return tuple(budget_to_solve(curve, tau) for tau in taus)
+    except (ApmadsError, OSError, ValueError) as exc:
+        return _log_error(path, exc)
+    return budgets
 
 
 def _move_into_place(src: str, dst: str) -> None:
@@ -277,9 +287,10 @@ def cmd_profile(args) -> int:
 
     Every log is read before a bad one is reported: the error is then the first
     bad log's in argument order, and nothing is written to ``--out-dir``. Of each
-    log, this process keeps only its ``SolveBudgets`` at the ``--tau`` levels, from
-    which the perf/data files are rendered: the log's task stages its acc.csv rows
-    in a part file, copied into acc.csv as the budgets arrive.
+    log, this process keeps only its ``SolveBudgets``, built from the budgets its
+    task returns at the ``--tau`` levels, from which the perf/data files are
+    rendered: the task stages the log's acc.csv rows in a part file, copied into
+    acc.csv as the budgets arrive.
     """
     # check every value and name before any log is read or any file is written
     tau_of = {}  # file suffix -> tau: two taus must not write the same files
@@ -358,7 +369,10 @@ def cmd_validate(args) -> int:
     problem = problem_registry(args.problem) if args.problem else None
     failures = 0
     for path in args.logs:
-        records = read_log(path)
+        try:
+            records = read_log(path)
+        except (ApmadsError, UnicodeDecodeError) as exc:
+            raise _log_error(path, exc) from None
         variant = args.variant
         if variant is None:
             try:
@@ -423,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="structural invariant checks on run logs")
     p_val.add_argument("logs", nargs="+")
     p_val.add_argument("--problem", help="enables the exact mesh-membership check")
-    p_val.add_argument("--variant", choices=["mp", "dp"])
+    p_val.add_argument("--variant", choices=list(_ALGO_VARIANT.values()))
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -48,35 +48,12 @@ class RunResult:
 
 
 @dataclass(frozen=True)
-class RunCurve:
-    """A run's (algorithm, problem, seed) and accuracy curve, without its records.
-
-    ``accuracy``, ``budget_to_solve`` and the performance and data
-    profiles need no more, so they take a ``RunCurve`` wherever they take
-    a ``RunResult``. Its curve is read-only, also once unpickled (as from a
-    ``profile`` worker): unpickling calls the constructor, which sets the flag.
-    """
-
-    algorithm: str
-    problem: str
-    seed: int
-    curve: tuple[np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        for array in self.curve:
-            array.flags.writeable = False
-
-    def __reduce__(self):
-        return RunCurve, (self.algorithm, self.problem, self.seed, self.curve)
-
-
-@dataclass(frozen=True)
 class SolveBudgets:
     """A run's (algorithm, problem, seed) and its ``budget_to_solve`` at some taus.
 
-    ``budgets`` holds (tau, budget) pairs. The performance and data profiles at
-    those taus need no more, so they take a ``SolveBudgets`` wherever they take a
-    ``RunCurve``; ``budget_to_solve`` at any other tau raises ``InvalidInputError``.
+    ``budgets`` holds (tau, budget) pairs, all ``apmads profile`` keeps of a log. The
+    performance and data profiles at those taus need no more, so they take a ``SolveBudgets``
+    wherever they take a ``RunResult``; ``budget_to_solve`` at another tau raises.
     """
 
     algorithm: str
@@ -120,10 +97,8 @@ def _truth_trace(problem: ProblemDef, rows) -> list[float]:
     return trace
 
 
-def accuracy_curve(result: RunResult | RunCurve) -> tuple[np.ndarray, np.ndarray]:
+def accuracy_curve(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
     """(budgets, best-so-far accuracy) aligned with the run log, as read-only arrays."""
-    if isinstance(result, RunCurve):
-        return result.curve
     return _curve([rec.draws for rec in result.records], result.truth_trace,
                   result.start_truth, result.best_truth)
 
@@ -140,7 +115,7 @@ def _curve(draws, truths, start_truth: float, best_truth: float):
     return budgets, facc
 
 
-def accuracy(result: RunResult | RunCurve, budget: float) -> float:
+def accuracy(result: RunResult, budget: float) -> float:
     """Accuracy of the best incumbent logged within ``budget`` draws."""
     if budget < 0:
         raise InvalidInputError(f"budget must be >= 0, got {budget}")
@@ -149,15 +124,20 @@ def accuracy(result: RunResult | RunCurve, budget: float) -> float:
     return float(facc[i]) if i >= 0 else 0.0
 
 
-def budget_to_solve(result: RunResult | RunCurve | SolveBudgets, tau: float) -> float:
-    """Smallest logged budget reaching accuracy 1 - tau; +inf if never."""
+def budget_to_solve(result: RunResult | SolveBudgets, tau: float) -> float:
+    """Smallest logged budget reaching accuracy 1 - tau, +inf if never; a SolveBudgets' own."""
     if not 0.0 < tau < 1.0:
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
     if isinstance(result, SolveBudgets):
         return result.budget(tau)
-    budgets, facc = accuracy_curve(result)
-    hits = np.flatnonzero(facc >= 1.0 - tau)
-    return float(budgets[hits[0]]) if hits.size else math.inf
+    return _solve_budgets(accuracy_curve(result), (tau,))[0]
+
+
+def _solve_budgets(curve, taus) -> tuple[float, ...]:
+    """For each of ``taus``, the first budget of ``curve`` at accuracy 1 - tau; +inf if none."""
+    budgets, facc = curve
+    hits = [np.flatnonzero(facc >= 1.0 - tau) for tau in taus]
+    return tuple(float(budgets[hit[0]]) if hit.size else math.inf for hit in hits)
 
 
 def _solve_budget_table(results, tau: float) -> dict[str, np.ndarray]:
@@ -258,50 +238,41 @@ def _profile_csv(abscissa: str, xs: np.ndarray, fractions: dict) -> str:
 
 
 def accuracy_csv(results) -> str:
-    return "".join(accuracy_csv_parts(run_outputs(res)[:2] for res in results))
-
-
-def accuracy_csv_parts(blocks) -> list[str]:
-    """``ACCURACY_HEADER``, then each run's rows, by (algorithm, problem, seed).
-
-    ``blocks`` are (``RunCurve`` or ``RunResult``, rows) pairs, as from ``run_outputs``.
-    ``apmads profile`` writes the same parts in the same order as its logs are read.
-    """
-    ordered = sorted(blocks, key=lambda b: (b[0].algorithm, b[0].problem, b[0].seed))
-    return [ACCURACY_HEADER, *(rows for _, rows in ordered)]
+    """``ACCURACY_HEADER``, then each run's rows, by (algorithm, problem, seed)."""
+    ordered = sorted(results, key=lambda res: (res.algorithm, res.problem, res.seed))
+    return "".join([ACCURACY_HEADER, *(run_outputs(res)[0] for res in ordered)])
 
 
 def convergence_csv(result: RunResult) -> str:
     """Truth-versus-draws curve of one run (plus the estimates for context)."""
-    return run_outputs(result)[2]
+    return run_outputs(result)[1]
 
 
-def run_outputs(result: RunResult) -> tuple[RunCurve, str, str]:
-    """The run's ``RunCurve``, its rows of ``accuracy_csv`` and its ``convergence_csv``.
+def run_outputs(result: RunResult) -> tuple[str, str]:
+    """The run's rows of ``accuracy_csv`` and its ``convergence_csv``.
 
     ``_run_rows`` renders the records' fields in ``%.17g`` form, as ``write_log`` writes them.
     """
-    curve = accuracy_curve(result)
     columns = (["%.17g" % getattr(rec, name) for rec in result.records]
                for name in ("draws", "f_inc", "sig_inc"))
-    acc, conv = _run_rows(f"{result.algorithm},{result.problem},{result.seed}", *columns,
-                          result.truth_trace, curve[1].tolist())
-    return RunCurve(result.algorithm, result.problem, result.seed, curve), acc, conv
+    return _run_rows(f"{result.algorithm},{result.problem},{result.seed}", *columns,
+                     result.truth_trace, accuracy_curve(result)[1].tolist())
 
 
-def log_outputs(problem: ProblemDef, algorithm: str, seed: int, text: str):
-    """``run_outputs(make_run_result(problem, algorithm, seed, parse_log(text)))``, from the text.
+def log_outputs(problem: ProblemDef, algorithm: str, seed: int, text: str, taus):
+    """A log's ``budget_to_solve`` at each of ``taus`` and its ``run_outputs``, from its text.
 
-    A log is refused as that call refuses it. The log's draws, f_inc and sig_inc fields are
-    copied, so the outputs are the same whenever those are in ``%.17g`` form, as ``write_log``
-    writes them.
+    The same as from ``make_run_result(problem, algorithm, seed, parse_log(text))``,
+    without building records; a log is refused as that call refuses it. The log's
+    draws, f_inc and sig_inc fields are copied, so the outputs are the same whenever
+    those are in ``%.17g`` form, as ``write_log`` writes them. Each tau must lie in (0, 1).
     """
     n, fields, columns = log_columns(text)
     truths = _truth_trace(problem, zip(columns[0], zip(*columns[2:n + 2])))
     curve = _curve(columns[1], truths, problem.start_truth, problem.best_truth)
     acc, conv = _run_rows(f"{algorithm},{problem.name},{seed}", fields[1], fields[n + 2],
                           fields[n + 3], truths, curve[1].tolist())
-    return RunCurve(algorithm, problem.name, seed, curve), acc, conv
+    return _solve_budgets(curve, taus), acc, conv
 
 
 def _run_rows(run: str, draws, f_inc, sig_inc, truths, facc) -> tuple[str, str]:

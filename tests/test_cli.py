@@ -759,7 +759,25 @@ def test_profile_and_validate_refuse_a_malformed_log_cleanly(log):
             code = main(["validate", path, "--problem", name.split("__")[0]])
         assert code == 2
         assert "Traceback" not in err.getvalue()
-        assert "FAIL" in out.getvalue() or err.getvalue().startswith("error: ")
+        assert "FAIL" in out.getvalue() or err.getvalue().startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_profile_and_validate_name_a_log_that_is_not_utf8_text(tmp_path, capsys, workers):
+    good = _bench_norm2_logs(tmp_path / "logs")
+    bad = tmp_path / "norm2__fixed__s0.csv"
+    bad.write_bytes(b"\xff\xfe" + writer_log("norm2").encode())
+    out_dir = tmp_path / "out"
+    assert main(["profile", good[0], str(bad), *good[1:], "--workers", workers,
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff") and (
+        err.count("\n") == 1), err
+    assert not out_dir.exists()
+    assert main(["validate", good[0], str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff"), err
+    assert f"{good[0]}: ok " in out and "FAIL" not in out
 
 
 def test_profile_copies_a_nan_f_inc_and_takes_a_header_alone(tmp_path):
@@ -805,7 +823,7 @@ def test_profile_and_validate_refuse_a_field_write_log_never_writes(
     assert f"error: {log}: {error}" in capsys.readouterr().err
     assert not out_dir.exists()
     assert main(["validate", str(log), "--problem", "norm2"]) == 2
-    assert f"error: {error}" in capsys.readouterr().err
+    assert f"error: {log}: {error}" in capsys.readouterr().err
 
 
 def test_profile_reads_a_log_with_crlf_line_endings_as_written_with_lf(tmp_path):
@@ -859,6 +877,17 @@ def test_validate_finds_an_incumbent_off_the_mesh(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"{log}: FAIL incumbents-on-mesh (incumbent off mesh at k=5)" in out
     assert "FAIL" not in out.replace("FAIL incumbents-on-mesh", "")
+
+
+def test_validate_takes_each_variant_a_log_name_can_give(tmp_path, capsys):
+    log = tmp_path / "norm2__fixed__s0.csv"
+    assert main(["run", "--problem", "norm2", "--algo", "fixed", "--sigma-fixed", "1e-2",
+                 "--seed", "0", "--budget", "1e4", "--out", str(log)]) == 0
+    for variant in ("fixed", "dp", "mp"):
+        assert main(["validate", str(log), "--problem", "norm2", "--variant", variant]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and f"{log}: ok r-nondecreasing" in out
+    assert main(["validate", str(log), "--variant", "fixd"]) == 1
 
 
 @pytest.mark.parametrize("name", ["norm2__mpmads__s1.csv", "moustache__dpmads__s1.csv"])

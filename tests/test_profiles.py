@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +25,9 @@ from apmads import (
 from apmads import profiles
 from apmads.mesh import IterationStatus
 from apmads.profiles import (
+    ACCURACY_HEADER,
     SolveBudgets,
     accuracy_csv,
-    accuracy_csv_parts,
     convergence_csv,
     data_profile_csv,
     log_outputs,
@@ -102,22 +101,13 @@ def test_accuracy_curve_is_computed_once_per_result(monkeypatch):
     monkeypatch.setattr(
         profiles, "accuracy_curve", lambda run: calls.append(run) or accuracy_curve(run)
     )
-    curve, _, _ = run_outputs(res)
-    # one curve serves the RunCurve, the accuracy rows and the profiles
+    acc, _ = run_outputs(res)
+    # one curve serves the accuracy rows
     assert calls == [res]
-    budgets, facc = curve.curve
+    budgets, facc = accuracy_curve(res)
     assert not budgets.flags.writeable and not facc.flags.writeable
-    assert all(a.tolist() == b.tolist() for a, b in zip(curve.curve, accuracy_curve(res)))
+    assert [row.rsplit(",", 1)[1] for row in acc.splitlines()] == ["0.10000000000000001", "0.5"]
     assert res == fresh
-
-
-def test_a_run_curve_stays_read_only_through_a_pickle_round_trip():
-    # as a RunCurve comes back from a profile worker process
-    curve, _, _ = run_outputs(synthetic_result("a", 0, [(10.0, -1.0), (100.0, -5.0)]))
-    copy = pickle.loads(pickle.dumps(curve))
-    assert (copy.algorithm, copy.problem, copy.seed) == ("a", "synth", 0)
-    assert [a.tolist() for a in copy.curve] == [a.tolist() for a in curve.curve]
-    assert not any(a.flags.writeable for a in copy.curve)
 
 
 def test_a_tau_outside_the_unit_interval_or_a_negative_budget_raises():
@@ -255,7 +245,7 @@ def test_convergence_csv_shape():
     assert lines[1].split(",")[1] == "-1"
 
 
-def test_run_curves_give_the_csvs_of_their_results():
+def test_accuracy_csv_is_the_header_and_the_rows_of_each_run_in_order():
     results = [
         synthetic_result("b", 1, [(10.0, -1.0), (150.0, -10.0)]),
         synthetic_result("a", 0, [(100.0, -9.0), (200.0, -10.0)]),
@@ -263,18 +253,14 @@ def test_run_curves_give_the_csvs_of_their_results():
         synthetic_result("b", 0, []),
     ]
     outputs = [run_outputs(r) for r in results]
-    curves = [curve for curve, _, _ in outputs]
-    assert [(c.algorithm, c.problem, c.seed) for c in curves] == [
-        (r.algorithm, r.problem, r.seed) for r in results
-    ]
-    assert [budget_to_solve(c, 0.5) for c in curves] == [
-        budget_to_solve(r, 0.5) for r in results
-    ]
-    assert [conv for _, _, conv in outputs] == [convergence_csv(r) for r in results]
-    assert "".join(accuracy_csv_parts((c, rows) for c, rows, _ in outputs)) == accuracy_csv(results)
-    for tau in (0.5, 0.01):
-        assert performance_profile_csv(curves, tau) == performance_profile_csv(results, tau)
-        assert data_profile_csv(curves, tau, 1e-1) == data_profile_csv(results, tau, 1e-1)
+    assert [conv for _, conv in outputs] == [convergence_csv(r) for r in results]
+    # sorted by (algorithm, problem, seed): a0, a1, b0 (no rows), b1
+    assert accuracy_csv(results) == "".join(
+        [ACCURACY_HEADER] + [outputs[i][0] for i in (1, 2, 3, 0)])
+    assert accuracy_csv(results).splitlines()[1:] == [
+        "100,a,synth,0,0.90000000000000002", "200,a,synth,0,1",
+        "50,a,synth,1,0.20000000000000001", "10,b,synth,1,0.10000000000000001",
+        "150,b,synth,1,1"]
 
 
 def test_solve_budgets_give_the_profiles_of_their_results():
@@ -366,18 +352,20 @@ def test_validate_records_detects_corruption():
     assert not checks["r-nondecreasing"]
 
 
+# the taus at which log_outputs is checked against budget_to_solve
+TAUS = (0.5, 1e-2, 1e-3)
+
+
 def record_outputs(problem, algorithm, seed, text):
-    """The outputs of ``text`` rendered from its records: the reference of ``log_outputs``."""
-    return run_outputs(make_run_result(problem, algorithm, seed, parse_log(text)))
+    """The outputs of ``text`` computed from its records: the reference of ``log_outputs``."""
+    result = make_run_result(problem, algorithm, seed, parse_log(text))
+    return (tuple(budget_to_solve(result, tau) for tau in TAUS), *run_outputs(result))
 
 
 def assert_same_outputs(ours, reference):
-    (curve, acc, conv), (ref_curve, ref_acc, ref_conv) = ours, reference
-    assert (curve.algorithm, curve.problem, curve.seed) == (
-        ref_curve.algorithm, ref_curve.problem, ref_curve.seed)
-    for array, ref_array in zip(curve.curve, ref_curve.curve):
-        assert array.tobytes() == ref_array.tobytes()
-        assert not array.flags.writeable
+    (budgets, acc, conv), (ref_budgets, ref_acc, ref_conv) = ours, reference
+    assert [b.hex() for b in budgets] == [b.hex() for b in ref_budgets]
+    # f_acc in %.17g round-trips each double, so the rows pin the whole curve
     assert (acc, conv) == (ref_acc, ref_conv)
 
 
@@ -416,7 +404,7 @@ def test_a_writer_log_renders_the_bytes_of_its_records(log, algorithm):
     # log_outputs copies the log's draws, f_inc and sig_inc fields, which
     # write_log formats with %.17g, as run_outputs formats the records
     problem, text = log
-    ours = log_outputs(problem, algorithm, 3, text)
+    ours = log_outputs(problem, algorithm, 3, text, TAUS)
     assert_same_outputs(ours, record_outputs(problem, algorithm, 3, text))
     # each derived value is formatted as itself, -0.0 apart from 0.0
     result = make_run_result(problem, algorithm, 3, parse_log(text))
@@ -436,7 +424,8 @@ def test_a_hand_edited_log_is_copied_as_written():
         "2,2000.0,0.5,-1.0,+2.5,1E-1,1,1,0,0.75,F,5\n"
         "3,3e+03,0.25,0.125,0.1,.1,1,1,0,0.75,S,6\n"
     )
-    curve, acc, conv = log_outputs(problem, "dpmads", 0, text)
+    budgets, acc, conv = log_outputs(problem, "dpmads", 0, text, TAUS)
+    assert budgets == record_outputs(problem, "dpmads", 0, text)[0] == (1e3, math.inf, math.inf)
     assert [row.split(",")[0] for row in acc.splitlines()] == ["1e3", "2000.0", "3e+03"]
     assert [row.split(",")[::2] for row in conv.splitlines()[1:]] == [
         ["1e3", "2.50"], ["2000.0", "+2.5"], ["3e+03", "0.1"]]
@@ -444,13 +433,14 @@ def test_a_hand_edited_log_is_copied_as_written():
     # the numbers are those of the canonical log, and so are its profiles
     canonical = log_to_csv(parse_log(text))
     assert canonical != text
-    ref_curve, ref_acc, ref_conv = log_outputs(problem, "dpmads", 0, canonical)
+    ref_budgets, ref_acc, ref_conv = log_outputs(problem, "dpmads", 0, canonical, TAUS)
     assert ref_acc.splitlines()[0].split(",")[0] == "1000"
-    for array, ref_array in zip(curve.curve, ref_curve.curve):
-        assert array.tobytes() == ref_array.tobytes()
-    for tau in (0.5, 1e-3):
-        assert performance_profile_csv([curve], tau) == performance_profile_csv([ref_curve], tau)
-        assert data_profile_csv([curve], tau) == data_profile_csv([ref_curve], tau)
+    assert budgets == ref_budgets
+    run, ref_run = (SolveBudgets("dpmads", "norm2", 0, tuple(zip(TAUS, b)))
+                    for b in (budgets, ref_budgets))
+    for tau in TAUS:
+        assert performance_profile_csv([run], tau) == performance_profile_csv([ref_run], tau)
+        assert data_profile_csv([run], tau) == data_profile_csv([ref_run], tau)
     # every field but the copied ones is formatted as in the canonical log
     assert [row.split(",")[1:] for row in acc.splitlines()] == [
         row.split(",")[1:] for row in ref_acc.splitlines()]
@@ -469,9 +459,18 @@ def test_log_outputs_refuses_a_log_as_the_record_path_does():
         (flat, header),
     ]:
         with pytest.raises(Exception) as ours:
-            log_outputs(prob, "dpmads", 0, text)
+            log_outputs(prob, "dpmads", 0, text, TAUS)
         with pytest.raises(Exception) as reference:
             record_outputs(prob, "dpmads", 0, text)
         assert (type(ours.value), str(ours.value)) == (
             type(reference.value), str(reference.value))
         assert isinstance(ours.value, (InvalidInputError, DegenerateNormalizationError))
+
+
+def test_a_header_only_log_never_solves():
+    # the log of a run stopped before its first iteration
+    problem = problem_registry("moustache")
+    text = log_to_csv([], problem.dimension)
+    ours = log_outputs(problem, "mpmads", 2, text, TAUS)
+    assert_same_outputs(ours, record_outputs(problem, "mpmads", 2, text))
+    assert ours == ((math.inf,) * len(TAUS), "", "draws,f_true_inc,f_inc,sig_inc\n")
