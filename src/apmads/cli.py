@@ -366,13 +366,16 @@ def _tau_value(token: str) -> float:
 
 
 def cmd_validate(args) -> int:
+    """Check each log in turn; a log that cannot be read is named on stderr, and the rest go on."""
     problem = problem_registry(args.problem) if args.problem else None
     failures = 0
     for path in args.logs:
         try:
             records = read_log(path)
-        except (ApmadsError, UnicodeDecodeError) as exc:
-            raise _log_error(path, exc) from None
+        except (ApmadsError, OSError, ValueError) as exc:
+            print(f"error: {_log_error(path, exc)}", file=sys.stderr)
+            failures += 1
+            continue
         variant = args.variant
         if variant is None:
             try:

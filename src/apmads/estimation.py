@@ -63,6 +63,12 @@ class EvaluationCache:
     ``overflowed`` turns True once a feasible point's fused estimate is
     not finite, i.e. once ``sum_wv`` overflowed (an observed value times
     its weight ``1 / sigma**2`` past the largest float).
+
+    Two things are kept up to date by ``record_batch`` at the rows it
+    writes, so that a search does not re-derive the whole cache: the row
+    of the incumbent (see ``incumbent``), and, once ``plausible_candidates``
+    has been asked about some z, a bound column ``fk + c * sigk`` with
+    c = ``plausible_slope(z)``.
     """
 
     def __init__(self):
@@ -76,6 +82,11 @@ class EvaluationCache:
         self._fk = np.full(_INITIAL_CAPACITY, math.inf)
         self._sigk = np.full(_INITIAL_CAPACITY, math.inf)
         self._incumbent: tuple[int, Point | None] = (-1, None)
+        # the row fk[:n].argmin() returns and its estimate; row -1 while unknown
+        self._best_row, self._best_f = -1, math.inf
+        # the bound column, built by the first plausible_candidates call, and its c
+        self._bound: np.ndarray | None = None
+        self._bound_c: float | None = None
         self.overflowed = False
 
     def __len__(self) -> int:
@@ -117,6 +128,8 @@ class EvaluationCache:
         self._feasible = _extended(self._feasible, n, capacity, True)
         self._fk = _extended(self._fk, n, capacity, math.inf)
         self._sigk = _extended(self._sigk, n, capacity, math.inf)
+        if self._bound is not None:
+            self._bound = _extended(self._bound, n, capacity, math.inf)
 
     def record(self, x: Point, obs: Observation) -> int:
         """Append one observation (or an infeasibility marker) at ``x``; its row.
@@ -137,6 +150,13 @@ class EvaluationCache:
         turn, repeated points included: a later observation of a point
         fuses into the estimate left by an earlier one. The keys are those
         of ``key`` or ``keys``. Returns the points' rows.
+
+        Each row it writes also updates the kept incumbent row: a lower
+        estimate, or an equal one at a lower row, takes over; the kept
+        row becomes unknown when its own estimate rises, when it is
+        marked infeasible, or when any written estimate is NaN. With the
+        bound column active, the row's bound is rewritten too (+inf for
+        an infeasible mark).
         """
         if not len(keys) == len(values) == len(sigmas) == len(feasible):
             raise InvalidInputError(
@@ -155,6 +175,9 @@ class EvaluationCache:
         index, new_key = self._index, self._keys.append
         sum_w, sum_wv = self._sum_w, self._sum_wv
         is_feasible, fk, sigk = self._feasible, self._fk, self._sigk
+        bound, c = self._bound, self._bound_c
+        best, best_f = self._best_row, self._best_f
+        self._best_row = -1  # unknown until the loop ends, should it raise
         rows = []
         for key, value, sigma, ok in zip(keys, values, sigmas, feasible):
             i = index.get(key)
@@ -168,6 +191,10 @@ class EvaluationCache:
                 if not fresh:  # a new row's estimates are already (+inf, +inf)
                     fk[i] = math.inf
                     sigk[i] = math.inf
+                    if c is not None:
+                        bound[i] = math.inf
+                if i == best:
+                    best = -1
                 continue
             if fresh:  # a new row has no observation yet and is feasible
                 total_w, total_wv, estimated = 0.0, 0.0, True
@@ -183,9 +210,20 @@ class EvaluationCache:
             sum_wv[i] = total_wv
             if estimated and total_w != 0.0:
                 f = fk[i] = total_wv / total_w
+                s = sigk[i] = total_w**-0.5
+                if c is not None:
+                    bound[i] = f + c * s
                 if f - f != 0.0:  # inf or NaN: a fusion sum overflowed
                     self.overflowed = True
-                sigk[i] = total_w**-0.5
+                    if f != f:  # argmin returns the first NaN row
+                        best = -1
+                if best < 0:
+                    continue
+                if f < best_f or (f == best_f and i <= best):
+                    best, best_f = i, f
+                elif i == best:  # its estimate rose: another row may now be lowest
+                    best = -1
+        self._best_row, self._best_f = best, best_f
         return rows
 
     def estimate(self, x: Point) -> tuple[float, float]:
@@ -220,17 +258,67 @@ class EvaluationCache:
         n = len(self._keys)
         return self._fk[:n], self._sigk[:n]
 
-    def incumbent(self) -> Point:
-        """The earliest-inserted point with the lowest estimate."""
+    def plausible_candidates(self, f_inc: float, sig_inc: float, z: float) -> np.ndarray:
+        """Rows, ascending, that may pass ``solver.plausible_rows``' test at ``z``: a superset.
+
+        With c = ``plausible_slope(z)``, a row is a candidate when its bound
+        ``fk + c * sigk`` is at most q = ``f_inc - min(c, 0) * sig_inc``.
+        Since max(a, b) <= hypot(a, b) <= a + b, a row whose z-score
+        ``(f_inc - fk) / hypot(sigk, sig_inc)`` reaches z has
+        fk + z * sigk <= f_inc when z > 0, and fk + z * sigk <= f_inc - z * sig_inc
+        when z <= 0. c sits below z by more than the roundings of the
+        z-score and of the products c * sigk and c * sig_inc (a cached sigk
+        is 0 or at least 7e-155), and at z = 0, where a score that underflows
+        to -0.0 passes, by 1e-300 * (sigk + sig_inc); rounding the two sums
+        is monotone, so no selected row bounds above q. An estimate of NaN
+        never is a candidate, and -inf always is; unevaluated and infeasible
+        rows bound to NaN or +inf. The column is built in one pass the first
+        time a z of its c is asked about, and kept by ``record_batch`` after
+        that.
+        """
         n = len(self._keys)
-        if n == 0:
+        c = plausible_slope(z)
+        if c != self._bound_c:
+            if self._bound is None:
+                self._bound = np.full(len(self._fk), math.inf)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+                np.multiply(self._sigk[:n], c, out=self._bound[:n])
+                self._bound[:n] += self._fk[:n]
+            self._bound_c = c
+        q = f_inc - min(c, 0.0) * sig_inc
+        return (self._bound[:n] <= q).nonzero()[0]
+
+    def _argmin_row(self) -> int:
+        """The row ``incumbent`` keeps: the first NaN, else the first lowest estimate."""
+        return int(self._fk[: len(self._keys)].argmin())
+
+    def incumbent(self) -> Point:
+        """The earliest-inserted point with the lowest estimate.
+
+        ``record_batch`` keeps that row; the whole cache is scanned only
+        while the kept row is unknown.
+        """
+        if not self._keys:
             raise NoIncumbentError("cache is empty")
-        i = int(self._fk[:n].argmin())
+        i = self._best_row
+        if i < 0:
+            i = self._best_row = self._argmin_row()
+            self._best_f = self._fk.item(i)
         if not math.isfinite(self._fk.item(i)):
             raise NoIncumbentError("cache holds no feasible evaluated point")
         if self._incumbent[0] != i:  # one tuple per incumbent, shared by the run log
             self._incumbent = (i, self.point_at(i))
         return self._incumbent[1]
+
+
+def plausible_slope(z: float) -> float:
+    """c = z - 1e-9 * |z| - 1e-300: a slope just below ``z``, for bounds that must not miss.
+
+    The relative slack is far above the few roundings that separate a
+    bound from the exact z-score test, and the absolute one keeps the
+    scores that underflow to -0.0 (which pass at z = 0).
+    """
+    return z - 1e-9 * abs(z) - 1e-300
 
 
 def _extended(a: np.ndarray, n: int, capacity: int, fill) -> np.ndarray:

@@ -780,6 +780,20 @@ def test_profile_and_validate_name_a_log_that_is_not_utf8_text(tmp_path, capsys,
     assert f"{good[0]}: ok " in out and "FAIL" not in out
 
 
+def test_validate_checks_every_log_after_one_it_cannot_read(tmp_path, capsys):
+    good = _bench_norm2_logs(tmp_path / "logs")
+    bad = tmp_path / "norm2__fixed__s0.csv"
+    bad.write_bytes(b"\xff\xfe" + writer_log("norm2").encode())
+    missing = tmp_path / "norm2__fixed__s1.csv"
+    assert main(["validate", good[0], str(bad), str(missing), good[1]]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    assert lines[0].startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff"), err
+    assert lines[1].startswith("error: ") and str(missing) in lines[1], err
+    assert f"{good[0]}: ok " in out and f"{good[1]}: ok " in out and "FAIL" not in out
+
+
 def test_profile_copies_a_nan_f_inc_and_takes_a_header_alone(tmp_path):
     # f_inc is the incumbent's estimate: inf / inf, NaN, when its fusion sums
     # overflow. A header alone is the log of a run stopped before its first

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from apmads import InvalidInputError, NoIncumbentError
 from apmads.blackbox import Observation
 from apmads.estimation import EvaluationCache, sigma_to_reach
+from apmads.normal import phi_inv
 
 from oracles import cache_state, combined_sigma, weighted_mle
 
@@ -349,25 +350,93 @@ def test_rows_follow_tuple_equality_and_points_round_trip(n, data):
     assert got.tobytes() == (np.array(first, dtype=float).reshape(len(first), n) + 0.0).tobytes()
 
 
+# values that tie, values whose fusion sums overflow (to +-inf, or NaN when
+# both signs meet) and zeros of both signs; a NaN estimate is sticky, so the
+# values and sigmas that make one come less often than the others
+FUSED_VALUE = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308]),
+)
+# sigmas up to 1 whose square does not underflow to 0 (record_batch divides by
+# it), from 2.2e-162; below about 1e-154 their weight 1/s**2 overflows
+UNIT_SIGMA = st.one_of(
+    st.sampled_from([0.5, 1.0]),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.sampled_from([math.sqrt(5e-324), 1e-160, 1e-154, 1e-3]),
+    st.floats(min_value=math.sqrt(5e-324), max_value=1.0),
+)
+
+
+def argmin_incumbent(cache):
+    """The incumbent by a full scan of the estimates, or None when there is none."""
+    fk = cache.estimate_arrays()[0]
+    if not len(fk):
+        return None
+    i = int(fk.argmin())  # the first NaN, else the first lowest estimate
+    return cache.point_at(i) if math.isfinite(fk[i]) else None
+
+
+@PROPERTY
+@given(data=st.data())
+def test_kept_incumbent_equals_the_argmin_after_every_batch(data):
+    cache = EvaluationCache()
+    for _ in range(data.draw(st.integers(1, 8))):
+        incumbent = argmin_incumbent(cache)
+        batch = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            kind = data.draw(st.sampled_from(["observe", "observe", "infeasible", "incumbent"]))
+            if kind == "incumbent" and incumbent is not None:
+                batch.append((incumbent, math.nan, math.nan, False))
+                continue
+            x = (float(data.draw(st.integers(0, 9))),)  # repeats within and across batches
+            batch.append((x, data.draw(FUSED_VALUE), data.draw(UNIT_SIGMA), kind == "observe"))
+        points, values, sigmas, feasible = zip(*batch)
+        cache.record_batch([cache.key(x) for x in points], values, sigmas, feasible)
+        expected = argmin_incumbent(cache)
+        if expected is None:
+            with pytest.raises(NoIncumbentError):
+                cache.incumbent()
+        else:
+            assert cache.incumbent() == expected
+
+
+def test_an_equal_estimate_at_a_lower_row_takes_over_the_incumbent():
+    # argmin breaks ties by the lowest row, and -0.0 ties with 0.0
+    cache = EvaluationCache()
+    record_all(cache, [(0.0,), (1.0,)], [obs(1.0, 1.0), obs(0.0, 1.0)])
+    assert cache.incumbent() == (1.0,)
+    record_all(cache, [(0.0,)], [obs(-1.0, 1.0)])  # row 0 fuses to 0.0
+    assert cache.incumbent() == (0.0,)
+    record_all(cache, [(2.0,)], [obs(-0.0, 1.0)])  # a later row ties and loses
+    assert cache.incumbent() == (0.0,)
+
+
 def test_cache_memory_per_point():
     # 20k distinct n=20 points, recorded by the keys of each batch's rows
     # as the solver's polls are: one packed key, its dict entry and array
-    # rows per point (about 315 B), where keeping a tuple and a Python
-    # object graph per point cost about 1.2 kB
+    # rows per point (about 313 B; 326 B with the bound column that the
+    # search reads, its 8 B a row over a capacity that grows by doubling),
+    # where keeping a tuple and a Python object graph per point cost about
+    # 1.2 kB
     n_points, batch = 20_000, 40
     coords = np.random.default_rng(0).standard_normal((n_points, 20))
     values, sigmas, feasible = [1.0] * batch, [0.5] * batch, [True] * batch
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        cache = EvaluationCache()
-        for start in range(0, n_points, batch):
-            cache.record_batch(cache.keys(coords[start : start + batch]), values, sigmas, feasible)
-        used = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(cache) == n_points
-    assert used / n_points <= 400
+    for bound_column in (False, True):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = EvaluationCache()
+            for start in range(0, n_points, batch):
+                cache.record_batch(cache.keys(coords[start : start + batch]), values, sigmas,
+                                   feasible)
+                if bound_column:
+                    cache.plausible_candidates(1.0, 0.5, phi_inv(0.25))
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == n_points
+        assert used / n_points <= 400
 
 
 def test_record_batch_rejects_mixed_dimensions():

@@ -33,9 +33,16 @@ from apmads.mesh import IterationStatus, generate_poll, on_mesh
 from apmads.normal import phi_inv
 from apmads.precision import rho
 from apmads.problems import norm2_feasible
-from apmads.solver import observe_points, plausible_rows, poll_step, search_step
+from apmads.solver import (
+    _searched_rows,
+    observe_points,
+    plausible_rows,
+    poll_step,
+    search_step,
+)
 
 from oracles import cache_state, log_rows_fieldwise, parse_log_rowwise
+from test_golden_logs import golden_run
 
 
 class StubRng:
@@ -175,6 +182,28 @@ def test_search_step_recovers_better_cached_point():
     cache.record((1.0, 0.0), Observation(1.1, 0.5))  # truly better point
     x_s = search_step(cache, (0.0, 0.0), 40.0, SolverConfig(), bb, StubRng())
     assert x_s == (1.0, 0.0)
+
+
+def test_a_dp_solve_rescans_the_cache_only_while_its_incumbent_row_is_unknown(monkeypatch):
+    # the golden case norm2-n20-dp-s0 (150 iterations): the search and the
+    # loop each ask for the incumbent once an iteration, and the full
+    # argmin runs only after a batch raised the kept row's estimate (the
+    # search's re-audit, mostly) or marked it infeasible
+    calls = {"incumbent": 0, "scan": 0}
+
+    def counted(name, method):
+        def wrapper(self):
+            calls[name] += 1
+            return method(self)
+        return wrapper
+
+    monkeypatch.setattr(EvaluationCache, "incumbent",
+                        counted("incumbent", EvaluationCache.incumbent))
+    monkeypatch.setattr(EvaluationCache, "_argmin_row",
+                        counted("scan", EvaluationCache._argmin_row))
+    out = golden_run("norm2-n20-dp-s0")
+    assert len(out.records) == 150
+    assert calls == {"incumbent": 299, "scan": 112}
 
 
 @pytest.mark.parametrize("algo", ["dp", "mp", "fixed"])
@@ -824,6 +853,57 @@ def test_plausible_rows_equals_full_scan(tau, f_inc, sig_inc, data):
     with np.errstate(all="ignore"):
         full = np.flatnonzero((f_inc - fk) / np.hypot(sigk, sig_inc) >= z_min)
     assert plausible_rows(fk, sigk, f_inc, sig_inc, z_min).tolist() == full.tolist()
+
+
+# sigmas up to 1 whose square does not underflow to 0 (record_batch divides by
+# it), from 2.2e-162; below about 1e-154 their weight 1/s**2 overflows
+UNIT_SIGMA = st.one_of(
+    st.sampled_from([math.sqrt(5e-324), 1e-160, 1e-154, 1e-3, 0.5, 1.0]),
+    st.floats(min_value=math.sqrt(5e-324), max_value=1.0),
+)
+# observed values: zeros of both signs, subnormals, and values whose fusion sums overflow
+OBSERVED_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e308, -1e308]),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_searched_rows_equal_plausible_rows_over_the_whole_cache(data):
+    # one cache, its bound column kept by record_batch between queries at
+    # switching tau; f_inc is free, or puts a cached row on the threshold
+    cache = EvaluationCache()
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.integers(0, 4)) == 0:  # fresh rows past the cache's capacity
+            start = len(cache)
+            coords = np.arange(start, start + 300, dtype=float).reshape(300, 1) + 100.0
+            values = np.random.default_rng(start).standard_normal(300).tolist()
+            cache.record_batch(cache.keys(coords), values, [0.5] * 300, [True] * 300)
+        batch = data.draw(st.lists(
+            st.tuples(st.integers(0, 19), OBSERVED_VALUE, UNIT_SIGMA,
+                      st.sampled_from([True, True, True, False])),
+            max_size=30,
+        ))
+        if batch:
+            points, values, sigmas, feasible = zip(*batch)
+            cache.record_batch([cache.key((float(x),)) for x in points], values, sigmas,
+                               feasible)
+        fk, sigk = cache.estimate_arrays()
+        for _ in range(data.draw(st.integers(1, 3))):
+            z_min = phi_inv(data.draw(st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95])))
+            sig_inc = data.draw(st.one_of(UNIT_SIGMA, FINITE_SIGMA))
+            j = data.draw(st.integers(0, len(cache) - 1)) if len(cache) else None
+            if j is not None and math.isfinite(fk[j]) and data.draw(st.booleans()):
+                f_inc = float(fk[j] + z_min * np.hypot(sigk[j], sig_inc))
+                for _ in range(abs(step := data.draw(st.integers(-2, 2)))):
+                    f_inc = math.nextafter(f_inc, math.copysign(math.inf, step))
+            else:
+                f_inc = data.draw(st.one_of(OBSERVED_VALUE, st.floats(-1e300, 1e300)))
+            if not math.isfinite(f_inc):
+                continue
+            full = plausible_rows(fk, sigk, f_inc, sig_inc, z_min)
+            assert _searched_rows(cache, f_inc, sig_inc, z_min) == full.tolist()
 
 
 def test_plausible_rows_keeps_edge_quotients():
