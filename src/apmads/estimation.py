@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .blackbox import Observation, Point
-from .exceptions import InvalidInputError, NoIncumbentError
+from .exceptions import InvalidInputError, InvalidSigmaError, NoIncumbentError
 
 _INITIAL_CAPACITY = 256
 
@@ -66,9 +66,9 @@ class EvaluationCache:
 
     Two things are kept up to date by ``record_batch`` at the rows it
     writes, so that a search does not re-derive the whole cache: the row
-    of the incumbent (see ``incumbent``), and, once ``plausible_candidates``
-    has been asked about some z, a bound column ``fk + c * sigk`` with
-    c = ``plausible_slope(z)``.
+    of the incumbent (see ``incumbent``), and, once ``searched_rows`` has
+    been asked about some z, a bound column ``fk + c * sigk`` with c just
+    below z, from which ``searched_rows`` reads its candidates.
     """
 
     def __init__(self):
@@ -84,7 +84,7 @@ class EvaluationCache:
         self._incumbent: tuple[int, Point | None] = (-1, None)
         # the row fk[:n].argmin() returns and its estimate; row -1 while unknown
         self._best_row, self._best_f = -1, math.inf
-        # the bound column, built by the first plausible_candidates call, and its c
+        # the bound column, built by the first searched_rows call, and its c
         self._bound: np.ndarray | None = None
         self._bound_c: float | None = None
         self.overflowed = False
@@ -149,7 +149,9 @@ class EvaluationCache:
         and sigma are ignored). Equivalent to ``record`` on each point in
         turn, repeated points included: a later observation of a point
         fuses into the estimate left by an earlier one. The keys are those
-        of ``key`` or ``keys``. Returns the points' rows.
+        of ``key`` or ``keys``. Returns the points' rows. A feasible point's
+        sigma must be positive with a positive square (its weight is
+        ``1 / sigma**2``), else ``InvalidSigmaError`` is raised before any write.
 
         Each row it writes also updates the kept incumbent row: a lower
         estimate, or an equal one at a lower row, takes over; the kept
@@ -168,6 +170,9 @@ class EvaluationCache:
         width = len(self._keys[0]) if self._keys else len(keys[0])
         if set(map(len, keys)) != {width}:
             raise InvalidInputError(f"points must all have {width // 8} coordinates")
+        bad = [s for s, ok in zip(sigmas, feasible) if ok and not (s > 0.0 and s * s > 0.0)]
+        if bad:
+            raise InvalidSigmaError(f"sigma must be positive with a positive square, got {bad[0]}")
         if self._unpack is None:
             self._unpack = struct.Struct(f"{width // 8}d").unpack
         while len(self._keys) + len(keys) > len(self._fk):
@@ -258,26 +263,27 @@ class EvaluationCache:
         n = len(self._keys)
         return self._fk[:n], self._sigk[:n]
 
-    def plausible_candidates(self, f_inc: float, sig_inc: float, z: float) -> np.ndarray:
-        """Rows, ascending, that may pass ``solver.plausible_rows``' test at ``z``: a superset.
+    def searched_rows(self, f_inc: float, sig_inc: float, z_min: float) -> list[int]:
+        """The rows, ascending, that ``plausible_rows`` selects over the whole cache.
 
-        With c = ``plausible_slope(z)``, a row is a candidate when its bound
+        The exact test runs on the bound column's candidates alone. With
+        c = ``_plausible_slope(z_min)``, a row is a candidate when its bound
         ``fk + c * sigk`` is at most q = ``f_inc - min(c, 0) * sig_inc``.
         Since max(a, b) <= hypot(a, b) <= a + b, a row whose z-score
-        ``(f_inc - fk) / hypot(sigk, sig_inc)`` reaches z has
-        fk + z * sigk <= f_inc when z > 0, and fk + z * sigk <= f_inc - z * sig_inc
-        when z <= 0. c sits below z by more than the roundings of the
-        z-score and of the products c * sigk and c * sig_inc (a cached sigk
-        is 0 or at least 7e-155), and at z = 0, where a score that underflows
-        to -0.0 passes, by 1e-300 * (sigk + sig_inc); rounding the two sums
-        is monotone, so no selected row bounds above q. An estimate of NaN
-        never is a candidate, and -inf always is; unevaluated and infeasible
-        rows bound to NaN or +inf. The column is built in one pass the first
-        time a z of its c is asked about, and kept by ``record_batch`` after
-        that.
+        ``(f_inc - fk) / hypot(sigk, sig_inc)`` reaches z_min has
+        fk + z_min * sigk <= f_inc when z_min > 0, and fk + z_min * sigk <=
+        f_inc - z_min * sig_inc when z_min <= 0. c sits below z_min by more
+        than the roundings of the z-score and of the products c * sigk and
+        c * sig_inc (a cached sigk is 0 or at least 7e-155), and at z_min = 0,
+        where a score that underflows to -0.0 passes, by 1e-300 * (sigk +
+        sig_inc); rounding the two sums is monotone, so no selected row bounds
+        above q. An estimate of NaN never is a candidate, and -inf always is;
+        unevaluated and infeasible rows bound to NaN or +inf. The column is
+        built in one pass the first time a z_min of its c is asked about, and
+        kept by ``record_batch`` after that.
         """
         n = len(self._keys)
-        c = plausible_slope(z)
+        c = _plausible_slope(z_min)
         if c != self._bound_c:
             if self._bound is None:
                 self._bound = np.full(len(self._fk), math.inf)
@@ -286,7 +292,9 @@ class EvaluationCache:
                 self._bound[:n] += self._fk[:n]
             self._bound_c = c
         q = f_inc - min(c, 0.0) * sig_inc
-        return (self._bound[:n] <= q).nonzero()[0]
+        rows = (self._bound[:n] <= q).nonzero()[0]
+        return rows[plausible_rows(self._fk[rows], self._sigk[rows], f_inc, sig_inc,
+                                   z_min)].tolist()
 
     def _argmin_row(self) -> int:
         """The row ``incumbent`` keeps: the first NaN, else the first lowest estimate."""
@@ -311,7 +319,17 @@ class EvaluationCache:
         return self._incumbent[1]
 
 
-def plausible_slope(z: float) -> float:
+def plausible_rows(fk, sigk, f_inc: float, sig_inc: float, z_min: float) -> np.ndarray:
+    """Indices j, ascending, with ``(f_inc - fk[j]) / hypot(sigk[j], sig_inc) >= z_min``.
+
+    NaN never passes; a quotient that underflows to -0.0 passes at z_min = 0.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+        z = np.subtract(f_inc, fk) / np.hypot(sigk, sig_inc)
+    return (z >= z_min).nonzero()[0]
+
+
+def _plausible_slope(z: float) -> float:
     """c = z - 1e-9 * |z| - 1e-300: a slope just below ``z``, for bounds that must not miss.
 
     The relative slack is far above the few roundings that separate a

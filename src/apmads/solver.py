@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blackbox import SIGMA_MAX, DrawLedger, NoisyBlackbox, Point, as_point, draws_for_sigma
-from .estimation import EvaluationCache, plausible_slope, sigma_to_reach
+from .estimation import EvaluationCache, sigma_to_reach
 from .exceptions import (
     ConfigError,
     InfeasibleStartError,
@@ -288,46 +288,6 @@ def poll_step(
     return best, status, coords
 
 
-def plausible_rows(fk, sigk, f_inc: float, sig_inc: float, z_min: float) -> np.ndarray:
-    """Indices j, ascending, with ``(f_inc - fk[j]) / hypot(sigk[j], sig_inc) >= z_min``.
-
-    Equal to evaluating that test on every entry (NaN never passes), but
-    ``hypot`` runs only on the entries a cheaper bound cannot rule out.
-    With d = f_inc - fk[j], a = sigk[j], b = sig_inc > 0:
-    max(a, b) <= hypot(a, b) <= a + b. For z_min <= 0 a selected entry
-    has d >= z_min * (a + b), tested without a division as
-    d > c * (a + b) - 1e-300; for z_min > 0 it has d / max(a, b) >= c.
-    Here c = ``plausible_slope(z_min)``, and the absolute slacks keep the
-    entries whose exact quotient underflows to -0.0 (which passes at
-    z_min = 0). When hypot overflows, so does a + b, and the product bound
-    is -inf, which every finite d passes; d = -inf never passes either test.
-    """
-    c = plausible_slope(z_min)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
-        d = np.subtract(f_inc, fk)
-        if z_min <= 0.0:
-            bound = np.add(sigk, sig_inc)
-            bound *= c
-            bound -= 1e-300
-            candidates = (d > bound).nonzero()[0]
-        else:
-            candidates = (d / np.maximum(sigk, sig_inc) >= c).nonzero()[0]
-        z = d[candidates] / np.hypot(sigk[candidates], sig_inc)
-    return candidates[z >= z_min]
-
-
-def _searched_rows(cache: EvaluationCache, f_inc: float, sig_inc: float, z_min: float):
-    """``plausible_rows`` over the whole cache, as a list, tested on the cache's candidates only.
-
-    ``cache.plausible_candidates`` reads a superset of the rows off its bound
-    column; undefined points give (-inf) / inf = NaN, which is never selected.
-    """
-    candidates = cache.plausible_candidates(f_inc, sig_inc, z_min)
-    fk, sigk = cache.estimate_arrays()
-    return candidates[plausible_rows(fk[candidates], sigk[candidates], f_inc, sig_inc,
-                                     z_min)].tolist()
-
-
 def search_step(
     cache: EvaluationCache,
     incumbent: Point,
@@ -355,7 +315,7 @@ def search_step(
         return incumbent
     sigma_s = rho(config, r - config.r_s)
     # p_value(x, incumbent) >= tau is equivalent to z >= phi_inv(tau)
-    rows = _searched_rows(cache, f_inc, sig_inc, phi_inv(config.tau))
+    rows = cache.searched_rows(f_inc, sig_inc, phi_inv(config.tau))
     observe_points(cache, blackbox, cache.coords_at(rows), lambda i: sigma_s, rng)
     return incumbent if cache.overflowed else cache.incumbent()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmads import InvalidInputError, NoIncumbentError
+from apmads import InvalidInputError, InvalidSigmaError, NoIncumbentError
 from apmads.blackbox import Observation
 from apmads.estimation import EvaluationCache, sigma_to_reach
 from apmads.normal import phi_inv
@@ -273,6 +273,23 @@ def test_record_batch_rejects_mismatched_lengths():
         EvaluationCache().record_batch(keys, [1.0, 1.0], [1.0, 1.0], [True])
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, 5e-324])
+def test_record_batch_rejects_a_sigma_without_a_positive_square_before_writing(sigma):
+    # 5e-324 squares to 0: its weight 1 / sigma**2 would divide by zero
+    cache = EvaluationCache()
+    record_all(cache, [(0.0,), (1.0,), (2.0,)], [obs(2.0, 1.0), obs(1.0, 0.5), obs(3.0, 1.0)])
+    query = (2.0, 0.5, phi_inv(0.25))
+    searched = cache.searched_rows(*query)  # activates the bound column
+    fk, sigk = (a.copy() for a in cache.estimate_arrays())
+    with pytest.raises(InvalidSigmaError):
+        # a new point that would take over the incumbent, then a revisit at the bad sigma
+        record_all(cache, [(3.0,), (1.0,)], [obs(-10.0, 1.0), obs(1.0, sigma)])
+    assert len(cache) == 3
+    assert [a.tolist() for a in cache.estimate_arrays()] == [fk.tolist(), sigk.tolist()]
+    assert cache.incumbent() == (1.0,)
+    assert cache.searched_rows(*query) == searched
+
+
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 # finite coordinates, with zeros of both signs, subnormals and repeats likely
@@ -431,7 +448,7 @@ def test_cache_memory_per_point():
                 cache.record_batch(cache.keys(coords[start : start + batch]), values, sigmas,
                                    feasible)
                 if bound_column:
-                    cache.plausible_candidates(1.0, 0.5, phi_inv(0.25))
+                    cache.searched_rows(1.0, 0.5, phi_inv(0.25))
             used = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
