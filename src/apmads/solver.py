@@ -1,8 +1,8 @@
 """The optimization loop of adaptive-precision direct search.
 
-One loop, ``run``, runs every variant: it owns the start check, the
-stopping rules, the run log and the frame update, and calls the step rule
-of ``config.variant`` once per iteration. In ``dp`` and ``mp`` an optional
+One loop, ``run``, runs every variant: it owns the start check, every
+stop decision, the precision index, the run log and the frame update, and
+calls the step rule of ``config.variant`` once per iteration. In ``dp`` and ``mp`` an optional
 search step re-estimates cached points that plausibly beat the incumbent,
 the poll step evaluates a positive basis of mesh candidates around the
 (possibly re-centred) incumbent to the target standard deviation rho(r),
@@ -172,13 +172,13 @@ class RunOutput:
     """Result of one run: the incumbent, the full log and the run state.
 
     ``stop_reason`` is "frame" (the frame fell below the stopping
-    threshold, or its mesh size underflowed to 0), "budget" (the draw
-    budget is spent), "max_iterations", or "precision-floor": the next
-    iteration's target sigma has no finite draw cost, the ledger total
-    overflowed, or a fused estimate overflowed (its observations'
-    value / sigma**2 passed the largest float). The row of an iteration
-    that overflowed an estimate logs p = 0.5 (no evidence) unless it is
-    a barrier.
+    threshold, doubled to +inf, or its mesh size underflowed to 0),
+    "budget" (the draw budget is spent), "max_iterations", or
+    "precision-floor": the next iteration's target sigma has no finite
+    draw cost, the ledger total overflowed, or a fused estimate
+    overflowed (its observations' value / sigma**2 passed the largest
+    float). The row of an iteration that overflowed an estimate logs
+    p = 0.5 (no evidence) unless it is a barrier.
     """
 
     incumbent: Point
@@ -359,13 +359,15 @@ def check_run_settings(config: SolverConfig) -> None:
                           f"rho({floor}) = {rho(config, floor)} has no finite draw cost")
 
 
-def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -> str | None:
-    """Why the loop stops before iteration ``k``, or None to go on.
+def _stop_reason(delta_p, stop_delta_p, draws, cache, k, r, config: SolverConfig) -> str | None:
+    """Why the loop stops before iteration ``k`` at precision index ``r``, or None to go on.
 
-    A frame whose mesh size delta_p**2 underflows to 0 also ends the run
-    with "frame", since no poll can step on that mesh.
+    A frame that doubled to +inf, or whose mesh size delta_p**2 underflows
+    to 0, also ends the run with "frame", since no poll can step on that
+    mesh. The last test is the precision floor of ``dp`` and ``mp``: an
+    iteration at ``r`` whose target sigma has no finite draw cost.
     """
-    if delta_p < stop_delta_p or mesh_size(delta_p) == 0.0:
+    if delta_p < stop_delta_p or delta_p == math.inf or mesh_size(delta_p) == 0.0:
         return "frame"
     if draws == math.inf or cache.overflowed:  # the ledger total or an estimate overflowed
         return "precision-floor"
@@ -373,61 +375,50 @@ def _stop_reason(delta_p, stop_delta_p, draws, cache, k, config: SolverConfig) -
         return "budget"
     if k > config.max_iterations:
         return "max_iterations"
+    if config.variant != "fixed" and _past_precision_floor(config, r) is not None:
+        return "precision-floor"
     return None
 
 
-def _adaptive_step(config: SolverConfig, blackbox: NoisyBlackbox):
-    """The step of ``dp`` and ``mp``; it keeps the precision index, from ``config.r_init``."""
-    r_next = config.r_init
-
-    def step(cache, incumbent, delta_p, rng):
-        nonlocal r_next
-        r = r_next
-        if _past_precision_floor(config, r) is not None:
-            return None
-        x_s = incumbent
-        if config.search_enabled:
-            x_s = search_step(cache, incumbent, r, config, blackbox, rng)
-        x_c, status, _ = poll_step(x_s, delta_p, r, config, cache, blackbox, rng)
-        if status is IterationStatus.BARRIER:
-            p = 0.0
-        elif cache.overflowed:
-            p = 0.5  # an overflowed estimate is no evidence either way; the run stops here
-        else:
-            p = p_value(cache, x_c, x_s)
-            r_next = update_r(config, r, p)
-        return status, r, p
-
-    return step
+def _adaptive_step(config, blackbox, cache, incumbent, delta_p, r, rng):
+    """The step of ``dp`` and ``mp`` at index ``r``; returns ``(status, p, next r)``."""
+    x_s = incumbent
+    if config.search_enabled:
+        x_s = search_step(cache, incumbent, r, config, blackbox, rng)
+    x_c, status, _ = poll_step(x_s, delta_p, r, config, cache, blackbox, rng)
+    if status is IterationStatus.BARRIER:
+        return status, 0.0, r
+    if cache.overflowed:  # no evidence either way; the run stops after this iteration
+        return status, 0.5, r
+    p = p_value(cache, x_c, x_s)
+    return status, p, update_r(config, r, p)
 
 
-def _fixed_step(config: SolverConfig, blackbox: NoisyBlackbox):
+def _fixed_step(config, blackbox, cache, incumbent, delta_p, r, rng):
     """The step of ``fixed``: success means strict decrease of single observations.
 
     p is 1.0 on success and 0.0 otherwise, so the frame doubles on success
-    and halves on any other outcome; the precision column is constantly 0.
+    and halves on any other outcome; ``r`` is returned unchanged.
     """
 
     def once(i: int | None):
         return config.sigma_fixed if i is None else None
 
-    def step(cache, incumbent, delta_p, rng):
-        # the center's noise is drawn before the poll direction, not after as in poll_step
-        rows = observe_points(cache, blackbox, np.array([incumbent]), once, rng)
-        rows += observe_points(cache, blackbox, generate_poll(incumbent, delta_p, rng), once, rng)
-        _, status = _poll_outcome(cache, rows)
-        return status, 0.0, float(status is IterationStatus.SUCCESS)
-
-    return step
+    # the center's noise is drawn before the poll direction, not after as in poll_step
+    rows = observe_points(cache, blackbox, np.array([incumbent]), once, rng)
+    rows += observe_points(cache, blackbox, generate_poll(incumbent, delta_p, rng), once, rng)
+    _, status = _poll_outcome(cache, rows)
+    return status, float(status is IterationStatus.SUCCESS), r
 
 
 def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     """Minimise ``problem`` with the step rule of ``config.variant``.
 
-    ``step(cache, incumbent, delta_p, rng)`` runs one iteration's
-    observations and returns ``(status, r, p)``, with ``r`` the precision
-    index it used, or None, observing nothing, when the iteration's target
-    sigma has no finite draw cost. Stops when the frame size falls below
+    The loop holds the incumbent, the frame size and the precision index
+    r: ``config.r_init`` for ``dp`` and ``mp``, and constantly 0 for
+    ``fixed``. Each iteration's step runs its observations and returns
+    ``(status, p, next r)``; the loop logs the row and updates the frame.
+    ``_stop_reason`` makes every stop decision: the frame size falls below
     the stopping threshold (the problem default unless the config
     overrides it), the draw budget is spent, the iteration cap is hit, or
     the next iteration cannot be paid for; ``RunOutput.stop_reason`` says which.
@@ -437,7 +428,7 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     blackbox = problem.blackbox()
     if not blackbox.feasible(start):
         raise InfeasibleStartError(f"start point {start} is infeasible")
-    step = (_fixed_step if config.variant == "fixed" else _adaptive_step)(config, blackbox)
+    step, r = (_fixed_step, 0.0) if config.variant == "fixed" else (_adaptive_step, config.r_init)
 
     rng = np.random.default_rng(config.seed)
     cache = EvaluationCache()
@@ -450,13 +441,9 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     k = 1
     ledger = blackbox.ledger
     while (
-        stop_reason := _stop_reason(delta_p, stop_delta_p, ledger.total_draws, cache, k, config)
+        stop_reason := _stop_reason(delta_p, stop_delta_p, ledger.total_draws, cache, k, r, config)
     ) is None:
-        outcome = step(cache, incumbent, delta_p, rng)
-        if outcome is None:
-            stop_reason = "precision-floor"
-            break
-        status, r, p = outcome
+        status, p, next_r = step(config, blackbox, cache, incumbent, delta_p, r, rng)
         try:
             incumbent = cache.incumbent()
         except NoIncumbentError:
@@ -470,6 +457,7 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
             status=status, cache_size=len(cache),
         ))
         delta_p = update_frame(delta_p, status, p, config.beta_l, config.beta_u)
+        r = next_r
         k += 1
     return RunOutput(incumbent, records, cache, ledger, stop_reason)
 

@@ -1,6 +1,7 @@
 """Solver loops: poll/search steps, run invariants, baseline, log format."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import sys
@@ -238,6 +239,11 @@ def lin_problem() -> ProblemDef:
 STOP_REASONS = {"frame", "budget", "max_iterations", "precision-floor"}
 
 
+def log_digest(records) -> str:
+    """The sha256 of the run log's CSV text, as the golden logs pin it."""
+    return hashlib.sha256(log_to_csv(records).encode()).hexdigest()
+
+
 def assert_clean_end(problem, config, out):
     """A documented stop, a log that round-trips and validates, and the ledger's total."""
     assert out.stop_reason in STOP_REASONS
@@ -261,6 +267,20 @@ def test_a_run_that_polls_past_the_largest_float_ends_cleanly(variant, sigma_fix
     assert len(out.records) > 1000
 
 
+@pytest.mark.parametrize("variant, sigma_fixed", [("dp", None), ("fixed", 1e-3)])
+def test_a_frame_that_doubles_to_inf_ends_the_run(variant, sigma_fixed):
+    # the first poll succeeds decisively from 1e308, so the frame doubles
+    # past the largest float; no poll can step on that mesh
+    problem = dataclasses.replace(
+        lin_problem(), truth=lambda x: -x[0] / (1.0 + abs(x[0])), best_truth=-1.0
+    )
+    config = SolverConfig(variant=variant, sigma_fixed=sigma_fixed, delta_p0=1e308, seed=0)
+    out = run(problem, config)
+    assert_clean_end(problem, config, out)
+    assert out.stop_reason == "frame"
+    assert [rec.delta_p for rec in out.records] == [1e308]
+
+
 def test_run_stops_at_precision_floor_when_the_ledger_overflows():
     # the draw costs near rho(1534) are finite, but their sum overflows
     config = SolverConfig(variant="mp", r_init=1520.0, stop_delta_p=1e-300, seed=0)
@@ -270,6 +290,9 @@ def test_run_stops_at_precision_floor_when_the_ledger_overflows():
     assert out.records[-1].draws == math.inf
     assert all(math.isfinite(rec.draws) for rec in out.records[:-1])
     assert_clean_end(_flat_norm2_at_origin(), config, out)
+    assert log_digest(out.records) == (
+        "300d23925b232096f419ff7d09f79cd29b529546fea56bcc7ad5ef3618929f5c"
+    )
 
 
 @pytest.mark.parametrize("variant", ["dp", "mp"])
@@ -285,6 +308,16 @@ def test_run_stops_at_precision_floor_when_the_estimates_overflow(variant):
     assert last.f_inc == math.inf and last.status is IterationStatus.BARRIER
     assert last.incumbent == out.incumbent == problem_registry("norm2").start
     assert_clean_end(problem_registry("norm2"), config, out)
+    # one barrier row with the search off: the two variants log the same row
+    assert log_digest(out.records) == (
+        "81c157bfab6d4788f4d55720ec9fa67ebea0c290d15935f0fbaee5cb6ea95038"
+    )
+
+
+MID_RUN_OVERFLOW_DIGESTS = {
+    100.0: "e2578415d14789585a54ce1d8855ccc3418155542df7c1d6ce7025873ca496f2",
+    -100.0: "3a36c3bdb14c3077bd3dc5ea091b0b92ab736835b8f8fed82aec218be26ca8fe",
+}
 
 
 @pytest.mark.parametrize("offset", [100.0, -100.0])
@@ -302,6 +335,14 @@ def test_run_stops_at_precision_floor_when_an_estimate_overflows_mid_run(offset)
     # no p-value is computed after the overflow: the row logs 0.5, which its status allows
     assert out.records[-1].p == 0.5
     assert_clean_end(problem, config, out)
+    assert log_digest(out.records) == MID_RUN_OVERFLOW_DIGESTS[offset]
+
+
+# variant -> (records, log digest) of the run stopped before an unpayable iteration
+UNPAYABLE_RUNS = {
+    "dp": (34, "5a655e2248444aa08ef0f9a43baa1e609598c197f5c285260564a484a7f605bd"),
+    "mp": (27, "5767aa225a526b49b07dd3804a282b257428c79a9850bd068c3a60cc6d757fc4"),
+}
 
 
 @pytest.mark.parametrize("variant", ["dp", "mp"])
@@ -317,9 +358,17 @@ def test_run_stops_before_an_unpayable_iteration(variant, monkeypatch):
     monkeypatch.setattr(apmads.solver, "draws_for_sigma", floored_cost)
     config = SolverConfig(variant=variant, stop_delta_p=1e-300, seed=0)
     out = run(_flat_norm2_at_origin(), config)
+    size, digest = UNPAYABLE_RUNS[variant]
     assert out.stop_reason == "precision-floor"
-    assert out.records and math.isfinite(out.ledger.total_draws)
+    assert len(out.records) == size and math.isfinite(out.ledger.total_draws)
     assert min(out.ledger.sigmas) >= 1e-3
+    assert log_digest(out.records) == digest
+    # the floor is tested last: a cap that also ends the run here names itself
+    for cap, reason in [({"max_iterations": size}, "max_iterations"),
+                        ({"stop_draws": out.ledger.total_draws}, "budget")]:
+        capped = run(_flat_norm2_at_origin(), dataclasses.replace(config, **cap))
+        assert capped.stop_reason == reason
+        assert capped.records == out.records
 
 
 def test_run_rejects_infeasible_start():
@@ -955,7 +1004,7 @@ def run_configs(draw):
                               st.floats(min_value=-100.0, max_value=1600.0))),
         sigma_max=draw(st.one_of(st.sampled_from([1.0, 1e-153, 0.0, 2.0]),
                                  st.floats(min_value=1e-6, max_value=1.0))),
-        delta_p0=draw(st.sampled_from([1.0, 1e-3, 1e100, 1e300])),
+        delta_p0=draw(st.sampled_from([1.0, 1e-3, 1e100, 1e300, 1e308])),
         stop_draws=draw(st.floats(min_value=0.0, max_value=1e6)),
         max_iterations=draw(st.integers(0, 50)),
         seed=draw(st.integers(0, 1000)),
