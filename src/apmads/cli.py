@@ -38,7 +38,7 @@ from .profiles import (
     reference_draws,
     validate_records,
 )
-from .solver import SolverConfig, check_run_settings, read_log, run, write_log
+from .solver import SolverConfig, read_log, run, write_log
 
 _ALGO_VARIANT = {"dpmads": "dp", "mpmads": "mp", "fixed": "fixed"}
 ALGOS = tuple(_ALGO_VARIANT)
@@ -67,25 +67,28 @@ def _parse_value(raw: str):
 def load_config_file(path: str) -> dict:
     """Flat ``key = value`` text; '#' starts a comment."""
     values, set_on = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise UsageError(
-                    f"{path}:{lineno}: unknown key {key!r}; known keys: "
-                    + ", ".join(_CONFIG_KEYS)
-                )
-            if key in set_on:
-                raise UsageError(
-                    f"{path}:{lineno}: key {key!r} is set twice (lines {set_on[key]} and {lineno})"
-                )
-            set_on[key] = lineno
-            values[key] = _parse_value(raw)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise UsageError(
+                f"{path}:{lineno}: unknown key {key!r}; known keys: " + ", ".join(_CONFIG_KEYS)
+            )
+        if key in set_on:
+            raise UsageError(
+                f"{path}:{lineno}: key {key!r} is set twice (lines {set_on[key]} and {lineno})"
+            )
+        set_on[key] = lineno
+        values[key] = _parse_value(raw)
     return values
 
 
@@ -105,9 +108,8 @@ def build_run(args, file_values: dict, algo: str | None, seed: int | None) -> tu
         if args.sigma_fixed is None and "sigma_fixed" not in values:
             raise UsageError("--sigma-fixed is required for the fixed algorithm")
     values.update((key, flag) for key, flag in flags.items() if flag is not None)
-    config = SolverConfig(**values)
     try:
-        check_run_settings(config)
+        config = SolverConfig(**values)
     except InvalidSigmaError as exc:
         raise UsageError(f"bad --sigma-fixed: {exc}") from None
     algo = next(a for a, variant in _ALGO_VARIANT.items() if variant == config.variant)
@@ -258,7 +260,7 @@ def _profile_task(task):
     """
     conv_path, part_path, path, problem_name, algo, seed, taus = task
     try:
-        with open(path, "r", newline="") as fh:  # as read_log opens a log
+        with open(path, "r", encoding="utf-8", newline="") as fh:  # as read_log opens a log
             budgets, rows, conv = log_outputs(problem_registry(problem_name), algo, seed,
                                               fh.read(), taus)
         for out_path, text in ((conv_path, conv), (part_path, rows)):

@@ -1,6 +1,6 @@
 """The optimization loop of adaptive-precision direct search.
 
-One loop, ``run``, runs every variant: it owns the start check, every
+One loop, ``run``, runs every variant: it owns the start point's check, every
 stop decision, the precision index, the run log and the frame update, and
 calls the step rule of ``config.variant`` once per iteration. In ``dp`` and ``mp`` an optional
 search step re-estimates cached points that plausibly beat the incumbent,
@@ -42,25 +42,27 @@ def _check_real(name: str, value) -> None:
         raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters. Unset betas and ``search_enabled`` default per variant.
+    """Run parameters, every one checked when the config is built; it is frozen after.
 
-    ``variant`` is ``dp``, ``mp`` or ``fixed``; ``sigma_fixed``, the sigma
-    of every observation of ``fixed``, is required there and rejected
-    elsewhere. ``sigma_min``, ``sigma_max``, ``r0`` and ``theta`` set the
-    sigma schedule of ``dp`` and ``mp`` (see ``precision.rho``). The betas
-    come from ``precision.VARIANT_BETAS``; the search step is enabled for
-    ``dp`` only, and ``fixed`` rejects it. A disabled search requires
-    sigma_min = 0, since the poll alone can then never push an estimate
-    below sigma_min; ``fixed`` too, rather than ignore a sigma_min.
-    ``dp_decrease_threshold`` matters for ``dp`` only (see
-    ``precision.update_r``) and must lie in (0, beta_l). A field of the
-    wrong type or out of range raises ``ConfigError``. ``fixed`` checks,
-    but otherwise ignores, the fields that only ``dp`` and ``mp`` read:
-    ``sigma_max``, ``r0``, ``theta``, ``r_s``, ``tau``, ``r_init``, the
-    betas and ``dp_decrease_threshold``. So one config file serves every
-    algorithm of ``apmads bench``.
+    ``variant`` is ``dp``, ``mp`` or ``fixed``; ``sigma_fixed``, the sigma of every
+    observation of ``fixed``, is required there and rejected elsewhere. ``sigma_min``,
+    ``sigma_max``, ``r0`` and ``theta`` set the sigma schedule of ``dp`` and ``mp`` (see
+    ``precision.rho``). Unset betas come from ``precision.VARIANT_BETAS``; an unset
+    ``search_enabled`` is true for ``dp`` only, and ``fixed`` rejects a true one. A disabled
+    search requires sigma_min = 0, since the poll alone can then never push an estimate below
+    sigma_min; ``fixed`` too, rather than ignore a sigma_min. ``dp_decrease_threshold``
+    matters for ``dp`` only (see ``precision.update_r``) and must lie in (0, beta_l). A field
+    of the wrong type or out of range raises ``ConfigError``. ``fixed`` checks, but otherwise
+    ignores, the fields that only ``dp`` and ``mp`` read: ``sigma_max``, ``r0``, ``theta``,
+    ``r_s``, ``tau``, ``r_init``, the betas and ``dp_decrease_threshold``. So one config file
+    serves every algorithm of ``apmads bench``. Last, ``dp`` and ``mp`` need sigma_max <=
+    ``SIGMA_MAX`` and ``r_init`` not past the precision floor, else ``ConfigError`` (past the
+    floor, it names the schedule's values); ``fixed`` needs ``sigma_fixed`` in (0, SIGMA_MAX]
+    with a finite draw cost, else ``InvalidSigmaError``. So every config can be run.
+    ``dataclasses.replace`` checks the new config again, but keeps the betas and
+    ``search_enabled`` that the old one resolved.
     """
 
     sigma_min: float = 0.0
@@ -89,9 +91,9 @@ class SolverConfig:
         if (self.sigma_fixed is None) == (self.variant == "fixed"):
             raise ConfigError(f"sigma_fixed must be set for variant 'fixed' only, got "
                               f"{self.sigma_fixed!r} for {self.variant!r}")
-        default_l, default_u = VARIANT_BETAS[self.variant]
-        self.beta_l = default_l if self.beta_l is None else self.beta_l
-        self.beta_u = default_u if self.beta_u is None else self.beta_u
+        for name, default in zip(("beta_l", "beta_u"), VARIANT_BETAS[self.variant]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         for name in ("sigma_min", "sigma_max", "r0", "theta", "beta_l", "beta_u",
                      "dp_decrease_threshold", "r_s", "tau", "delta_p0", "r_init", "stop_draws"):
             _check_real(name, getattr(self, name))
@@ -111,7 +113,7 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
         if self.search_enabled is None:
-            self.search_enabled = self.variant == "dp"
+            object.__setattr__(self, "search_enabled", self.variant == "dp")
         if not isinstance(self.search_enabled, bool):
             raise ConfigError(
                 f"search_enabled must be true or false, got {self.search_enabled!r}"
@@ -143,6 +145,20 @@ class SolverConfig:
             raise ConfigError(f"stop_delta_p must be positive, got {self.stop_delta_p}")
         if not self.stop_draws >= 0:
             raise ConfigError(f"stop_draws must be >= 0, got {self.stop_draws}")
+        if self.variant == "fixed":
+            if not 0.0 < self.sigma_fixed <= SIGMA_MAX:
+                raise InvalidSigmaError(f"sigma_fixed must lie in (0, {SIGMA_MAX}], "
+                                        f"got {self.sigma_fixed}")
+            draws_for_sigma(self.sigma_fixed)
+        elif self.sigma_max > SIGMA_MAX:
+            raise ConfigError(f"sigma_max {self.sigma_max} exceeds the observable cap {SIGMA_MAX}")
+        elif (floor := _past_precision_floor(self, self.r_init)) is not None:
+            # the schedule's values that set rho(floor); r_s only when floor is the search's
+            names = ("r_init", "r_s") if floor != self.r_init else ("r_init",)
+            values = ", ".join(f"{name} = {getattr(self, name)}"
+                               for name in (*names, "r0", "theta", "sigma_min", "sigma_max"))
+            raise ConfigError(f"{values} start the run past the precision floor: "
+                              f"rho({floor}) = {rho(self, floor)} has no finite draw cost")
 
 
 @dataclass(slots=True)
@@ -336,29 +352,6 @@ def _past_precision_floor(config: SolverConfig, r: float):
     return None
 
 
-def check_run_settings(config: SolverConfig) -> None:
-    """Every check a run makes before its first draw that depends on its settings alone.
-
-    ``dp`` and ``mp`` need sigma_max <= ``SIGMA_MAX`` and ``r_init`` not past the precision
-    floor, else ``ConfigError`` (past the floor, it names the schedule's values); ``fixed``
-    needs ``sigma_fixed`` in (0, SIGMA_MAX] with a finite draw cost, else ``InvalidSigmaError``.
-    """
-    if config.variant == "fixed":
-        if not 0.0 < config.sigma_fixed <= SIGMA_MAX:
-            raise InvalidSigmaError(f"sigma_fixed must lie in (0, {SIGMA_MAX}], "
-                                    f"got {config.sigma_fixed}")
-        draws_for_sigma(config.sigma_fixed)
-    elif config.sigma_max > SIGMA_MAX:
-        raise ConfigError(f"sigma_max {config.sigma_max} exceeds the observable cap {SIGMA_MAX}")
-    elif (floor := _past_precision_floor(config, config.r_init)) is not None:
-        # the schedule's values that set rho(floor); r_s only when floor is the search's
-        names = ("r_init", "r_s") if floor != config.r_init else ("r_init",)
-        values = ", ".join(f"{name} = {getattr(config, name)}"
-                           for name in (*names, "r0", "theta", "sigma_min", "sigma_max"))
-        raise ConfigError(f"{values} start the run past the precision floor: "
-                          f"rho({floor}) = {rho(config, floor)} has no finite draw cost")
-
-
 def _stop_reason(delta_p, stop_delta_p, draws, cache, k, r, config: SolverConfig) -> str | None:
     """Why the loop stops before iteration ``k`` at precision index ``r``, or None to go on.
 
@@ -422,8 +415,8 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     the stopping threshold (the problem default unless the config
     overrides it), the draw budget is spent, the iteration cap is hit, or
     the next iteration cannot be paid for; ``RunOutput.stop_reason`` says which.
+    ``SolverConfig`` checks the settings when built; ``run`` checks the start point.
     """
-    check_run_settings(config)
     start = as_point(problem.start)
     blackbox = problem.blackbox()
     if not blackbox.feasible(start):
@@ -616,5 +609,5 @@ def _row_error(text: str, header: list[str], parsers: list) -> InvalidInputError
 
 
 def read_log(path) -> list[IterationRecord]:
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_log(fh.read())

@@ -949,6 +949,29 @@ def test_config_file_parsing(tmp_path):
     assert config.sigma_max == 0.5
     assert config.seed == 11
 
+    # config files and run logs are UTF-8 text whatever the locale: under the C
+    # locale a comment with non-ASCII text is read, and a log with a byte that is
+    # not UTF-8 is refused by the UTF-8 codec
+    cfg.write_text("# \u03c3 schedule\nseed = 3\n", encoding="utf-8")
+    log = tmp_path / "bad.csv"
+    log.write_bytes(b"\xff\xfe")
+    code = ("import sys\nfrom apmads.cli import load_config_file\nfrom apmads import read_log\n"
+            "print(load_config_file(sys.argv[1]))\n"
+            "try:\n    read_log(sys.argv[2])\nexcept UnicodeDecodeError as exc:\n"
+            "    print(exc.encoding)\n")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(log)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "{'seed': 3}\nutf-8\n"), proc.stderr
+    # a config file that is not UTF-8 text is a usage error that names the file
+    cfg.write_bytes(b"seed = 1\n\xff\n")
+    with pytest.raises(UsageError, match=re.escape(f"{cfg}: 'utf-8' codec can't decode byte "
+                                                   "0xff in position 9")):
+        load_config_file(str(cfg))
+    assert main(["run", "--problem", "norm2", "--config", str(cfg), "--out",
+                 str(tmp_path / "x.csv")]) == 1
+
 
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"

@@ -1,6 +1,7 @@
 """Precision schedule and the index update policies."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,12 @@ from apmads.precision import rho, update_r
 from oracles import check_condition
 
 
+# rho reads only sigma_min, sigma_max, r0 and theta; a schedule above the
+# observable cap SIGMA_MAX = 1, which SolverConfig refuses, is given as a namespace
+
+
 def test_rho_midpoint_with_illustration_parameters():
-    config = SolverConfig(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1)
+    config = SimpleNamespace(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1)
     assert rho(config, -3.0) == pytest.approx(5.5, abs=1e-12)
 
 
@@ -25,7 +30,7 @@ def test_rho_defaults():
 def test_rho_strictly_decreasing_on_grid():
     for config in (
         SolverConfig(),
-        SolverConfig(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1),
+        SimpleNamespace(sigma_min=1.0, sigma_max=10.0, r0=-3.0, theta=0.1),
     ):
         grid = np.linspace(-50.0, 50.0, 1000)
         values = [rho(config, float(r)) for r in grid]
@@ -34,7 +39,7 @@ def test_rho_strictly_decreasing_on_grid():
 
 def test_rho_nonincreasing_when_floating_point_saturates():
     # steep theta drives the exponential below one ulp of the plateau
-    config = SolverConfig(sigma_min=0.0, sigma_max=2.0, r0=4.0, theta=0.37)
+    config = SimpleNamespace(sigma_min=0.0, sigma_max=2.0, r0=4.0, theta=0.37)
     grid = np.linspace(-50.0, 50.0, 1000)
     values = [rho(config, float(r)) for r in grid]
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -48,7 +53,7 @@ def test_rho_midpoint_and_branch_continuity():
     rng = np.random.default_rng(2)
     for _ in range(50):
         lo = float(rng.uniform(0.0, 2.0))
-        config = SolverConfig(
+        config = SimpleNamespace(
             sigma_min=lo,
             sigma_max=lo + float(rng.uniform(0.1, 10.0)),
             r0=float(rng.uniform(-5.0, 5.0)),
@@ -60,7 +65,7 @@ def test_rho_midpoint_and_branch_continuity():
 
 
 def test_rho_clamped_into_range():
-    config = SolverConfig(sigma_min=0.25, sigma_max=4.0)
+    config = SimpleNamespace(sigma_min=0.25, sigma_max=4.0, r0=0.0, theta=0.1)
     assert rho(config, 1e9) == 0.25
     assert rho(config, -1e9) == 4.0
 

@@ -403,6 +403,17 @@ def test_config_fixed_variant():
         SolverConfig(variant="nope")
 
 
+def test_config_is_frozen_and_replace_checks_it_again():
+    config = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.sigma_max = 2.0
+    with pytest.raises(ConfigError, match="exceeds the observable cap"):
+        dataclasses.replace(config, sigma_max=2.0)
+    fixed = SolverConfig(variant="fixed", sigma_fixed=1e-3)
+    with pytest.raises(InvalidSigmaError):
+        dataclasses.replace(fixed, sigma_fixed=0.0)
+
+
 def test_config_rejects_sigma_min_without_search():
     with pytest.raises(ConfigError):
         SolverConfig(variant="mp", sigma_min=0.1)
@@ -556,15 +567,14 @@ def test_baseline_moustache_improves_feasibly():
 
 
 def test_baseline_rejects_bad_sigma():
-    problem = problem_registry("norm2")
     with pytest.raises(InvalidSigmaError):
-        run(problem, SolverConfig(variant="fixed", sigma_fixed=0.0))
+        SolverConfig(variant="fixed", sigma_fixed=0.0)
     with pytest.raises(InvalidSigmaError):
-        run(problem, SolverConfig(variant="fixed", sigma_fixed=2.0))
+        SolverConfig(variant="fixed", sigma_fixed=2.0)
     # in range, but one observation's draw cost 1 / sigma**2 overflows:
-    # check_run_settings refuses it before the first draw
+    # the config refuses it, so no run can start with it
     with pytest.raises(InvalidSigmaError, match="not finite"):
-        run(problem, SolverConfig(variant="fixed", sigma_fixed=1e-200))
+        SolverConfig(variant="fixed", sigma_fixed=1e-200)
 
 
 def test_baseline_stops_at_precision_floor_when_the_ledger_overflows():
@@ -968,16 +978,15 @@ def test_plausible_rows_keeps_edge_quotients():
 
 def test_run_rejects_start_past_precision_floor():
     # rho(1560) = 5e-157: its draw cost 1 / rho**2 overflows
-    problem = problem_registry("norm2")
     for variant in ("dp", "mp"):
         with pytest.raises(ConfigError, match="precision floor"):
-            run(problem, SolverConfig(variant=variant, r_init=1560.0))
+            SolverConfig(variant=variant, r_init=1560.0)
     # at r_init = 1534 the poll's cost is finite, but the first search
     # observes at rho(r_init - r_s) = rho(1539), whose cost overflows; the
     # start sits at the optimum so that value / rho**2 stays finite too
-    at_optimum = dataclasses.replace(problem, start=(0.0, 0.0))
     with pytest.raises(ConfigError, match="precision floor"):
-        run(at_optimum, SolverConfig(variant="dp", r_init=1534.0))
+        SolverConfig(variant="dp", r_init=1534.0)
+    at_optimum = dataclasses.replace(problem_registry("norm2"), start=(0.0, 0.0))
     out = run(at_optimum, SolverConfig(variant="mp", r_init=1534.0, max_iterations=1))
     assert len(out.records) == 1 and math.isfinite(out.ledger.total_draws)
 
@@ -1017,19 +1026,13 @@ def run_configs(draw):
        offset=st.sampled_from([0.0, 1e300, -1e300, 1e308, -1e308]))
 def test_every_run_ends_cleanly_or_is_refused_before_its_first_draw(name, values, offset):
     base = lin_problem() if name == "lin" else problem_registry(name)
-    calls = []
-
-    def truth(x):
-        calls.append(x)
-        return base.truth(x) + offset
-
-    problem = dataclasses.replace(base, truth=truth)
+    problem = dataclasses.replace(base, truth=lambda x: base.truth(x) + offset)
     try:
         config = SolverConfig(**values)
-        out = run(problem, config)
     except (ConfigError, InvalidSigmaError):
-        assert calls == []
         return
+    # a config that was built runs: run makes no check of the settings of its own
+    out = run(problem, config)
     assert_clean_end(problem, config, out)
     n = problem.dimension
     assert log_to_csv(run(problem, config).records, n) == log_to_csv(out.records, n)
