@@ -22,6 +22,7 @@ from multiprocessing import Pool
 
 from .exceptions import (ApmadsError, ConfigError, InvalidInputError, InvalidSigmaError,
                          UnknownProblemError)
+from .precision import VARIANTS
 from .problems import available_problems, problem_registry
 # accuracy_csv, convergence_csv and make_run_result are not called here; they
 # stay importable from this module because perfbench/tracing.py wraps them here
@@ -40,8 +41,8 @@ from .profiles import (
 )
 from .solver import SolverConfig, read_log, run, write_log
 
-_ALGO_VARIANT = {"dpmads": "dp", "mpmads": "mp", "fixed": "fixed"}
-ALGOS = tuple(_ALGO_VARIANT)
+_VARIANT_OF = {rules.algo: variant for variant, rules in VARIANTS.items()}
+ALGOS = ("dpmads", "mpmads", "fixed")  # the table's algorithms, in the order the CLI lists them
 
 _CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig))
 
@@ -101,9 +102,9 @@ def build_run(args, file_values: dict, algo: str | None, seed: int | None) -> tu
     """
     values = dict(file_values)
     if algo is not None:
-        values["variant"] = _ALGO_VARIANT[algo]
+        values["variant"] = _VARIANT_OF[algo]
     flags = {"seed": seed, "stop_draws": args.budget, "stop_delta_p": args.stop_delta_p}
-    if values.get("variant") == "fixed":
+    if values.get("variant") in VARIANTS and not VARIANTS[values["variant"]].adaptive:
         flags["sigma_fixed"] = args.sigma_fixed
         if args.sigma_fixed is None and "sigma_fixed" not in values:
             raise UsageError("--sigma-fixed is required for the fixed algorithm")
@@ -112,8 +113,7 @@ def build_run(args, file_values: dict, algo: str | None, seed: int | None) -> tu
         config = SolverConfig(**values)
     except InvalidSigmaError as exc:
         raise UsageError(f"bad --sigma-fixed: {exc}") from None
-    algo = next(a for a, variant in _ALGO_VARIANT.items() if variant == config.variant)
-    return algo, config
+    return config.rules.algo, config
 
 
 def cmd_run(args) -> int:
@@ -382,7 +382,7 @@ def cmd_validate(args) -> int:
         if variant is None:
             try:
                 _, algo, _ = _parse_log_name(path)
-                variant = _ALGO_VARIANT.get(algo)
+                variant = _VARIANT_OF.get(algo)
             except UsageError:
                 variant = None
         for name, ok, detail in validate_records(records, problem, variant):
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="structural invariant checks on run logs")
     p_val.add_argument("logs", nargs="+")
     p_val.add_argument("--problem", help="enables the exact mesh-membership check")
-    p_val.add_argument("--variant", choices=list(_ALGO_VARIANT.values()))
+    p_val.add_argument("--variant", choices=[_VARIANT_OF[algo] for algo in ALGOS])
     p_val.set_defaults(func=cmd_validate)
     return parser
 

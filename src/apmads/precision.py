@@ -11,12 +11,29 @@ comparison:
   comparison is far more decisive than required.
 """
 
+from dataclasses import dataclass
+
 from .exceptions import InvalidInputError
 
-# (beta_l, beta_u) of each variant: the monotone variant needs near
-# certainty (0.03%, 99.7%) to freeze r, the dynamic one acts at (15%, 85%);
-# the fixed baseline scores p in {0, 1}, so any legal pair gives its frame
-VARIANT_BETAS = {"mp": (0.0003, 0.997), "dp": (0.15, 0.85), "fixed": (0.15, 0.85)}
+
+@dataclass(frozen=True)
+class VariantRules:
+    """A variant's row of ``VARIANTS``, the one place that says how variants differ."""
+
+    algo: str  # the CLI's name
+    betas: tuple[float, float]  # the default (beta_l, beta_u)
+    searches: bool  # the default search_enabled
+    adaptive: bool  # adaptive step from r_init under the precision floor, else sigma_fixed at r=0
+    lowers_r: bool  # whether update_r may move r down
+
+
+# the monotone variant needs near certainty (0.03%, 99.7%) to freeze r, the dynamic one
+# acts at (15%, 85%); the fixed baseline scores p in {0, 1}, so any legal pair gives its frame
+VARIANTS = {
+    "mp": VariantRules("mpmads", (0.0003, 0.997), searches=False, adaptive=True, lowers_r=False),
+    "dp": VariantRules("dpmads", (0.15, 0.85), searches=True, adaptive=True, lowers_r=True),
+    "fixed": VariantRules("fixed", (0.15, 0.85), searches=False, adaptive=False, lowers_r=False),
+}
 
 
 def rho(config, r: float) -> float:
@@ -40,18 +57,19 @@ def rho(config, r: float) -> float:
 def update_r(config, r: float, p: float) -> float:
     """New precision index after a comparison at index ``r`` with p-value ``p``.
 
-    ``config`` is a ``SolverConfig``: the rule reads its ``variant``,
-    ``beta_l``, ``beta_u`` and ``dp_decrease_threshold``. Both variants
+    ``config`` is a ``SolverConfig``: the rule reads its ``betas``,
+    ``rules.lowers_r`` and ``dp_decrease_threshold``. Both variants
     take unit steps. The increase branch is checked first so the required
-    behaviour inside [beta_l, beta_u] always wins; the dynamic variant
-    decreases r when min(p, 1 - p) falls below ``dp_decrease_threshold``,
+    behaviour inside [beta_l, beta_u] always wins; a variant that lowers r
+    (dp) does so when min(p, 1 - p) falls below ``dp_decrease_threshold``,
     a comparison decisive enough to pay for less precision.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"p must lie in [0, 1], got {p}")
-    if config.beta_l <= p <= config.beta_u:
+    beta_l, beta_u = config.betas
+    if beta_l <= p <= beta_u:
         return r + 1.0
-    if config.variant == "mp":
+    if not config.rules.lowers_r:
         return r
     if min(p, 1.0 - p) < config.dp_decrease_threshold:
         return r - 1.0

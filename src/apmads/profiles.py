@@ -18,12 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import draws_for_sigma
-from .exceptions import (
-    DegenerateNormalizationError,
-    InvalidInputError,
-    InvalidSigmaError,
-)
+from .exceptions import DegenerateNormalizationError, InvalidInputError, InvalidSigmaError
 from .mesh import IterationStatus, mesh_size, on_mesh
+from .precision import VARIANTS
 from .problems import ProblemDef
 from .solver import IterationRecord, log_columns
 
@@ -310,6 +307,7 @@ def validate_records(
     known, so are the incumbents' dimension and the start point; mesh
     membership of the logged incumbents (exact rational residuals against
     the finest mesh so far) is then checked, if the dimension check passes.
+    A ``variant`` whose rules never lower r (``mp``, ``fixed``) is checked for it.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -339,10 +337,10 @@ def validate_records(
     )
     checks.append(("status-p-consistency", ok, "success implies p >= 0.5"))
 
-    if variant == "mp":
+    if variant in VARIANTS and not VARIANTS[variant].lowers_r:
         rs = [rec.r for rec in records]
         ok = all(b >= a for a, b in zip(rs, rs[1:]))
-        checks.append(("r-nondecreasing", ok, "monotone variant"))
+        checks.append(("r-nondecreasing", ok, "the variant never lowers r"))
 
     if problem is None or not records:
         return checks

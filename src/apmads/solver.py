@@ -18,21 +18,17 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .blackbox import SIGMA_MAX, DrawLedger, NoisyBlackbox, Point, as_point, draws_for_sigma
 from .estimation import EvaluationCache, sigma_to_reach
-from .exceptions import (
-    ConfigError,
-    InfeasibleStartError,
-    InvalidInputError,
-    InvalidSigmaError,
-    NoIncumbentError,
-)
+from .exceptions import (ConfigError, InfeasibleStartError, InvalidInputError, InvalidSigmaError,
+                         NoIncumbentError)
 from .mesh import IterationStatus, generate_poll, mesh_size, update_frame
 from .normal import p_value, phi_inv
-from .precision import VARIANT_BETAS, rho, update_r
+from .precision import VARIANTS, VariantRules, rho, update_r
 from .problems import ProblemDef
 
 
@@ -46,23 +42,16 @@ def _check_real(name: str, value) -> None:
 class SolverConfig:
     """Run parameters, every one checked when the config is built; it is frozen after.
 
-    ``variant`` is ``dp``, ``mp`` or ``fixed``; ``sigma_fixed``, the sigma of every
-    observation of ``fixed``, is required there and rejected elsewhere. ``sigma_min``,
-    ``sigma_max``, ``r0`` and ``theta`` set the sigma schedule of ``dp`` and ``mp`` (see
-    ``precision.rho``). Unset betas come from ``precision.VARIANT_BETAS``; an unset
-    ``search_enabled`` is true for ``dp`` only, and ``fixed`` rejects a true one. A disabled
-    search requires sigma_min = 0, since the poll alone can then never push an estimate below
-    sigma_min; ``fixed`` too, rather than ignore a sigma_min. ``dp_decrease_threshold``
-    matters for ``dp`` only (see ``precision.update_r``) and must lie in (0, beta_l). A field
-    of the wrong type or out of range raises ``ConfigError``. ``fixed`` checks, but otherwise
-    ignores, the fields that only ``dp`` and ``mp`` read: ``sigma_max``, ``r0``, ``theta``,
-    ``r_s``, ``tau``, ``r_init``, the betas and ``dp_decrease_threshold``. So one config file
-    serves every algorithm of ``apmads bench``. Last, ``dp`` and ``mp`` need sigma_max <=
-    ``SIGMA_MAX`` and ``r_init`` not past the precision floor, else ``ConfigError`` (past the
-    floor, it names the schedule's values); ``fixed`` needs ``sigma_fixed`` in (0, SIGMA_MAX]
-    with a finite draw cost, else ``InvalidSigmaError``. So every config can be run.
-    ``dataclasses.replace`` checks the new config again, but keeps the betas and
-    ``search_enabled`` that the old one resolved.
+    ``variant`` names a row of ``precision.VARIANTS``, read as ``rules``. A field holds what
+    the caller gave: an unset (None) ``beta_l``, ``beta_u`` or ``search_enabled`` is the
+    variant's default, resolved by ``betas`` and ``searches``, so ``dataclasses.replace`` to
+    another variant takes that variant's defaults. ``sigma_fixed`` is required for ``fixed``
+    and rejected elsewhere. ``fixed`` checks, but ignores, the fields that only ``dp`` and
+    ``mp`` read (README lists them), so one config file serves every algorithm of ``apmads
+    bench``. A field of the wrong type or out of range raises ``ConfigError``, as do, for
+    ``dp`` and ``mp``, a ``sigma_max`` above ``SIGMA_MAX`` and an ``r_init`` past the precision
+    floor. A ``sigma_fixed`` outside (0, SIGMA_MAX] or without a finite draw cost raises
+    ``InvalidSigmaError``. So every config can be run.
     """
 
     sigma_min: float = 0.0
@@ -84,68 +73,66 @@ class SolverConfig:
     max_iterations: int = 1_000_000
     seed: int = 0
 
+    @cached_property  # cached: the run's loop reads these three as plain attributes
+    def rules(self) -> VariantRules:
+        return VARIANTS[self.variant]
+
+    @cached_property
+    def betas(self) -> tuple[float, float]:
+        default_l, default_u = self.rules.betas
+        return (default_l if self.beta_l is None else self.beta_l,
+                default_u if self.beta_u is None else self.beta_u)
+
+    @cached_property
+    def searches(self) -> bool:
+        return self.rules.searches if self.search_enabled is None else self.search_enabled
+
     def __post_init__(self):
-        if self.variant not in VARIANT_BETAS:
-            variants = ", ".join(map(repr, VARIANT_BETAS))
+        if self.variant not in VARIANTS:
+            variants = ", ".join(map(repr, VARIANTS))
             raise ConfigError(f"variant must be one of {variants}, got {self.variant!r}")
-        if (self.sigma_fixed is None) == (self.variant == "fixed"):
+        rules = self.rules
+        if (self.sigma_fixed is None) != rules.adaptive:
             raise ConfigError(f"sigma_fixed must be set for variant 'fixed' only, got "
                               f"{self.sigma_fixed!r} for {self.variant!r}")
-        for name, default in zip(("beta_l", "beta_u"), VARIANT_BETAS[self.variant]):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
-        for name in ("sigma_min", "sigma_max", "r0", "theta", "beta_l", "beta_u",
+        for name in ("sigma_min", "sigma_max", "r0", "theta",
                      "dp_decrease_threshold", "r_s", "tau", "delta_p0", "r_init", "stop_draws"):
             _check_real(name, getattr(self, name))
-        for name in ("sigma_fixed", "stop_delta_p"):
+        for name in ("sigma_fixed", "beta_l", "beta_u", "stop_delta_p"):
             if getattr(self, name) is not None:
                 _check_real(name, getattr(self, name))
-        if not self.sigma_min >= 0:
-            raise ConfigError(f"sigma_min must be >= 0, got {self.sigma_min}")
-        if not math.isfinite(self.sigma_max) or self.sigma_max <= self.sigma_min:
-            raise ConfigError(
-                f"sigma_max must be finite and above sigma_min, got {self.sigma_max}"
-            )
-        if not 0.0 < self.theta < math.inf:
-            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
         for name in ("max_iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-        if self.search_enabled is None:
-            object.__setattr__(self, "search_enabled", self.variant == "dp")
-        if not isinstance(self.search_enabled, bool):
-            raise ConfigError(
-                f"search_enabled must be true or false, got {self.search_enabled!r}"
-            )
-        if self.search_enabled and self.variant == "fixed":
+        if not isinstance(self.searches, bool):
+            raise ConfigError(f"search_enabled must be true or false, got {self.search_enabled!r}")
+        beta_l, beta_u = self.betas
+        for name, ok, rule in (  # every value is a real number now
+            ("sigma_min", self.sigma_min >= 0, "be >= 0"),
+            ("sigma_max", math.isfinite(self.sigma_max) and self.sigma_max > self.sigma_min,
+             "be finite and above sigma_min"),
+            ("theta", 0.0 < self.theta < math.inf, "be positive and finite"),
+            ("beta_l", 0.0 < beta_l <= 0.5, "lie in (0, 0.5]"),
+            ("beta_u", 0.5 <= beta_u < 1.0, "lie in [0.5, 1)"),
+            ("dp_decrease_threshold",
+             not rules.lowers_r or 0.0 < self.dp_decrease_threshold < beta_l, "lie in (0, beta_l)"),
+            ("r0", math.isfinite(self.r0), "be finite"),
+            ("r_s", math.isfinite(self.r_s), "be finite"),
+            ("r_init", math.isfinite(self.r_init), "be finite"),
+            ("tau", 0.0 < self.tau < 1.0, "lie in (0, 1)"),
+            ("delta_p0", 0.0 < self.delta_p0 < math.inf, "be positive and finite"),
+            ("stop_delta_p", self.stop_delta_p is None or self.stop_delta_p > 0, "be positive"),
+            ("stop_draws", self.stop_draws >= 0, "be >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must {rule}, got {getattr(self, name)}")
+        if self.searches and not rules.adaptive:
             raise ConfigError("search_enabled must be false for the fixed variant")
-        if not 0.0 < self.beta_l <= 0.5:
-            raise ConfigError(f"beta_l must lie in (0, 0.5], got {self.beta_l}")
-        if not 0.5 <= self.beta_u < 1.0:
-            raise ConfigError(f"beta_u must lie in [0.5, 1), got {self.beta_u}")
-        if self.variant == "dp" and not 0.0 < self.dp_decrease_threshold < self.beta_l:
-            raise ConfigError(
-                "dp_decrease_threshold must lie in (0, beta_l), got "
-                f"{self.dp_decrease_threshold}"
-            )
-        for name in ("r0", "r_s", "r_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.search_enabled and self.sigma_min != 0.0:
-            raise ConfigError(
-                "sigma_min must be 0 when the search step is disabled "
-                f"(got sigma_min={self.sigma_min})"
-            )
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
-        if not 0.0 < self.delta_p0 < math.inf:
-            raise ConfigError(f"delta_p0 must be positive and finite, got {self.delta_p0}")
-        if self.stop_delta_p is not None and not self.stop_delta_p > 0:
-            raise ConfigError(f"stop_delta_p must be positive, got {self.stop_delta_p}")
-        if not self.stop_draws >= 0:
-            raise ConfigError(f"stop_draws must be >= 0, got {self.stop_draws}")
-        if self.variant == "fixed":
+        if not self.searches and self.sigma_min != 0.0:
+            raise ConfigError("sigma_min must be 0 when the search step is disabled "
+                              f"(got sigma_min={self.sigma_min})")
+        if not rules.adaptive:
             if not 0.0 < self.sigma_fixed <= SIGMA_MAX:
                 raise InvalidSigmaError(f"sigma_fixed must lie in (0, {SIGMA_MAX}], "
                                         f"got {self.sigma_fixed}")
@@ -344,7 +331,7 @@ def _past_precision_floor(config: SolverConfig, r: float):
     sigma overflows (and ``sigma_to_reach`` returns 0); the first index
     whose sigma has no finite draw cost is returned.
     """
-    for index in (r, r - config.r_s) if config.search_enabled else (r,):
+    for index in (r, r - config.r_s) if config.searches else (r,):
         try:
             draws_for_sigma(rho(config, index))
         except InvalidSigmaError:
@@ -368,7 +355,7 @@ def _stop_reason(delta_p, stop_delta_p, draws, cache, k, r, config: SolverConfig
         return "budget"
     if k > config.max_iterations:
         return "max_iterations"
-    if config.variant != "fixed" and _past_precision_floor(config, r) is not None:
+    if config.rules.adaptive and _past_precision_floor(config, r) is not None:
         return "precision-floor"
     return None
 
@@ -376,7 +363,7 @@ def _stop_reason(delta_p, stop_delta_p, draws, cache, k, r, config: SolverConfig
 def _adaptive_step(config, blackbox, cache, incumbent, delta_p, r, rng):
     """The step of ``dp`` and ``mp`` at index ``r``; returns ``(status, p, next r)``."""
     x_s = incumbent
-    if config.search_enabled:
+    if config.searches:
         x_s = search_step(cache, incumbent, r, config, blackbox, rng)
     x_c, status, _ = poll_step(x_s, delta_p, r, config, cache, blackbox, rng)
     if status is IterationStatus.BARRIER:
@@ -421,14 +408,13 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
     blackbox = problem.blackbox()
     if not blackbox.feasible(start):
         raise InfeasibleStartError(f"start point {start} is infeasible")
-    step, r = (_fixed_step, 0.0) if config.variant == "fixed" else (_adaptive_step, config.r_init)
+    step, r = (_adaptive_step, config.r_init) if config.rules.adaptive else (_fixed_step, 0.0)
+    beta_l, beta_u = config.betas
 
     rng = np.random.default_rng(config.seed)
     cache = EvaluationCache()
     delta_p = config.delta_p0
-    stop_delta_p = (
-        config.stop_delta_p if config.stop_delta_p is not None else problem.stop_delta_p
-    )
+    stop_delta_p = problem.stop_delta_p if config.stop_delta_p is None else config.stop_delta_p
     records: list[IterationRecord] = []
     incumbent = start
     k = 1
@@ -449,21 +435,19 @@ def run(problem: ProblemDef, config: SolverConfig) -> RunOutput:
             sig_inc=sig_inc, delta_p=delta_p, delta_m=mesh_size(delta_p), r=r, p=p,
             status=status, cache_size=len(cache),
         ))
-        delta_p = update_frame(delta_p, status, p, config.beta_l, config.beta_u)
+        delta_p = update_frame(delta_p, status, p, beta_l, beta_u)
         r = next_r
         k += 1
     return RunOutput(incumbent, records, cache, ledger, stop_reason)
 
 
-def run_fixed_precision_baseline(
-    problem: ProblemDef, sigma_fixed: float, config: SolverConfig
-) -> RunOutput:
-    """``run`` with ``config`` made a fixed run at ``sigma_fixed``, its search off.
+def run_fixed_precision_baseline(problem: ProblemDef, sigma_fixed: float,
+                                 config: SolverConfig) -> RunOutput:
+    """``run`` with ``config`` made a fixed run at ``sigma_fixed``.
 
     Its only caller is the benchmark (``perfbench/``); call ``run`` instead.
     """
-    return run(problem, replace(config, variant="fixed", sigma_fixed=sigma_fixed,
-                                search_enabled=False))
+    return run(problem, replace(config, variant="fixed", sigma_fixed=sigma_fixed))
 
 
 # --- run-log serialisation ---------------------------------------------------

@@ -8,7 +8,8 @@ an evaluation cache whole, to compare two routes to the same state.
 ``log_rows_fieldwise`` and ``parse_log_rowwise`` are the run-log writer
 and reader one field at a time, the reference for the column-wise ones.
 ``combined_sigma`` fuses observation sigmas one by one, the reference for
-the cache's estimates, and ``check_condition`` checks any precision
+the cache's estimates, ``plausible_rows_by_row`` is the search's z-score
+test one row at a time, and ``check_condition`` checks any precision
 update against its variant's condition.
 """
 
@@ -164,16 +165,37 @@ def combined_sigma(existing_sigk: float, new_sigmas) -> float:
     return weight**-0.5 if weight > 0.0 else math.inf
 
 
+def plausible_rows_by_row(fk, sigk, f_inc: float, sig_inc: float, z_min: float) -> list[int]:
+    """The rows j with ``(f_inc - fk[j]) / hypot(sigk[j], sig_inc) >= z_min``, one at a time.
+
+    The difference, quotient and test are Python float operations: one past
+    the largest float is +-inf, inf - inf and inf / inf are NaN, and NaN
+    passes no test. hypot is numpy's scalar one, the C library's, since
+    ``math.hypot`` rounds differently in about one case in 400.
+    """
+    rows = []
+    for j, (f, s) in enumerate(zip(fk.tolist(), sigk.tolist())):
+        with np.errstate(over="ignore"):
+            norm = float(np.hypot(s, sig_inc))
+        if (f_inc - f) / norm >= z_min:
+            rows.append(j)
+    return rows
+
+
 def check_condition(config, r_old: float, r_new: float, p: float) -> bool:
     """Whether an (r_old -> r_new) update is legal for ``config``'s variant.
 
     The dynamic condition requires a strict increase whenever p lies inside
     [beta_l, beta_u]; the monotone condition additionally freezes r outside
-    that interval. Usable as a universal checker for any update rule.
+    that interval. Usable as a universal checker for any update rule. It
+    reads the config's resolved ``betas``, but says itself that ``mp`` is
+    the monotone variant rather than read ``precision.VARIANTS``, the table
+    it checks.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"p must lie in [0, 1], got {p}")
-    inside = config.beta_l <= p <= config.beta_u
+    beta_l, beta_u = config.betas
+    inside = beta_l <= p <= beta_u
     if inside and not r_new > r_old:
         return False
     if config.variant == "mp" and not inside and r_new != r_old:

@@ -31,7 +31,8 @@ from apmads import (
     validate_records,
     write_log,
 )
-from apmads.cli import UsageError, bench_workers, load_config_file, main
+from apmads.cli import ALGOS, UsageError, bench_workers, load_config_file, main
+from apmads.precision import VARIANTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -891,6 +892,10 @@ def test_validate_finds_an_incumbent_off_the_mesh(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"{log}: FAIL incumbents-on-mesh (incumbent off mesh at k=5)" in out
     assert "FAIL" not in out.replace("FAIL incumbents-on-mesh", "")
+
+
+def test_the_algorithms_are_the_variant_tables_rows():
+    assert sorted(ALGOS) == sorted(rules.algo for rules in VARIANTS.values())
 
 
 def test_validate_takes_each_variant_a_log_name_can_give(tmp_path, capsys):

@@ -90,6 +90,12 @@ def test_update_frame_rules():
     assert update_frame(1.0, IterationStatus.BARRIER, 1.0, 0.15, 0.85) == 0.5
 
 
+def test_update_frame_keeps_the_frame_when_p_equals_a_beta():
+    # doubling needs p > beta_u and halving p < beta_l, strictly
+    assert update_frame(1.0, IterationStatus.SUCCESS, 0.85, 0.15, 0.85) == 1.0
+    assert update_frame(1.0, IterationStatus.FAILURE, 0.15, 0.15, 0.85) == 1.0
+
+
 def test_frame_mesh_coupling_after_updates():
     delta_p = 1.0
     rng = np.random.default_rng(11)

@@ -94,9 +94,10 @@ def test_rho_params_validation():
 
 def test_policy_defaults_and_validation():
     mp = SolverConfig(variant="mp")
-    assert (mp.beta_l, mp.beta_u) == (0.0003, 0.997)
+    assert mp.betas == (0.0003, 0.997)
     dp = SolverConfig(variant="dp")
-    assert (dp.beta_l, dp.beta_u) == (0.15, 0.85)
+    assert dp.betas == (0.15, 0.85)
+    assert SolverConfig(variant="mp", beta_u=0.9).betas == (0.0003, 0.9)
     with pytest.raises(ConfigError):
         SolverConfig(variant="mp", beta_l=0.0)
     with pytest.raises(ConfigError):
@@ -123,6 +124,13 @@ def test_update_r_dynamic_variant():
     assert update_r(dp, 3.0, 0.001) == 2.0  # decisively worse: can relax
     assert update_r(dp, 3.0, 0.9) == 3.0  # outside but not decisive: hold
     assert update_r(dp, 3.0, 0.1) == 3.0
+
+
+def test_update_r_holds_r_when_min_p_equals_the_decrease_threshold():
+    # r moves down only when min(p, 1 - p) is strictly below the threshold; both
+    # ties are exact in binary (1 - 0.95 would not be: it is 0.050000000000000044)
+    assert update_r(SolverConfig(variant="dp"), 3.0, 0.05) == 3.0
+    assert update_r(SolverConfig(variant="dp", dp_decrease_threshold=0.0625), 3.0, 0.9375) == 3.0
 
 
 def test_update_r_rejects_bad_p():

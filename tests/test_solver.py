@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
+import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +35,11 @@ from apmads.blackbox import NoisyBlackbox, Observation, draws_for_sigma
 from apmads.estimation import EvaluationCache, plausible_rows, sigma_to_reach
 from apmads.mesh import IterationStatus, generate_poll, on_mesh
 from apmads.normal import phi_inv
-from apmads.precision import rho
+from apmads.precision import VARIANTS, rho
 from apmads.problems import norm2_feasible
 from apmads.solver import observe_points, poll_step, search_step
 
-from oracles import cache_state, log_rows_fieldwise, parse_log_rowwise
+from oracles import cache_state, log_rows_fieldwise, parse_log_rowwise, plausible_rows_by_row
 from test_golden_logs import golden_run
 
 
@@ -378,15 +381,19 @@ def test_run_rejects_infeasible_start():
 
 
 def test_config_variant_defaults():
+    # the fields keep what the caller gave; the properties resolve the variant's defaults
     dp = SolverConfig(variant="dp")
-    assert (dp.beta_l, dp.beta_u, dp.search_enabled) == (0.15, 0.85, True)
+    assert (dp.beta_l, dp.beta_u, dp.search_enabled) == (None, None, None)
+    assert (dp.betas, dp.searches) == ((0.15, 0.85), True)
     mp = SolverConfig(variant="mp")
-    assert (mp.beta_l, mp.beta_u, mp.search_enabled) == (0.0003, 0.997, False)
+    assert (mp.betas, mp.searches) == ((0.0003, 0.997), False)
+    given = SolverConfig(variant="mp", beta_l=0.1, search_enabled=True)
+    assert (given.betas, given.searches) == ((0.1, 0.997), True)
 
 
 def test_config_fixed_variant():
     fixed = SolverConfig(variant="fixed", sigma_fixed=1e-3)
-    assert (fixed.beta_l, fixed.beta_u, fixed.search_enabled) == (0.15, 0.85, False)
+    assert (fixed.betas, fixed.searches) == ((0.15, 0.85), False)
     with pytest.raises(ConfigError, match="sigma_fixed"):
         SolverConfig(variant="fixed")
     for variant in ("dp", "mp"):
@@ -412,6 +419,84 @@ def test_config_is_frozen_and_replace_checks_it_again():
     fixed = SolverConfig(variant="fixed", sigma_fixed=1e-3)
     with pytest.raises(InvalidSigmaError):
         dataclasses.replace(fixed, sigma_fixed=0.0)
+
+
+@st.composite
+def shared_settings(draw):
+    """Settings any variant may be given; some are illegal for some variants."""
+    return dict(
+        beta_l=draw(st.sampled_from([None, None, 0.01, 0.1, 0.5])),
+        beta_u=draw(st.sampled_from([None, None, 0.5, 0.9, 0.999])),
+        search_enabled=draw(st.sampled_from([None, None, False, True])),
+        dp_decrease_threshold=draw(st.sampled_from([0.05, 0.001, 0.12])),
+        sigma_min=draw(st.sampled_from([0.0, 0.0, 0.01])),
+        r_init=draw(st.sampled_from([0.0, 10.0, 1534.0])),
+        seed=draw(st.integers(0, 9)),
+    )
+
+
+@pytest.mark.parametrize("a, b", list(itertools.product(["dp", "mp", "fixed"], repeat=2)))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shared=shared_settings(), sigma=st.sampled_from([1e-3, 0.5]))
+def test_replace_to_another_variant_takes_its_defaults(a, b, shared, sigma):
+    # replace(config of a, variant=b) is the config of b built afresh, or the same refusal
+    def sigma_of(variant):
+        return {"sigma_fixed": sigma} if variant == "fixed" else {}
+
+    try:
+        source = SolverConfig(variant=a, **shared, **sigma_of(a))
+    except (ConfigError, InvalidSigmaError):
+        return
+    changes = sigma_of(b) or ({"sigma_fixed": None} if a == "fixed" else {})
+    try:
+        expected = SolverConfig(variant=b, **shared, **changes)
+    except (ConfigError, InvalidSigmaError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            dataclasses.replace(source, variant=b, **changes)
+        return
+    replaced = dataclasses.replace(source, variant=b, **changes)
+    assert replaced == expected
+    assert (replaced.betas, replaced.searches) == (expected.betas, expected.searches)
+
+
+# a legal value other than the default of each field that README says fixed ignores
+IGNORED_BY_FIXED = {"sigma_max": 0.5, "r0": 3.0, "theta": 0.2, "r_s": -3.0, "tau": 0.4,
+                    "r_init": 2.0, "beta_l": 0.1, "beta_u": 0.9, "dp_decrease_threshold": 0.01}
+# the same for the other fields but the variant: fixed refuses the value or reads it
+READ_BY_FIXED = {"sigma_min": 0.01, "sigma_fixed": 0.2, "search_enabled": True,
+                 "delta_p0": 0.5, "stop_delta_p": 0.5, "stop_draws": 1e3, "max_iterations": 3,
+                 "seed": 1}
+
+
+def test_readme_lists_the_fields_a_run_that_is_not_adaptive_ignores():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("A `fixed` run checks but ignores the keys that only `dp` and `mp` read:")
+    listed = re.findall(r"`(\w+)`", readme[readme.index("read:", start):
+                                            readme.index("Its log is the same", start)])
+    assert sorted(listed) == sorted(IGNORED_BY_FIXED)
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == {
+        "variant", *IGNORED_BY_FIXED, *READ_BY_FIXED}
+    problem = problem_registry("norm2")
+
+    def log(variant, **values):
+        values = {"sigma_fixed": 0.1, **values} if not VARIANTS[variant].adaptive else values
+        config = SolverConfig(variant=variant, **{"seed": 0, "stop_draws": 1e5, **values})
+        return log_to_csv(run(problem, config).records, problem.dimension)
+
+    fixed_variants = [name for name, rules in VARIANTS.items() if not rules.adaptive]
+    adaptive_variants = [name for name, rules in VARIANTS.items() if rules.adaptive]
+    assert fixed_variants and adaptive_variants
+    for name, value in IGNORED_BY_FIXED.items():
+        for variant in fixed_variants:
+            assert log(variant, **{name: value}) == log(variant), name
+        assert any(log(variant, **{name: value}) != log(variant)
+                   for variant in adaptive_variants), name
+    for name, value in READ_BY_FIXED.items():
+        for variant in fixed_variants:
+            try:
+                assert log(variant, **{name: value}) != log(variant), name
+            except ConfigError:
+                pass
 
 
 def test_config_rejects_sigma_min_without_search():
@@ -895,7 +980,8 @@ def test_plausible_rows_equals_full_scan(tau, f_inc, sig_inc, data):
         s = data.draw(st.one_of(FINITE_SIGMA, st.just(math.inf)))
         if kind == "threshold":
             # d / hypot lands on z_min, or a few ulps to either side
-            d = z_min * float(np.hypot(s, sig_inc))
+            with np.errstate(over="ignore"):
+                d = z_min * float(np.hypot(s, sig_inc))
             for _ in range(abs(step := data.draw(st.integers(-2, 2)))):
                 d = math.nextafter(d, math.copysign(math.inf, step))
             fk.append(f_inc - d)
@@ -903,9 +989,8 @@ def test_plausible_rows_equals_full_scan(tau, f_inc, sig_inc, data):
             fk.append(data.draw(st.floats(allow_nan=False)))
         sigk.append(s)
     fk, sigk = np.array(fk, dtype=float), np.array(sigk, dtype=float)
-    with np.errstate(all="ignore"):
-        full = np.flatnonzero((f_inc - fk) / np.hypot(sigk, sig_inc) >= z_min)
-    assert plausible_rows(fk, sigk, f_inc, sig_inc, z_min).tolist() == full.tolist()
+    expected = plausible_rows_by_row(fk, sigk, f_inc, sig_inc, z_min)
+    assert plausible_rows(fk, sigk, f_inc, sig_inc, z_min).tolist() == expected
 
 
 # sigmas up to 1 whose square does not underflow to 0 (record_batch divides by
