@@ -36,15 +36,14 @@ def draws_for_sigma(sigma: float) -> float:
     """Equivalent Monte-Carlo draw cost of one observation at ``sigma``.
 
     An estimate with standard deviation ``sigma`` costs ``1 / sigma**2``
-    draws; the count is real-valued, not an integer. A sigma so small that
-    the count overflows raises ``InvalidSigmaError``.
+    draws, a real number, and weighs that much when estimates are fused. So
+    this is the one test of a usable sigma: it raises ``InvalidSigmaError``
+    unless the cost is finite and positive (sigma in about [7.5e-155, 1.3e154]).
     """
-    if not sigma > 0:
-        raise InvalidSigmaError(f"sigma must be positive, got {sigma}")
     square = sigma * sigma
-    cost = 1.0 / square if square > 0.0 else math.inf
-    if not math.isfinite(cost):
-        raise InvalidSigmaError(f"draw cost of sigma={sigma} is not finite")
+    cost = 1.0 / square if sigma > 0.0 and square > 0.0 else math.nan
+    if not 0.0 < cost < math.inf:
+        raise InvalidSigmaError(f"draw cost of sigma={sigma} is not finite and positive")
     return cost
 
 

@@ -20,6 +20,7 @@ from contextlib import closing
 from dataclasses import fields
 from multiprocessing import Pool
 
+from .blackbox import draws_for_sigma
 from .exceptions import (ApmadsError, ConfigError, InvalidInputError, InvalidSigmaError,
                          UnknownProblemError)
 from .precision import VARIANTS
@@ -36,7 +37,6 @@ from .profiles import (
     log_outputs,
     make_run_result,
     performance_profile_csv,
-    reference_draws,
     validate_records,
 )
 from .solver import SolverConfig, read_log, run, write_log
@@ -306,7 +306,7 @@ def cmd_profile(args) -> int:
             )
         tau_of[suffix] = tau
     try:
-        reference_draws(args.sigma_ref)
+        draws_for_sigma(args.sigma_ref)
     except InvalidSigmaError as exc:
         raise UsageError(f"bad --sigma-ref: {exc}") from None
     workers = bench_workers(args.workers, len(args.logs))

@@ -13,11 +13,12 @@ Unevaluated and infeasible points estimate to (+inf, +inf).
 
 import math
 import struct
+from itertools import compress
 
 import numpy as np
 
-from .blackbox import Observation, Point
-from .exceptions import InvalidInputError, InvalidSigmaError, NoIncumbentError
+from .blackbox import Observation, Point, draws_for_sigma
+from .exceptions import InvalidInputError, NoIncumbentError
 
 _INITIAL_CAPACITY = 256
 
@@ -150,8 +151,8 @@ class EvaluationCache:
         turn, repeated points included: a later observation of a point
         fuses into the estimate left by an earlier one. The keys are those
         of ``key`` or ``keys``. Returns the points' rows. A feasible point's
-        sigma must be positive with a positive square (its weight is
-        ``1 / sigma**2``), else ``InvalidSigmaError`` is raised before any write.
+        weight is its draw cost: a sigma that ``draws_for_sigma`` refuses raises
+        ``InvalidSigmaError`` before any write; one above ``SIGMA_MAX`` is fused.
 
         Each row it writes also updates the kept incumbent row: a lower
         estimate, or an equal one at a lower row, takes over; the kept
@@ -170,9 +171,8 @@ class EvaluationCache:
         width = len(self._keys[0]) if self._keys else len(keys[0])
         if set(map(len, keys)) != {width}:
             raise InvalidInputError(f"points must all have {width // 8} coordinates")
-        bad = [s for s, ok in zip(sigmas, feasible) if ok and not (s > 0.0 and s * s > 0.0)]
-        if bad:
-            raise InvalidSigmaError(f"sigma must be positive with a positive square, got {bad[0]}")
+        for sigma in set(compress(sigmas, feasible)):
+            draws_for_sigma(sigma)
         if self._unpack is None:
             self._unpack = struct.Struct(f"{width // 8}d").unpack
         while len(self._keys) + len(keys) > len(self._fk):
@@ -213,7 +213,7 @@ class EvaluationCache:
             total_wv += w * value
             sum_w[i] = total_w
             sum_wv[i] = total_wv
-            if estimated and total_w != 0.0:
+            if estimated:
                 f = fk[i] = total_wv / total_w
                 s = sigk[i] = total_w**-0.5
                 if c is not None:

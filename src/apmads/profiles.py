@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import draws_for_sigma
-from .exceptions import DegenerateNormalizationError, InvalidInputError, InvalidSigmaError
+from .exceptions import DegenerateNormalizationError, InvalidInputError
 from .mesh import IterationStatus, mesh_size, on_mesh
 from .precision import VARIANTS
 from .problems import ProblemDef
@@ -114,7 +114,7 @@ def _curve(draws, truths, start_truth: float, best_truth: float):
 
 def accuracy(result: RunResult, budget: float) -> float:
     """Accuracy of the best incumbent logged within ``budget`` draws."""
-    if budget < 0:
+    if not budget >= 0:
         raise InvalidInputError(f"budget must be >= 0, got {budget}")
     budgets, facc = accuracy_curve(result)
     i = int(np.searchsorted(budgets, budget, side="right")) - 1
@@ -185,25 +185,14 @@ def performance_profile(results, tau: float):
     return alphas, _solved_fractions(ratios, alphas)
 
 
-def reference_draws(sigma_ref: float) -> float:
-    """Draw cost of one reference estimate at standard deviation ``sigma_ref``.
-
-    ``sigma_ref`` must be positive and finite, and its cost 1/sigma_ref**2
-    finite; otherwise ``InvalidSigmaError``.
-    """
-    if not 0.0 < sigma_ref < math.inf:
-        raise InvalidSigmaError(f"sigma_ref must be positive and finite, got {sigma_ref}")
-    return draws_for_sigma(sigma_ref)
-
-
 def data_profile(results, tau: float, sigma_ref: float = REFERENCE_SIGMA):
     """Solved fraction per algorithm versus groups of reference estimates.
 
     The abscissa counts how many observations at guaranteed standard
-    deviation ``sigma_ref`` (each worth 1/sigma_ref**2 draws) would fit in
-    the consumed budget.
+    deviation ``sigma_ref`` (each worth ``draws_for_sigma(sigma_ref)``
+    draws, which vets it) would fit in the consumed budget.
     """
-    n_ref = reference_draws(sigma_ref)
+    n_ref = draws_for_sigma(sigma_ref)
     groups_of = {algo: own / n_ref for algo, own in _solve_budget_table(results, tau).items()}
     every = np.concatenate(list(groups_of.values()))
     groups = np.unique(every[np.isfinite(every)])
@@ -307,8 +296,11 @@ def validate_records(
     known, so are the incumbents' dimension and the start point; mesh
     membership of the logged incumbents (exact rational residuals against
     the finest mesh so far) is then checked, if the dimension check passes.
-    A ``variant`` whose rules never lower r (``mp``, ``fixed``) is checked for it.
+    A ``variant`` whose rules never lower r (``mp``, ``fixed``) is checked for it;
+    one that is not None and not a key of ``VARIANTS`` raises ``InvalidInputError``.
     """
+    if variant is not None and variant not in VARIANTS:
+        raise InvalidInputError(f"variant must be None or one of {list(VARIANTS)}, got {variant!r}")
     checks: list[tuple[str, bool, str]] = []
 
     ks = [rec.k for rec in records]
@@ -337,7 +329,7 @@ def validate_records(
     )
     checks.append(("status-p-consistency", ok, "success implies p >= 0.5"))
 
-    if variant in VARIANTS and not VARIANTS[variant].lowers_r:
+    if variant is not None and not VARIANTS[variant].lowers_r:
         rs = [rec.r for rec in records]
         ok = all(b >= a for a, b in zip(rs, rs[1:]))
         checks.append(("r-nondecreasing", ok, "the variant never lowers r"))

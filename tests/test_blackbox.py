@@ -23,6 +23,7 @@ class ZeroRng:
 def test_draws_for_sigma_values():
     assert draws_for_sigma(1.0) == 1.0
     assert draws_for_sigma(1e-3) == pytest.approx(1e6, rel=1e-12)
+    assert draws_for_sigma(2.0) == 0.25  # above SIGMA_MAX, which only the blackbox caps
     with pytest.raises(InvalidSigmaError):
         draws_for_sigma(0.0)
     with pytest.raises(InvalidSigmaError):
@@ -272,7 +273,8 @@ def test_observe_batch_rejects_mismatched_sigmas():
 
 
 def test_draw_cost_overflow_raises_typed_error():
-    for sigma in (1e-160, 1e-170, 5e-324):
+    # 1e200 and +inf square to +inf: their cost rounds to 0
+    for sigma in (1e-160, 1e-170, 5e-324, 1e200, math.inf):
         with pytest.raises(InvalidSigmaError):
             draws_for_sigma(sigma)
     # the smallest sigma with a finite cost still works

@@ -229,8 +229,9 @@ def test_profile_rejects_unparseable_names(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--tau", "2"], ["--tau", "0.5", "2"], ["--tau", "nan"],
     ["--sigma-ref", "0"], ["--sigma-ref", "nan"], ["--sigma-ref", "inf"],
-    # 1e-200 ** 2 underflows, so one reference estimate has no finite cost
-    ["--sigma-ref", "1e-200"],
+    # 1e-200 ** 2 underflows, so one reference estimate has no finite cost;
+    # 1e200 ** 2 overflows, so its cost rounds to 0
+    ["--sigma-ref", "1e-200"], ["--sigma-ref", "1e200"],
 ], ids=" ".join)
 def test_profile_bad_value_exits_1_before_writing(tmp_path, capsys, args):
     log = tmp_path / "norm2__dpmads__s0.csv"

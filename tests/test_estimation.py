@@ -273,9 +273,10 @@ def test_record_batch_rejects_mismatched_lengths():
         EvaluationCache().record_batch(keys, [1.0, 1.0], [1.0, 1.0], [True])
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, 5e-324])
-def test_record_batch_rejects_a_sigma_without_a_positive_square_before_writing(sigma):
-    # 5e-324 squares to 0: its weight 1 / sigma**2 would divide by zero
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, 5e-324, 1e-160, 1e200, math.inf])
+def test_record_batch_refuses_an_unusable_sigma_before_writing(sigma):
+    # the weight 1 / sigma**2 divides by zero at 5e-324, overflows at 1e-160
+    # and rounds to 0 at 1e200 and +inf: draws_for_sigma refuses each
     cache = EvaluationCache()
     record_all(cache, [(0.0,), (1.0,), (2.0,)], [obs(2.0, 1.0), obs(1.0, 0.5), obs(3.0, 1.0)])
     query = (2.0, 0.5, phi_inv(0.25))
@@ -288,6 +289,9 @@ def test_record_batch_rejects_a_sigma_without_a_positive_square_before_writing(s
     assert [a.tolist() for a in cache.estimate_arrays()] == [fk.tolist(), sigk.tolist()]
     assert cache.incumbent() == (1.0,)
     assert cache.searched_rows(*query) == searched
+    # a sigma above the blackbox's cap SIGMA_MAX = 1 is still fused
+    record_all(cache, [(4.0,)], [obs(1.0, 2.0)])
+    assert cache.estimate((4.0,)) == (1.0, 2.0)
 
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -375,13 +379,13 @@ FUSED_VALUE = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6),
     st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308]),
 )
-# sigmas up to 1 whose square does not underflow to 0 (record_batch divides by
-# it), from 2.2e-162; below about 1e-154 their weight 1/s**2 overflows
+# sigmas up to 1 that record_batch accepts: from 1e-154, whose weight 1/s**2 is
+# 1e308, so two of them overflow sum_w (and the 1e308 values overflow sum_wv)
 UNIT_SIGMA = st.one_of(
     st.sampled_from([0.5, 1.0]),
     st.floats(min_value=1e-3, max_value=1.0),
-    st.sampled_from([math.sqrt(5e-324), 1e-160, 1e-154, 1e-3]),
-    st.floats(min_value=math.sqrt(5e-324), max_value=1.0),
+    st.sampled_from([1e-154, 1e-3]),
+    st.floats(min_value=1e-154, max_value=1.0),
 )
 
 

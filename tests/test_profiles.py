@@ -115,8 +115,9 @@ def test_a_tau_outside_the_unit_interval_or_a_negative_budget_raises():
     for tau in (0.0, 1.0, -0.5, 2.0, math.nan):
         with pytest.raises(InvalidInputError, match="tau must lie in"):
             budget_to_solve(res, tau)
-    with pytest.raises(InvalidInputError, match="budget must be >= 0"):
-        accuracy(res, -1.0)
+    for budget in (-1.0, math.nan):
+        with pytest.raises(InvalidInputError, match="budget must be >= 0"):
+            accuracy(res, budget)
 
 
 def test_accuracy_degenerate_normalisation():
@@ -350,6 +351,13 @@ def test_validate_records_detects_corruption():
     assert not checks["draws-nondecreasing"]
     assert not checks["mesh-frame-coupling"]
     assert not checks["r-nondecreasing"]
+
+
+@pytest.mark.parametrize("variant", ["mpmads", "MP", ""])
+def test_validate_records_refuses_an_unknown_variant(variant):
+    # an algorithm name or a misspelt variant would skip the r-nondecreasing check
+    with pytest.raises(InvalidInputError, match="variant must be None or one of"):
+        validate_records([], variant=variant)
 
 
 # the taus at which log_outputs is checked against budget_to_solve

@@ -993,11 +993,11 @@ def test_plausible_rows_equals_full_scan(tau, f_inc, sig_inc, data):
     assert plausible_rows(fk, sigk, f_inc, sig_inc, z_min).tolist() == expected
 
 
-# sigmas up to 1 whose square does not underflow to 0 (record_batch divides by
-# it), from 2.2e-162; below about 1e-154 their weight 1/s**2 overflows
+# sigmas up to 1 that record_batch accepts: from 1e-154, whose weight 1/s**2 is
+# 1e308, so two of them overflow sum_w (and the 1e308 values overflow sum_wv)
 UNIT_SIGMA = st.one_of(
-    st.sampled_from([math.sqrt(5e-324), 1e-160, 1e-154, 1e-3, 0.5, 1.0]),
-    st.floats(min_value=math.sqrt(5e-324), max_value=1.0),
+    st.sampled_from([1e-154, 1e-3, 0.5, 1.0]),
+    st.floats(min_value=1e-154, max_value=1.0),
 )
 # observed values: zeros of both signs, subnormals, and values whose fusion sums overflow
 OBSERVED_VALUE = st.one_of(
