@@ -40,6 +40,8 @@ def draws_for_sigma(sigma: float) -> float:
     this is the one test of a usable sigma: it raises ``InvalidSigmaError``
     unless the cost is finite and positive (sigma in about [7.5e-155, 1.3e154]).
     """
+    if isinstance(sigma, np.floating):  # numpy's scalar arithmetic warns on overflow
+        sigma = float(sigma)
     square = sigma * sigma
     cost = 1.0 / square if sigma > 0.0 and square > 0.0 else math.nan
     if not 0.0 < cost < math.inf:

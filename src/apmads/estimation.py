@@ -58,9 +58,10 @@ class EvaluationCache:
     bit-for-bit and no epsilon keying is needed.
 
     A point's row (its insertion index) indexes flat arrays that grow by
-    doubling: the fusion sums ``sum_w`` and ``sum_wv``, the feasibility
-    flag and the estimates ``fk``/``sigk``, so whole-cache scans
-    (incumbent selection, search-step filtering) stay vectorised.
+    doubling: the fusion sums ``sum_w`` and ``sum_wv`` and the estimates
+    ``fk``/``sigk``, so whole-cache scans (incumbent selection, search-step
+    filtering) stay vectorised. A row is infeasible exactly when its sigk is
+    +inf; a feasible row's sigk is finite (0 once ``sum_w`` overflowed).
     ``overflowed`` turns True once a feasible point's fused estimate is
     not finite, i.e. once ``sum_wv`` overflowed (an observed value times
     its weight ``1 / sigma**2`` past the largest float).
@@ -79,7 +80,6 @@ class EvaluationCache:
         self._unpack = None  # struct unpacker for the key width, set by the first point
         self._sum_w = np.zeros(_INITIAL_CAPACITY)
         self._sum_wv = np.zeros(_INITIAL_CAPACITY)
-        self._feasible = np.ones(_INITIAL_CAPACITY, dtype=bool)
         self._fk = np.full(_INITIAL_CAPACITY, math.inf)
         self._sigk = np.full(_INITIAL_CAPACITY, math.inf)
         self._incumbent: tuple[int, Point | None] = (-1, None)
@@ -126,7 +126,6 @@ class EvaluationCache:
         n, capacity = len(self._fk), 2 * len(self._fk)
         self._sum_w = _extended(self._sum_w, n, capacity, 0.0)
         self._sum_wv = _extended(self._sum_wv, n, capacity, 0.0)
-        self._feasible = _extended(self._feasible, n, capacity, True)
         self._fk = _extended(self._fk, n, capacity, math.inf)
         self._sigk = _extended(self._sigk, n, capacity, math.inf)
         if self._bound is not None:
@@ -147,12 +146,13 @@ class EvaluationCache:
         """Fuse ``values[j]``, observed at ``sigmas[j]``, into the point keyed ``keys[j]``.
 
         ``feasible[j]`` False marks the point infeasible instead (its value
-        and sigma are ignored). Equivalent to ``record`` on each point in
-        turn, repeated points included: a later observation of a point
-        fuses into the estimate left by an earlier one. The keys are those
-        of ``key`` or ``keys``. Returns the points' rows. A feasible point's
-        weight is its draw cost: a sigma that ``draws_for_sigma`` refuses raises
-        ``InvalidSigmaError`` before any write; one above ``SIGMA_MAX`` is fused.
+        and sigma, and any later observation of it, are ignored). Equivalent
+        to ``record`` on each point in turn, repeated points included: a
+        later observation of a point fuses into the estimate left by an
+        earlier one. The keys are those of ``key`` or ``keys``. Returns the
+        points' rows. A feasible point's weight is its draw cost: a sigma
+        that ``draws_for_sigma`` refuses raises ``InvalidSigmaError`` before
+        any write; one above ``SIGMA_MAX`` is fused.
 
         Each row it writes also updates the kept incumbent row: a lower
         estimate, or an equal one at a lower row, takes over; the kept
@@ -179,7 +179,7 @@ class EvaluationCache:
             self._grow()
         index, new_key = self._index, self._keys.append
         sum_w, sum_wv = self._sum_w, self._sum_wv
-        is_feasible, fk, sigk = self._feasible, self._fk, self._sigk
+        fk, sigk = self._fk, self._sigk
         bound, c = self._bound, self._bound_c
         best, best_f = self._best_row, self._best_f
         self._best_row = -1  # unknown until the loop ends, should it raise
@@ -192,7 +192,6 @@ class EvaluationCache:
                 new_key(key)
             rows.append(i)
             if not ok:
-                is_feasible[i] = False
                 if not fresh:  # a new row's estimates are already (+inf, +inf)
                     fk[i] = math.inf
                     sigk[i] = math.inf
@@ -201,11 +200,12 @@ class EvaluationCache:
                 if i == best:
                     best = -1
                 continue
-            if fresh:  # a new row has no observation yet and is feasible
-                total_w, total_wv, estimated = 0.0, 0.0, True
+            if fresh:  # a new row has no observation yet
+                total_w, total_wv = 0.0, 0.0
+            elif sigk.item(i) == math.inf:  # marked infeasible
+                continue
             else:
                 total_w, total_wv = sum_w.item(i), sum_wv.item(i)
-                estimated = is_feasible.item(i)
             # Python floats throughout: the order and the scalar pow are
             # what pin the estimates bit for bit
             w = 1.0 / (sigma * sigma)
@@ -213,21 +213,20 @@ class EvaluationCache:
             total_wv += w * value
             sum_w[i] = total_w
             sum_wv[i] = total_wv
-            if estimated:
-                f = fk[i] = total_wv / total_w
-                s = sigk[i] = total_w**-0.5
-                if c is not None:
-                    bound[i] = f + c * s
-                if f - f != 0.0:  # inf or NaN: a fusion sum overflowed
-                    self.overflowed = True
-                    if f != f:  # argmin returns the first NaN row
-                        best = -1
-                if best < 0:
-                    continue
-                if f < best_f or (f == best_f and i <= best):
-                    best, best_f = i, f
-                elif i == best:  # its estimate rose: another row may now be lowest
+            f = fk[i] = total_wv / total_w
+            s = sigk[i] = total_w**-0.5
+            if c is not None:
+                bound[i] = f + c * s
+            if f - f != 0.0:  # inf or NaN: a fusion sum overflowed
+                self.overflowed = True
+                if f != f:  # argmin returns the first NaN row
                     best = -1
+            if best < 0:
+                continue
+            if f < best_f or (f == best_f and i <= best):
+                best, best_f = i, f
+            elif i == best:  # its estimate rose: another row may now be lowest
+                best = -1
         self._best_row, self._best_f = best, best_f
         return rows
 
@@ -243,8 +242,8 @@ class EvaluationCache:
         return self._fk.item(i), self._sigk.item(i)
 
     def feasible_at(self, i: int) -> bool:
-        """False once row ``i`` has been recorded infeasible."""
-        return self._feasible.item(i)
+        """False once row ``i`` has been recorded infeasible, i.e. while its sigk is +inf."""
+        return self._sigk.item(i) != math.inf
 
     def point_at(self, i: int) -> Point:
         return self._unpack(self._keys[i])

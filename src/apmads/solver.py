@@ -7,8 +7,8 @@ search step re-estimates cached points that plausibly beat the incumbent,
 the poll step evaluates a positive basis of mesh candidates around the
 (possibly re-centred) incumbent to the target standard deviation rho(r),
 and the outcome's p-value drives the frame and precision updates. The
-fixed-precision baseline ``fixed`` observes each point once at
-``sigma_fixed`` and scores the poll with p in {0, 1}.
+fixed-precision baseline ``fixed`` runs the same poll step, observing each
+new point once at ``sigma_fixed``, and scores the poll with p in {0, 1}.
 
 A run is strictly sequential. Independent runs (across seeds, problems or
 variants) share no state and may execute in parallel.
@@ -228,14 +228,18 @@ def observe_points(cache, blackbox, coords, sigma_for, rng) -> list[int | None]:
     return [find(key) for key in keys]
 
 
-def _tightening_sigma(cache, sigma_target: float):
-    """``sigma_for`` of the poll: one observation bringing sig_hat to the target.
+def _poll_sigma(cache, config: SolverConfig, r: float):
+    """``sigma_for`` of a poll at precision index ``r``, as the variant's row says.
 
-    Infeasible points and points already at the target get none. A sigma
-    clamped at ``SIGMA_MAX`` overshoots the target (see ``sigma_to_reach``),
-    so one observation per poll always brings a feasible point down to the
-    target, up to rounding.
+    In ``fixed`` a point not yet cached gets one observation at ``sigma_fixed``
+    and any other point none. Otherwise a feasible point gets one observation
+    bringing sig_hat to rho(r), or none once it is there; a sigma clamped at
+    ``SIGMA_MAX`` overshoots rho(r) (see ``sigma_to_reach``), so one always suffices.
     """
+    if not config.rules.adaptive:
+        sigma_fixed = config.sigma_fixed
+        return lambda i: sigma_fixed if i is None else None
+    sigma_target = rho(config, r)
     fresh = sigma_to_reach(math.inf, sigma_target, SIGMA_MAX)
     feasible_at, estimate_at = cache.feasible_at, cache.estimate_at
 
@@ -249,24 +253,6 @@ def _tightening_sigma(cache, sigma_target: float):
     return sigma_for
 
 
-def _poll_outcome(cache, rows) -> tuple[Point | None, IterationStatus]:
-    """Best candidate and status from the rows of the center and the candidates.
-
-    The first candidate with the lowest estimate wins; none is feasible
-    exactly when the best is None.
-    """
-    f_center, *f_poll = map(cache.estimate_arrays()[0].item, rows)
-    best = None
-    best_f = math.inf
-    for i, f in zip(rows[1:], f_poll):
-        if f < best_f:
-            best, best_f = i, f
-    if best is None:
-        return None, IterationStatus.BARRIER
-    status = IterationStatus.SUCCESS if best_f < f_center else IterationStatus.FAILURE
-    return cache.point_at(best), status
-
-
 def poll_step(
     center: Point,
     delta_p: float,
@@ -276,19 +262,26 @@ def poll_step(
     blackbox: NoisyBlackbox,
     rng,
 ) -> tuple[Point | None, IterationStatus, np.ndarray]:
-    """One poll around ``center`` at precision target rho(config, r).
+    """The poll of every variant: observe ``center`` and its candidates, pick the best.
 
-    The center and every feasible candidate whose estimate is looser than
-    the target receive new observations. Returns the best candidate (None
-    exactly when no candidate is feasible), the iteration status, and the
-    ``(m, n)`` array (m <= 2n) of candidates that ``generate_poll`` returned.
+    Each point is observed as ``_poll_sigma`` says: to rho(config, r) in ``dp``
+    and ``mp``, once at ``sigma_fixed`` in ``fixed``. Returns the first candidate
+    with the lowest estimate (None exactly when no candidate is feasible), the
+    iteration status, and the ``(m, n)`` array (m <= 2n) of candidates that
+    ``generate_poll`` returned.
     """
-    sigma_target = rho(config, r)
     coords = generate_poll(center, delta_p, rng)
     rows = observe_points(cache, blackbox, np.concatenate(([center], coords)),
-                          _tightening_sigma(cache, sigma_target), rng)
-    best, status = _poll_outcome(cache, rows)
-    return best, status, coords
+                          _poll_sigma(cache, config, r), rng)
+    f_center, *f_poll = map(cache.estimate_arrays()[0].item, rows)
+    best, best_f = None, math.inf
+    for i, f in zip(rows[1:], f_poll):
+        if f < best_f:
+            best, best_f = i, f
+    if best is None:
+        return None, IterationStatus.BARRIER, coords
+    status = IterationStatus.SUCCESS if best_f < f_center else IterationStatus.FAILURE
+    return cache.point_at(best), status, coords
 
 
 def search_step(
@@ -375,19 +368,15 @@ def _adaptive_step(config, blackbox, cache, incumbent, delta_p, r, rng):
 
 
 def _fixed_step(config, blackbox, cache, incumbent, delta_p, r, rng):
-    """The step of ``fixed``: success means strict decrease of single observations.
+    """The step of ``fixed``: ``poll_step``, scored by strict decrease of single observations.
 
-    p is 1.0 on success and 0.0 otherwise, so the frame doubles on success
-    and halves on any other outcome; ``r`` is returned unchanged.
+    p is 1.0 on success and 0.0 otherwise, so the frame doubles on success and
+    halves on any other outcome; ``r`` is returned unchanged. On an empty cache
+    (iteration 1) the start is observed first, so its noise precedes the poll direction.
     """
-
-    def once(i: int | None):
-        return config.sigma_fixed if i is None else None
-
-    # the center's noise is drawn before the poll direction, not after as in poll_step
-    rows = observe_points(cache, blackbox, np.array([incumbent]), once, rng)
-    rows += observe_points(cache, blackbox, generate_poll(incumbent, delta_p, rng), once, rng)
-    _, status = _poll_outcome(cache, rows)
+    if not len(cache):
+        observe_points(cache, blackbox, np.array([incumbent]), _poll_sigma(cache, config, r), rng)
+    _, status, _ = poll_step(incumbent, delta_p, r, config, cache, blackbox, rng)
     return status, float(status is IterationStatus.SUCCESS), r
 
 

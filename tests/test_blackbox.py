@@ -274,8 +274,12 @@ def test_observe_batch_rejects_mismatched_sigmas():
 
 def test_draw_cost_overflow_raises_typed_error():
     # 1e200 and +inf square to +inf: their cost rounds to 0
-    for sigma in (1e-160, 1e-170, 5e-324, 1e200, math.inf):
+    # numpy floats too, with no RuntimeWarning from numpy's scalar arithmetic
+    for sigma in (1e-160, 1e-170, 5e-324, 1e200, math.inf, np.float64(1e200),
+                  np.float64(1e-160)):
         with pytest.raises(InvalidSigmaError):
             draws_for_sigma(sigma)
+    with pytest.raises(TypeError):
+        draws_for_sigma("1.0")
     # the smallest sigma with a finite cost still works
     assert math.isfinite(draws_for_sigma(1e-154))

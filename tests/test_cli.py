@@ -908,6 +908,14 @@ def test_validate_takes_each_variant_a_log_name_can_give(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out and f"{log}: ok r-nondecreasing" in out
     assert main(["validate", str(log), "--variant", "fixd"]) == 1
+    # a name that gives no variant, and no --variant: every check but r-nondecreasing
+    renamed = tmp_path / "run.csv"
+    renamed.write_bytes(log.read_bytes())
+    capsys.readouterr()
+    assert main(["validate", str(renamed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith(f"{renamed}: ok ") for line in lines)
+    assert not any("r-nondecreasing" in line for line in lines)
 
 
 @pytest.mark.parametrize("name", ["norm2__mpmads__s1.csv", "moustache__dpmads__s1.csv"])

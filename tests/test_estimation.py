@@ -141,6 +141,9 @@ def test_sigma_to_reach():
 def test_sigma_to_reach_clamps_at_sigma_max():
     # target barely below existing: the exact solution is enormous
     assert sigma_to_reach(0.1000000001, 0.1, sigma_max=1.0) == 1.0
+    # one ulp above a target whose square is subnormal: 1/target**2 - 1/existing**2
+    # rounds to 0, and the exact solution overflows
+    assert sigma_to_reach(math.nextafter(1.2e-154, 1.0), 1.2e-154, sigma_max=1.0) == 1.0
 
 
 def test_sigma_to_reach_roundtrip():
@@ -186,6 +189,12 @@ def test_infeasible_point_estimates_to_infinity():
     cache = EvaluationCache()
     cache.record((0.0,), Observation.infeasible())
     assert cache.estimate((0.0,)) == (math.inf, math.inf)
+    # a later feasible observation leaves it infeasible
+    cache.record((0.0,), obs(1.0, 1.0))
+    assert cache.estimate((0.0,)) == (math.inf, math.inf)
+    assert not cache.feasible_at(cache.row((0.0,)))
+    with pytest.raises(NoIncumbentError):
+        cache.incumbent()
 
 
 def test_cache_growth_beyond_initial_capacity():
@@ -273,16 +282,20 @@ def test_record_batch_rejects_mismatched_lengths():
         EvaluationCache().record_batch(keys, [1.0, 1.0], [1.0, 1.0], [True])
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, 5e-324, 1e-160, 1e200, math.inf])
+@pytest.mark.parametrize("sigma", [
+    0.0, -1.0, math.nan, 5e-324, 1e-160, 1e200, math.inf, "1.0",
+    *(pytest.param(np.float64(s), id=f"float64-{s}") for s in (1e-160, 1e200)),
+])
 def test_record_batch_refuses_an_unusable_sigma_before_writing(sigma):
     # the weight 1 / sigma**2 divides by zero at 5e-324, overflows at 1e-160
-    # and rounds to 0 at 1e200 and +inf: draws_for_sigma refuses each
+    # and rounds to 0 at 1e200 and +inf: draws_for_sigma refuses each, and
+    # a sigma that is not a number
     cache = EvaluationCache()
     record_all(cache, [(0.0,), (1.0,), (2.0,)], [obs(2.0, 1.0), obs(1.0, 0.5), obs(3.0, 1.0)])
     query = (2.0, 0.5, phi_inv(0.25))
     searched = cache.searched_rows(*query)  # activates the bound column
     fk, sigk = (a.copy() for a in cache.estimate_arrays())
-    with pytest.raises(InvalidSigmaError):
+    with pytest.raises(TypeError if isinstance(sigma, str) else InvalidSigmaError):
         # a new point that would take over the incumbent, then a revisit at the bad sigma
         record_all(cache, [(3.0,), (1.0,)], [obs(-10.0, 1.0), obs(1.0, sigma)])
     assert len(cache) == 3
@@ -342,6 +355,8 @@ def test_negative_and_positive_zero_map_to_one_row(point):
     assert len(cache) == 1 and cache.estimate(negative) == (2.0, 2.0**-0.5)
     # the batch key path agrees with the one-point path
     assert cache.keys(np.array([negative, positive])) == [cache.key(positive)] * 2
+    with pytest.raises(InvalidInputError):
+        cache.keys(np.zeros(3))
     # coordinates come back with 0.0 for -0.0
     assert cache.coords_at([0]).tobytes() == (np.array([point]) + 0.0).tobytes()
 

@@ -112,3 +112,5 @@ def test_on_mesh_exactness():
     assert on_mesh((1.25,), (1.0,), 0.25)
     assert not on_mesh((1.3,), (1.0,), 0.25)
     assert on_mesh((2.0**-30 * 7 + 5.0,), (5.0,), 2.0**-30)
+    with pytest.raises(InvalidInputError):
+        on_mesh((1.0,), (1.0,), 0.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apmads.blackbox
@@ -135,6 +135,28 @@ def test_poll_step_enforces_sigma_target():
             assert sigk <= target * (1.0 + 1e-12)
 
 
+def test_poll_step_of_fixed_observes_each_new_point_once_at_sigma_fixed():
+    # the stub's poll around the origin is (0, -1), (-1, 0), (0, 1), (1, 0)
+    bb = make_blackbox(lambda x: math.hypot(*x), feasible=lambda x: x[0] >= 0.0)
+    cache = EvaluationCache()
+    config = SolverConfig(variant="fixed", sigma_fixed=1e-2)
+    center, seen = (0.0, 0.0), (1.0, 0.0)
+    for x in (center, seen):  # cached at a sigma looser than sigma_fixed: not observed again
+        cache.record(x, Observation(1.0, 0.5))
+    _, _, coords = poll_step(center, 1.0, 0.0, config, cache, bb, StubRng())
+    fresh = [x for x in candidates(coords) if x != seen and x[0] >= 0.0]
+    assert sorted(fresh) == [(0.0, -1.0), (0.0, 1.0)]
+    # one charge per new feasible point, none for the infeasible (-1, 0)
+    assert list(bb.ledger.sigmas) == [1e-2] * len(fresh)
+    assert bb.ledger.total_draws == len(fresh) * draws_for_sigma(1e-2)
+    assert [cache.estimate(x)[1] for x in fresh] == [1e-2] * len(fresh)
+    assert cache.estimate(center) == cache.estimate(seen) == (1.0, 0.5)
+    assert not cache.feasible_at(cache.row((-1.0, 0.0)))
+    # every point is cached now: a second poll observes nothing
+    poll_step(center, 1.0, 0.0, config, cache, bb, StubRng())
+    assert len(bb.ledger) == len(fresh)
+
+
 def test_search_step_no_qualifying_point():
     # tau above 0.5 excludes even the incumbent's self-comparison
     bb = make_blackbox(lambda x: math.hypot(*x))
@@ -239,6 +261,13 @@ def lin_problem() -> ProblemDef:
                       feasible=norm2_feasible, best_truth=-1e300, stop_delta_p=1e-10)
 
 
+def saturating_problem() -> ProblemDef:
+    """-x[0] / (1 + |x[0]|) from the origin: a poll from a frame of 1e308 succeeds decisively."""
+    return dataclasses.replace(
+        lin_problem(), truth=lambda x: -x[0] / (1.0 + abs(x[0])), best_truth=-1.0
+    )
+
+
 STOP_REASONS = {"frame", "budget", "max_iterations", "precision-floor"}
 
 
@@ -274,9 +303,7 @@ def test_a_run_that_polls_past_the_largest_float_ends_cleanly(variant, sigma_fix
 def test_a_frame_that_doubles_to_inf_ends_the_run(variant, sigma_fixed):
     # the first poll succeeds decisively from 1e308, so the frame doubles
     # past the largest float; no poll can step on that mesh
-    problem = dataclasses.replace(
-        lin_problem(), truth=lambda x: -x[0] / (1.0 + abs(x[0])), best_truth=-1.0
-    )
+    problem = saturating_problem()
     config = SolverConfig(variant=variant, sigma_fixed=sigma_fixed, delta_p0=1e308, seed=0)
     out = run(problem, config)
     assert_clean_end(problem, config, out)
@@ -378,6 +405,9 @@ def test_run_rejects_infeasible_start():
     problem = dataclasses.replace(problem_registry("moustache"), start=(0.0, 3.0))
     with pytest.raises(InfeasibleStartError):
         run(problem, SolverConfig(variant="dp"))
+    # a start that is not a point at all is refused too
+    with pytest.raises(InvalidInputError):
+        run(dataclasses.replace(problem, start=(math.nan, 0.0)), SolverConfig(variant="dp"))
 
 
 def test_config_variant_defaults():
@@ -1106,11 +1136,16 @@ def run_configs(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(["norm2", "moustache", "lin"]), values=run_configs(),
+@given(name=st.sampled_from(["norm2", "moustache", "lin", "saturating"]), values=run_configs(),
        # a constant added to the truth; near +-1e308 the fused estimates overflow
        offset=st.sampled_from([0.0, 1e300, -1e300, 1e308, -1e308]))
+# the frame doubles to +inf after the first poll, with budget and iterations left for more
+@example(name="saturating", offset=0.0, values=dict(
+    variant="fixed", sigma_fixed=1e-2, tau=0.25, r_init=0.0, sigma_max=1.0, delta_p0=1e308,
+    stop_draws=1e6, max_iterations=50, seed=0))
 def test_every_run_ends_cleanly_or_is_refused_before_its_first_draw(name, values, offset):
-    base = lin_problem() if name == "lin" else problem_registry(name)
+    built_here = {"lin": lin_problem, "saturating": saturating_problem}
+    base = built_here[name]() if name in built_here else problem_registry(name)
     problem = dataclasses.replace(base, truth=lambda x: base.truth(x) + offset)
     try:
         config = SolverConfig(**values)
